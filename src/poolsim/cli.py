@@ -24,7 +24,7 @@ from .model import RequestError, Request, SimConfig, load_requests, save_request
 from .roadnet import NetworkError, gen_grid, load_network, save_network
 from .analysis import rrcc_gate_harness
 from .seeds import substream
-from .simulator import SimReport, run, write_report_files
+from .simulator import SimReport, _atomic_write, run, write_report_files
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,13 +48,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
 
 
 def _write_manifest_file(path: str, command: str, settings: dict,

@@ -12,13 +12,23 @@ head node.  Candidates fall into three cases by where the destination lands:
 The added driving distance has a closed form per case built from at most six
 shortest-path lookups, so cost never re-sums the whole path.  Costing and the
 quality-of-service check share one ``VehicleTrial`` per (vehicle, request),
-which reads every distance they need once from the network's cached rows; a
-candidate then re-sums only the stops from its origin on.  Enumeration for
-K >= 1 starts at i = 1: the per-case closed-form candidate counts
-(K(K-1)/2, K-1, 1) count slots between and after committed stops only, so the
-slot ahead of the in-progress head leg is not enumerated (insertion_cost and
-splice themselves accept i = 0).  A K = 0 path has the single append
-candidate (0, 1).
+which reads every distance they need once from the network's cached rows.
+
+Most candidates fail on the new rider's own bounds, and those two bounds
+read only the km to the new origin and to the new destination.  The km to
+the origin depends on i alone, and the km to the destination is one running
+sum per i, so ``VehicleTrial.evaluate`` settles the new rider's pickup
+buffer in O(1) and its detour in O(1) amortised, from the very floats the
+full check would sum.  Only a candidate that passes both pays the O(K)
+check: cost, the re-summed stops from its origin on, and every committed
+rider's bounds.  No margin or fallback is involved; the verdict is the full
+check's, bit for bit.
+
+Enumeration for K >= 1 starts at i = 1: the per-case closed-form candidate
+counts (K(K-1)/2, K-1, 1) count slots between and after committed stops
+only, so the slot ahead of the in-progress head leg is not enumerated
+(insertion_cost and splice themselves accept i = 0).  A K = 0 path has the
+single append candidate (0, 1).
 """
 
 from __future__ import annotations
@@ -56,6 +66,9 @@ class QosViolation:
 _QOS_EPS = 1e-9
 
 _ORIGIN = StopKind.ORIGIN
+
+# a committed rider as the full check reads it, see VehicleTrial._rider_table
+_Rider = tuple[int, int, int, float, float, bool]
 
 
 def classify_case(i: int, j: int, k: int) -> str:
@@ -149,12 +162,20 @@ class SpliceLegs:
 class VehicleTrial(SpliceLegs):
     """One request tried against one vehicle: the (i, j)-independent work.
 
-    Built once per (vehicle, request) on top of the splice distances, it
-    adds each committed rider's stop positions and the parts of its bounds
-    that do not depend on the splice.  ``violation`` and ``evaluate`` then
-    decide an (i, j) candidate with the same float operations in the same
-    order as re-summing the whole spliced path, so every verdict is
-    bit-identical to that.
+    Built once per (vehicle, request) on top of the splice distances.
+    ``evaluate`` first decides the new rider's pickup buffer and detour
+    from the km to its two stops, which it sums exactly as ``prefix``
+    does: the km to the origin from the committed prefix, and the km to
+    the destination from one running sum per origin position i, built on
+    the first candidate with that i.  A candidate that fails either bound
+    is infeasible without an O(K) step.  A survivor gets its cost and the
+    full check: the re-summed prefix and every bound, committed riders
+    included.  The committed riders' table (stop positions and the parts
+    of their bounds that do not depend on the splice) is built on first
+    use, so a trial whose every candidate fails on the new rider never
+    builds it.  ``violation`` is always the full check.  Both decide with
+    the same float operations in the same order as re-summing the whole
+    spliced path, so every verdict is bit-identical to that.
     """
 
     def __init__(self, net: RoadNetwork, v: Vehicle,
@@ -169,13 +190,27 @@ class VehicleTrial(SpliceLegs):
         self.check_buffer = check_buffer
         self.max_detour = config.max_detour + _QOS_EPS
         self.max_buffer = config.buffer_km + _QOS_EPS
+        # _chain[m] = km to stop i + m of the splice before its destination
+        # goes in (the new origin, then the committed stops after it), for
+        # the origin position i = _chain_i
+        self._chain_i = -1
+        self._chain: list[float] = []
+        # the committed riders' table, built when the full check first runs
+        self.riders: list[_Rider] | None = None
+
+    def _rider_table(self) -> list[_Rider]:
+        """Committed riders in service-list order.
+
+        Per rider: (id, origin position or -1 once onboard, destination
+        position, direct km, km already counted against the bound,
+        buffer-guarded).
+        """
+        v = self.v
+        requests = self.requests
         origin_at = {s.request_id: m for m, s in enumerate(v.path)
                      if s.kind is _ORIGIN}
         dest_at = {s.request_id: m for m, s in enumerate(v.path)
                    if s.kind is not _ORIGIN}
-        # committed riders in service-list order: (id, origin position or -1
-        # once onboard, destination position, direct km, km already counted
-        # against the bound, buffer-guarded)
         riders = []
         for rid in v.service_list:
             r = requests[rid]
@@ -187,7 +222,7 @@ class VehicleTrial(SpliceLegs):
             else:  # onboard
                 riders.append((rid, -1, dest_at[rid], r.direct_dist,
                                v.odometer - r.traveled_at_pickup, False))
-        self.riders = riders
+        return riders
 
     def violation(self, i: int, j: int) -> QosViolation | None:
         """First quality-of-service violation of the (i, j) splice, or None.
@@ -214,7 +249,10 @@ class VehicleTrial(SpliceLegs):
             return QosViolation(new.id, "buffer")
         # committed stop m sits at splice position m + (m >= i) + (m >= j-1)
         jm = j - 1
-        for rid, oi, di, direct, counted, guarded in self.riders:
+        riders = self.riders
+        if riders is None:
+            riders = self.riders = self._rider_table()
+        for rid, oi, di, direct, counted, guarded in riders:
             at_d = q[di + 1 + (di >= i) + (di >= jm)]
             if oi < 0:  # onboard: km ridden plus km still to its drop-off
                 if (counted + at_d) / direct - 1.0 > max_detour:
@@ -239,6 +277,22 @@ class VehicleTrial(SpliceLegs):
     def evaluate(self, i: int, j: int) -> Candidate:
         """Cost one (i, j) splice and QoS-check it; infeasible carries inf."""
         case = classify_case(i, j, self.k)
+        rows = self.rows
+        # the new rider's own bounds, from q[i + 1] and q[j + 1] of prefix()
+        at_o = self.at[i] + rows[i][self.o_ix]
+        if self.check_buffer and 0.0 + at_o > self.max_buffer:
+            return Candidate(i, j, case, INFEASIBLE)
+        if j == i + 1:
+            at_d = at_o + self.row_o[self.d_ix]
+        else:
+            if self._chain_i != i:
+                self._chain_i = i
+                self._chain = list(accumulate(
+                    [at_o, self.row_o[self.ix[i + 1]], *self.leg[i + 1:]]))
+            at_d = self._chain[j - i - 1] + rows[j - 1][self.d_ix]
+        if ((at_d - at_o) / self.new_request.direct_dist - 1.0
+                > self.max_detour):
+            return Candidate(i, j, case, INFEASIBLE)
         cost = self.cost(i, j)
         q = self.prefix(i, j)
         # any unreachable leg leaves an infinite or NaN cost or prefix

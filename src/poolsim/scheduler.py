@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .geometry import (PSA_EMPTY, PSA_OPEN, Point, VehiclePsa, make_psa_rect,
@@ -45,6 +46,18 @@ def counts_for_path(k: int) -> tuple[int, int, int]:
     if k == 0:
         return (0, 0, 1)
     return (k * (k - 1) // 2, k - 1, 1)
+
+
+@lru_cache(maxsize=512)
+def admitted_positions(k: int, admit: tuple[bool, bool, bool],
+                       ) -> tuple[tuple[int, int], ...]:
+    """Positions of the admitted cases (A, B, C) for path length K, in order."""
+    keep = dict(zip((CASE_A, CASE_B, CASE_C), admit))
+    return tuple((i, j) for i, j in candidate_positions(k)
+                 if keep[classify_case(i, j, k)])
+
+
+_ADMIT_ALL = (True, True, True)
 
 
 @dataclass
@@ -121,7 +134,7 @@ def furthest_psa(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
 
 
 def gate(psa: VehiclePsa, case: str, o_pt: Point, d_pt: Point,
-         path_pts: list[Point], vehicle_pos: Point, buffer_km: float,
+         path_pts: list[Point], vehicle_pos: Point | None, buffer_km: float,
          mode: str) -> bool:
     """Cheap geometric admission test for one candidate case.
 
@@ -132,7 +145,8 @@ def gate(psa: VehiclePsa, case: str, o_pt: Point, d_pt: Point,
     case B in both modes because it has no boundary to separate the cases on.
     Case C bounds the new rider's pickup buffer: every committed stop must lie
     in the rectangle spanned by the vehicle position and the new origin with
-    the buffer as path budget; an empty path passes vacuously.
+    the buffer as path budget; an empty path passes vacuously.  Only case C
+    reads ``path_pts`` and ``vehicle_pos``.
     """
     if case == CASE_C:
         if not path_pts:
@@ -200,6 +214,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     pool.sort(key=lambda r: (r.t, r.id))
 
     vehicle_ids = sorted(state.vehicles)
+    observing = trial_observer is not None
     for r in pool:
         w = waiting_time(r, now)
         check_buffer = w <= config.wait_threshold_s
@@ -220,36 +235,37 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             counters.n_c += n_c
 
             if mode != MODE_ES and check_buffer:
-                path_pts = [net.point(s.node) for s in v.path]
-                pos = v.position_point(net)
-                allowed = {
-                    case: gate(v.psa, case, o_pt, d_pt, path_pts, pos,
-                               config.buffer_km, mode)
-                    for case in (CASE_A, CASE_B, CASE_C)
-                }
-                positions = [(i, j) for i, j in candidate_positions(k)
-                             if allowed[classify_case(i, j, k)]]
+                psa = v.psa
+                buffer_km = config.buffer_km
+                # only case C looks at the committed stops and the position
+                admit = (
+                    gate(psa, CASE_A, o_pt, d_pt, [], None, buffer_km, mode),
+                    gate(psa, CASE_B, o_pt, d_pt, [], None, buffer_km, mode),
+                    gate(psa, CASE_C, o_pt, d_pt,
+                         [net.point(s.node) for s in v.path],
+                         v.position_point(net), buffer_km, mode),
+                )
             else:
-                positions = candidate_positions(k)
+                admit = _ADMIT_ALL
+            positions = admitted_positions(k, admit)
+            counters.m_a += n_a if admit[0] else 0
+            counters.m_b += n_b if admit[1] else 0
+            counters.m_c += n_c if admit[2] else 0
 
             evaluated: list[Candidate] = []
-            trial = (VehicleTrial(net, v, state.requests, r, config,
-                                  check_buffer) if positions else None)
-            for i, j in positions:
-                cand = trial.evaluate(i, j)
-                evaluated.append(cand)
-                if cand.case == CASE_A:
-                    counters.m_a += 1
-                elif cand.case == CASE_B:
-                    counters.m_b += 1
-                else:
-                    counters.m_c += 1
-                if cand.cost != math.inf:
-                    key = (cand.cost, vid, cand.i, cand.j)
-                    if best is None or key < best:
-                        best = key
-                        best_case = cand.case
-            if trial_observer is not None:
+            if positions:
+                evaluate = VehicleTrial(net, v, state.requests, r, config,
+                                        check_buffer).evaluate
+                for i, j in positions:
+                    cand = evaluate(i, j)
+                    if observing:
+                        evaluated.append(cand)
+                    if cand.cost != math.inf:
+                        key = (cand.cost, vid, i, j)
+                        if best is None or key < best:
+                            best = key
+                            best_case = cand.case
+            if observing:
                 trial_observer(now, r, v, evaluated, state.requests)
 
         if best is not None:

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poolsim.geometry import Point
 from poolsim.insertion import (_QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
+                               Candidate, SpliceLegs, VehicleTrial,
                                candidate_positions, classify_case,
                                enumerate_all, insertion_cost, qos_check,
                                splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
-from poolsim.roadnet import gen_grid
+from poolsim.roadnet import Edge, NoPathError, RoadNetwork, gen_grid
 
 
 def line_net(n=61, spacing=0.1):
@@ -496,3 +500,189 @@ class TestEnumerateAll:
         tight = SimConfig(buffer_km=100.0, max_detour=0.0)
         cands = enumerate_all(net, v, reqs, new, tight, check_buffer=True)
         assert any(c.cost == INFEASIBLE for c in cands)
+
+
+def full_check_candidate(trial: VehicleTrial, i: int, j: int) -> Candidate:
+    """``VehicleTrial.evaluate`` without its new-rider screen.
+
+    Costs the splice and runs the full ``violation`` check; a splice with an
+    unreachable leg is infeasible.
+    """
+    cost = trial.cost(i, j)
+    try:
+        bad = trial.violation(i, j) is not None
+    except NoPathError:
+        bad = True
+    if bad or not math.isfinite(cost):
+        cost = INFEASIBLE
+    return Candidate(i, j, classify_case(i, j, trial.k), cost)
+
+
+def grid_with_island() -> RoadNetwork:
+    """4x4 half-km grid (nodes 0-15) and an island (16, 17) it drives into.
+
+    A one-way edge leads from the grid's corner to the island, so every leg
+    into the island is finite and every leg out of it is unreachable.  All
+    distances are multiples of 0.25 km, so sums are exact in any order.
+    """
+    grid = gen_grid(4, 4, 0.5)
+    nodes = dict(grid.nodes)
+    nodes[16] = Point(10.0, 10.0)
+    nodes[17] = Point(10.5, 10.0)
+    edges = list(grid.edges)
+    edges.append(Edge(len(edges), 15, 16, 12.5, bidirectional=False))
+    edges.append(Edge(len(edges), 16, 17, 0.5))
+    return RoadNetwork(nodes=nodes, edges=edges)
+
+
+ISLAND_NET = grid_with_island()
+GRID_NODES = list(range(16))
+
+
+@st.composite
+def screened_trials(draw):
+    """A vehicle with K = 0..8 committed stops, a new request, a config.
+
+    Committed riders start with no slack, so with a zero detour bound their
+    unspliced plans sit exactly on it.  The config's detour and buffer bounds
+    may be pinned to one candidate's exact new-rider detour ratio and pickup
+    km, so that candidate sits exactly on both bounds.
+    """
+    net = ISLAND_NET
+    island = draw(st.booleans())
+    stop_nodes = st.sampled_from(GRID_NODES + [16, 17] if island
+                                 else GRID_NODES)
+    k = draw(st.integers(0, 8))
+    v = Vehicle(id=0, capacity=9, node=draw(st.sampled_from(GRID_NODES)),
+                odometer=3.0)
+    if draw(st.booleans()):
+        v.offset_km = 0.25
+    reqs: dict[int, Request] = {}
+    path: list[Stop] = []
+    rid = 0
+    while len(path) < k:
+        rid += 1
+        d = draw(stop_nodes)
+        onboard = len(path) == k - 1 or draw(st.booleans())
+        r = Request(id=rid, t=0, n=1, o=d, d=d,
+                    odometer_at_schedule=draw(st.sampled_from([0.0, 1.0])),
+                    scheduled_under_wait=draw(st.booleans()))
+        if onboard:
+            r.state = RequestState.ONBOARD
+            r.traveled_at_pickup = draw(st.sampled_from([0.5, 2.0]))
+            at = draw(st.integers(0, len(path)))
+            path.insert(at, Stop(StopKind.DESTINATION, rid, d))
+        else:
+            r.state = RequestState.WAITING
+            r.o = draw(stop_nodes.filter(lambda x: x != d))
+            a = draw(st.integers(0, len(path)))
+            path.insert(a, Stop(StopKind.ORIGIN, rid, r.o))
+            b = draw(st.integers(a + 1, len(path)))
+            path.insert(b, Stop(StopKind.DESTINATION, rid, d))
+        reqs[rid] = r
+    v.path = path
+    v.service_list = sorted(reqs)
+    at = SpliceLegs(net, v.node, path, 0, 1, v.offset_km).at
+    for r in reqs.values():
+        di = next(m for m, s in enumerate(path)
+                  if s.request_id == r.id and s.kind == StopKind.DESTINATION)
+        if r.state == RequestState.WAITING:
+            oi = next(m for m, s in enumerate(path) if s.request_id == r.id)
+            planned = at[di + 1] - at[oi + 1]
+        else:
+            planned = v.odometer - r.traveled_at_pickup + at[di + 1]
+        r.direct_dist = planned if math.isfinite(planned) else 1.0
+
+    o = draw(st.sampled_from(GRID_NODES))
+    d = draw(st.sampled_from([x for x in GRID_NODES + [16] if x != o]))
+    new = Request(id=99, t=0, n=1, o=o, d=d,
+                  direct_dist=net.shortest_dist(o, d))
+    max_detour = draw(st.sampled_from([0.0, 0.25, 0.5, None]))
+    buffer_km = draw(st.sampled_from([1.0, 2.5, 100.0, None]))
+    if max_detour is None or buffer_km is None:
+        i, j = draw(st.sampled_from([(i, j) for i in range(k + 1)
+                                     for j in range(i + 1, k + 2)]))
+        q = SpliceLegs(net, v.node, path, o, d, v.offset_km).prefix(i, j)
+        if max_detour is None:
+            ratio = (q[j + 1] - q[i + 1]) / new.direct_dist - 1.0
+            max_detour = ratio if math.isfinite(ratio) else 0.0
+        if buffer_km is None:
+            buffer_km = q[i + 1] if math.isfinite(q[i + 1]) else 1.0
+    cfg = SimConfig(max_detour=max_detour, buffer_km=buffer_km)
+    return net, v, reqs, new, cfg, draw(st.booleans())
+
+
+class TestScreenedEvaluate:
+    @settings(max_examples=300, deadline=None)
+    @given(case=screened_trials(), data=st.data())
+    def test_matches_full_check(self, case, data):
+        net, v, reqs, new, cfg, check_buffer = case
+        k = len(v.path)
+        positions = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 2)]
+        # any order: the per-origin running sum must follow changes of i
+        order = data.draw(st.permutations(positions))
+        trial = VehicleTrial(net, v, reqs, new, cfg, check_buffer)
+        reference = VehicleTrial(net, v, reqs, new, cfg, check_buffer)
+        for i, j in order:
+            got = trial.evaluate(i, j)
+            want = full_check_candidate(reference, i, j)
+            assert got == want, (i, j)
+
+    def test_pinned_bounds_are_feasible(self):
+        # the new rider's plan lands exactly on both bounds and passes
+        net = gen_grid(6, 2, 0.5)
+        v = Vehicle(id=0, capacity=4, node=0, offset_km=0.25)
+        new = Request(id=1, t=0, n=1, o=2, d=4, direct_dist=1.0)
+        trial = VehicleTrial(net, v, {}, new,
+                             SimConfig(max_detour=0.0, buffer_km=1.25), True)
+        assert trial.evaluate(0, 1).cost == 2.0
+        trial = VehicleTrial(net, v, {}, new,
+                             SimConfig(max_detour=0.0, buffer_km=1.0), True)
+        assert trial.evaluate(0, 1).cost == INFEASIBLE
+
+    def test_new_rider_failures_skip_the_full_check(self, monkeypatch):
+        summed = []
+        full_prefix = VehicleTrial.prefix
+
+        def counting_prefix(trial, i, j):
+            summed.append((i, j))
+            return full_prefix(trial, i, j)
+
+        monkeypatch.setattr(VehicleTrial, "prefix", counting_prefix)
+        net = gen_grid(8, 2, 0.5)
+        rider = Request(id=1, t=0, n=1, o=7, d=0, direct_dist=3.5,
+                        state=RequestState.ONBOARD, traveled_at_pickup=3.0)
+        v = Vehicle(id=0, capacity=4, node=7, odometer=3.0, service_list=[1],
+                    path=stops(("d", 1, 0)))
+        # o at x = 3 km, d at x = 0.5 km: driving on to x = 0 first is a
+        # 40% detour, although the last leg alone (0 -> d) is short
+        new = Request(id=2, t=0, n=1, o=6, d=1, direct_dist=2.5)
+        cfg = SimConfig(max_detour=0.2, buffer_km=0.25)
+        trial = VehicleTrial(net, v, {1: rider}, new, cfg, False)
+        assert trial.evaluate(0, 2).cost == INFEASIBLE
+        trial = VehicleTrial(net, v, {1: rider}, new, cfg, True)
+        assert trial.evaluate(0, 1).cost == INFEASIBLE  # pickup past 0.25 km
+        assert summed == []
+        # the committed riders' table is built only by the full check
+        assert trial.riders is None
+        trial = VehicleTrial(net, v, {1: rider}, new, cfg, False)
+        assert trial.evaluate(0, 1).cost == 0.0
+        assert summed == [(0, 1)]
+        assert trial.riders is not None
+
+    def test_unreachable_leg_is_infeasible_without_raising(self):
+        # the committed stop sits on the island: no leg leads back out
+        net = ISLAND_NET
+        rider = Request(id=1, t=0, n=1, o=0, d=17, direct_dist=1.0,
+                        state=RequestState.ONBOARD, traveled_at_pickup=0.0)
+        v = Vehicle(id=0, capacity=4, node=0, service_list=[1],
+                    path=stops(("d", 1, 17)))
+        new = Request(id=2, t=0, n=1, o=1, d=2, direct_dist=0.5)
+        trial = VehicleTrial(net, v, {1: rider}, new,
+                             SimConfig(max_detour=100.0, buffer_km=100.0),
+                             True)
+        # picked up and dropped off on the way to the island: feasible
+        assert trial.evaluate(0, 1).cost == 0.0
+        for i, j in [(0, 2), (1, 2)]:
+            assert trial.evaluate(i, j).cost == INFEASIBLE
+            assert full_check_candidate(trial, i, j).cost == INFEASIBLE

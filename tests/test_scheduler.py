@@ -8,13 +8,17 @@ import pytest
 
 from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
                               Point, VehiclePsa, make_psa_rect)
-from poolsim.insertion import CASE_A, CASE_B, CASE_C, enumerate_all
+from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
+                               enumerate_all)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, WorldState, waiting_time)
 from poolsim.roadnet import Edge, RoadNetwork, gen_grid
 from poolsim.scheduler import (Assignment, EpochCounters, counts_for_path,
                                es_epoch, furthest_psa, gate, psap_epoch,
                                refresh_psa_on_event, run_epoch)
+from poolsim.simulator import run, write_report_files
+from test_acceptance import ORACLE_GRID, oracle_instance
+from test_insertion import full_check_candidate
 
 
 def two_node_net():
@@ -533,3 +537,31 @@ class TestCounterAccounting:
         assert totals.n_total == expected_n
         assert totals.m_total == observed_m
         assert totals.m_total <= totals.n_total
+
+
+class TestScreenedEvaluation:
+    """The new-rider screen in ``VehicleTrial.evaluate`` changes no output."""
+
+    @pytest.fixture(scope="class")
+    def oracle_net(self):
+        return gen_grid(*ORACLE_GRID)
+
+    @pytest.mark.parametrize("scheduler,gating", [
+        ("es", "literal"), ("psap", "inclusive"), ("psap", "literal")])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_reports_byte_identical_to_full_check(self, oracle_net, tmp_path,
+                                                  monkeypatch, seed,
+                                                  scheduler, gating):
+        n_veh, reqs = oracle_instance(oracle_net, seed)
+        cfg = SimConfig(n_vehicles=n_veh, seed=seed, gating=gating)
+        shipped = run(oracle_net, reqs, cfg, scheduler=scheduler)
+        with monkeypatch.context() as m:
+            m.setattr(VehicleTrial, "evaluate", full_check_candidate)
+            reference = run(oracle_net, reqs, cfg, scheduler=scheduler)
+        assert shipped.counters == reference.counters
+        ours = write_report_files(shipped, tmp_path / "shipped")
+        theirs = write_report_files(reference, tmp_path / "reference")
+        assert len(ours) == 4
+        for a, b in zip(ours, theirs):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read(), a
