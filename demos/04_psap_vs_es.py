@@ -9,31 +9,16 @@ stricter case separation.
 """
 import time
 
-from poolsim.model import Request, SimConfig
+from poolsim.model import SimConfig, sample_requests
 from poolsim.roadnet import gen_grid
 from poolsim.seeds import substream
 from poolsim.simulator import run
 
 
-def sample_requests(net, count, duration_s, seed):
-    rng = substream(seed, "requests")
-    times = sorted(float(t) for t in rng.uniform(0.0, duration_s, size=count))
-    node_ids = sorted(net.nodes)
-    out = []
-    for idx in range(count):
-        while True:
-            o, d = (node_ids[int(k)]
-                    for k in rng.integers(0, len(node_ids), size=2))
-            if o != d:
-                break
-        out.append(Request(id=idx, t=times[idx], n=1, o=o, d=d,
-                           direct_dist=net.shortest_dist(o, d)))
-    return out
-
-
 def main() -> None:
     net = gen_grid(nx=10, ny=10, spacing_km=0.5)
-    requests = sample_requests(net, count=30, duration_s=600.0, seed=4)
+    requests = sample_requests(net, substream(4, "requests"), count=30,
+                               duration_s=600.0)
     print(f"{len(requests)} requests over 10 min, 4 vehicles, "
           f"{net.area_km2():.1f} km^2 grid\n")
 

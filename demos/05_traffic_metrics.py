@@ -10,31 +10,16 @@ outweighs the ride overlap and saved km goes negative; the pooled fleet is
 still an order of magnitude smaller.  Saturated scenarios (the 70-vehicle
 benchmark in the test suite) flip it well positive.
 """
-from poolsim.model import Request, SimConfig
+from poolsim.model import SimConfig, sample_requests
 from poolsim.roadnet import gen_grid
 from poolsim.seeds import substream
 from poolsim.simulator import poev_baseline, run
 
 
-def sample_requests(net, count, duration_s, seed):
-    rng = substream(seed, "requests")
-    times = sorted(float(t) for t in rng.uniform(0.0, duration_s, size=count))
-    node_ids = sorted(net.nodes)
-    out = []
-    for idx in range(count):
-        while True:
-            o, d = (node_ids[int(k)]
-                    for k in rng.integers(0, len(node_ids), size=2))
-            if o != d:
-                break
-        out.append(Request(id=idx, t=times[idx], n=1, o=o, d=d,
-                           direct_dist=net.shortest_dist(o, d)))
-    return out
-
-
 def main() -> None:
     net = gen_grid(nx=12, ny=12, spacing_km=0.4)
-    requests = sample_requests(net, count=60, duration_s=900.0, seed=9)
+    requests = sample_requests(net, substream(9, "requests"), count=60,
+                               duration_s=900.0)
     cfg = SimConfig(n_vehicles=6, seed=9, gating="literal")
     rep = run(net, requests, cfg, scheduler="psap")
 

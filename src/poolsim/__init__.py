@@ -7,19 +7,17 @@ from .geometry import (Point, PsaRect, VehiclePsa, euclid, ellipse_contains,
 from .roadnet import (Edge, NetworkError, NoPathError, RoadNetwork, gen_grid,
                       load_network, save_network)
 from .model import (Request, RequestError, RequestState, SimConfig, Stop,
-                    StopKind, Vehicle, WorldState, current_buffer,
-                    current_detour, load_requests, save_requests, waiting_time)
+                    StopKind, Vehicle, WorldState, load_requests,
+                    sample_requests, save_requests, waiting_time)
 from .insertion import (Candidate, QosViolation, candidate_positions,
-                        classify_case, enumerate_all, insertion_cost,
-                        qos_check, splice)
+                        classify_case, enumerate_all, splice)
 from .scheduler import (Assignment, EpochCounters, counts_for_path, es_epoch,
                         furthest_psa, gate, psap_epoch, refresh_psa_on_event)
 from .simulator import (PoevBaseline, SimEvent, SimReport, advance_vehicle,
                         poev_baseline, run, write_report_files)
 from .analysis import (EtaBounds, EtaEstimate, RrccRow, TrafficMetrics,
-                       candidate_counts, eta_closed, eta_monte_carlo,
-                       expected_reduction, expected_rrcc,
-                       four_over_pi_monte_carlo, rrcc_gate_harness,
-                       traffic_metrics)
+                       eta_closed, eta_monte_carlo, expected_reduction,
+                       expected_rrcc, four_over_pi_monte_carlo,
+                       rrcc_gate_harness, traffic_metrics)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import (Point, PsaRect, VehiclePsa, make_psa_rect, rect_bbox)
 from .model import RequestState, WorldState
-from .scheduler import CASE_A, CASE_B, gate
+from .scheduler import CASE_A, CASE_B, counts_for_path, gate
 from .seeds import substream
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -275,16 +275,11 @@ def expected_rrcc(area: float, s: float) -> tuple[float, float]:
     return 1.0 - frac * frac, 1.0 - frac
 
 
-def candidate_counts(k: int) -> tuple[int, int, int]:
-    """Exhaustive per-case candidate tallies for a path of K >= 1 stops."""
-    if k < 1:
-        raise ValueError("path length must be >= 1")
-    return (k * (k - 1) // 2, k - 1, 1)
-
-
 def expected_reduction(k: int, area: float, s: float) -> float:
     """Expected number of insertion evaluations saved per request-vehicle try."""
-    n_a, n_b, _ = candidate_counts(k)
+    if k < 1:
+        raise ValueError("path length must be >= 1")
+    n_a, n_b, _ = counts_for_path(k)
     psi_a, psi_b = expected_rrcc(area, s)
     return n_a * psi_a + n_b * psi_b
 

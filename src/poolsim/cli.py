@@ -19,8 +19,8 @@ import sys
 import time
 
 from . import __version__
-from .geometry import euclid
-from .model import RequestError, Request, SimConfig, load_requests, save_requests
+from .model import (RequestError, SimConfig, load_requests, sample_requests,
+                    save_requests)
 from .roadnet import NetworkError, gen_grid, load_network, save_network
 from .analysis import rrcc_gate_harness
 from .seeds import substream
@@ -123,30 +123,8 @@ def cmd_gen_requests(args) -> int:
     count = args.count
     if count is None:
         count = int(rng.poisson(args.rate_per_h * args.duration_s / 3600.0))
-    times = sorted(float(t) for t in
-                   rng.uniform(0.0, args.duration_s, size=count))
-    node_ids = sorted(net.nodes)
-    pts = {nid: net.point(nid) for nid in node_ids}
-    requests: list[Request] = []
-    max_attempts = 10000 * max(count, 1)
-    attempts = 0
-    for idx in range(count):
-        while True:
-            attempts += 1
-            if attempts > max_attempts:
-                raise NetworkError(
-                    f"could not draw an O/D pair with E >= {args.min_e_km} km "
-                    f"after {max_attempts} attempts; separation infeasible "
-                    f"for this network")
-            o, d = (node_ids[int(k)]
-                    for k in rng.integers(0, len(node_ids), size=2))
-            if o == d:
-                continue
-            if euclid(pts[o], pts[d]) < args.min_e_km:
-                continue
-            break
-        requests.append(Request(id=idx, t=times[idx], n=args.party_n,
-                                o=o, d=d))
+    requests = sample_requests(net, rng, count, args.duration_s,
+                               min_e_km=args.min_e_km, party_n=args.party_n)
     # --out names the CSV itself; the manifest goes next to it so several
     # request files can share a directory with a network manifest
     req_path = args.out

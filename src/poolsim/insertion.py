@@ -26,9 +26,8 @@ check's, bit for bit.
 
 Enumeration for K >= 1 starts at i = 1: the per-case closed-form candidate
 counts (K(K-1)/2, K-1, 1) count slots between and after committed stops
-only, so the slot ahead of the in-progress head leg is not enumerated
-(insertion_cost and splice themselves accept i = 0).  A K = 0 path has the
-single append candidate (0, 1).
+only, so the slot ahead of the in-progress head leg is not enumerated.  A
+K = 0 path has the single append candidate (0, 1).
 """
 
 from __future__ import annotations
@@ -229,7 +228,14 @@ class VehicleTrial(SpliceLegs):
 
         Checks the new request first, then committed requests in service-list
         order; per request the detour bound comes before the pickup buffer.
-        Raises NoPathError if a leg of the spliced path has no route.
+        The buffer guarantee is per request and only applies before pickup:
+        the new request is buffer-checked when ``check_buffer`` is set (an
+        assignment past the waiting threshold trades its own buffer
+        guarantee for coverage), and a committed waiting rider is
+        buffer-checked exactly when it was scheduled under the threshold, so
+        a late-arriving request can never stretch a guaranteed rider's
+        pickup past the buffer.  Raises NoPathError if a leg of the spliced
+        path has no route.
         """
         q = self.prefix(i, j)
         if q[-1] == INFEASIBLE:
@@ -302,22 +308,6 @@ class VehicleTrial(SpliceLegs):
         return Candidate(i, j, case, cost)
 
 
-def insertion_cost(net: RoadNetwork, head: int, stops: list[Stop], o: int,
-                   d: int, i: int, j: int) -> float:
-    """Added driving distance of splicing o at i and d at j.
-
-    ``head`` stands in as position 0 (the vehicle's current head node).
-    Raises NoPathError if a needed leg has no route.
-    """
-    k = len(stops)
-    if not (0 <= i < j <= k + 1):
-        raise ValueError(f"bad insertion positions ({i}, {j}) for K={k}")
-    cost = SpliceLegs(net, head, stops, o, d).cost(i, j)
-    if not math.isfinite(cost):
-        raise NoPathError(f"a leg of inserting {o} -> {d} has no route")
-    return cost
-
-
 def splice(stops: list[Stop], o: int, d: int, i: int, j: int,
            request_id: int) -> list[Stop]:
     """New stop list with o at position i, then d at position j."""
@@ -342,45 +332,6 @@ def _max_occupancy(path: list[Stop], requests: dict[int, Request],
         else:
             load -= r.n
     return peak
-
-
-def qos_check(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
-              path: list[Stop], new_request: Request, config: SimConfig,
-              check_buffer: bool) -> QosViolation | None:
-    """First quality-of-service violation of a candidate path, or None.
-
-    ``path`` is the vehicle's committed path with the new request's origin
-    and destination spliced in.  Checks the new request first, then committed
-    requests in service-list order; per request the detour bound comes before
-    the pickup buffer.  The buffer guarantee is per request and only applies
-    before pickup: the new request is buffer-checked when ``check_buffer`` is
-    set (an assignment past the waiting threshold trades its own buffer
-    guarantee for coverage), and a committed waiting rider is buffer-checked
-    exactly when it was scheduled under the threshold, so a late-arriving
-    request can never stretch a guaranteed rider's pickup past the buffer.
-    """
-    i = j = -1
-    for m, s in enumerate(path):
-        if s.request_id == new_request.id:
-            if s.kind is _ORIGIN:
-                i = m
-            else:
-                j = m
-    if (i < 0 or j < 0 or j < i
-            or path[:i] + path[i + 1:j] + path[j + 1:] != v.path):
-        raise ValueError("path is not the vehicle path with the new "
-                         "request's origin and destination spliced in")
-    return VehicleTrial(net, v, requests, new_request, config,
-                        check_buffer).violation(i, j)
-
-
-def evaluate_candidate(net: RoadNetwork, v: Vehicle,
-                       requests: dict[int, Request], new_request: Request,
-                       config: SimConfig, check_buffer: bool, i: int,
-                       j: int) -> Candidate:
-    """Cost one (i, j) splice and QoS-check it; infeasible carries inf."""
-    return VehicleTrial(net, v, requests, new_request, config,
-                        check_buffer).evaluate(i, j)
 
 
 def enumerate_all(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],

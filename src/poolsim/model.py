@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
-from .geometry import Point, VehiclePsa
-from .roadnet import RoadNetwork
+import numpy as np
+
+from .geometry import Point, VehiclePsa, euclid
+from .roadnet import NetworkError, RoadNetwork
 
 
 class RequestState(enum.Enum):
@@ -129,21 +132,6 @@ class WorldState:
     vehicles: dict[int, Vehicle]
     requests: dict[int, Request]
 
-    def ids_in_state(self, state: RequestState) -> list[int]:
-        return sorted(r.id for r in self.requests.values() if r.state == state)
-
-    @property
-    def unscheduled(self) -> list[int]:
-        return self.ids_in_state(RequestState.UNSCHEDULED)
-
-    @property
-    def waiting(self) -> list[int]:
-        return self.ids_in_state(RequestState.WAITING)
-
-    @property
-    def onboard(self) -> list[int]:
-        return self.ids_in_state(RequestState.ONBOARD)
-
 
 def waiting_time(r: Request, now: float) -> float:
     """Seconds the rider has waited; frozen at pickup."""
@@ -156,71 +144,6 @@ def waiting_time(r: Request, now: float) -> float:
 def passengers_committed(v: Vehicle, requests: dict[int, Request]) -> int:
     """Total party size over the service list (waiting plus onboard)."""
     return sum(requests[rid].n for rid in v.service_list)
-
-
-def stop_index(path: list[Stop], request_id: int, kind: StopKind) -> int:
-    for i, s in enumerate(path):
-        if s.request_id == request_id and s.kind == kind:
-            return i
-    raise ValueError(f"request {request_id} has no {kind.value} stop in path")
-
-
-def dist_to_stop(net: RoadNetwork, v: Vehicle, path: list[Stop],
-                 idx: int) -> float:
-    """Driving distance from the vehicle's current position to path[idx]."""
-    total = v.offset_km + net.shortest_dist(v.node, path[0].node)
-    for k in range(idx):
-        total += net.shortest_dist(path[k].node, path[k + 1].node)
-    return total
-
-
-def planned_leg_dist(net: RoadNetwork, path: list[Stop], i: int,
-                     j: int) -> float:
-    """Driving distance along the path from stop i to stop j (i <= j)."""
-    return sum(net.shortest_dist(path[k].node, path[k + 1].node)
-               for k in range(i, j))
-
-
-def current_detour(net: RoadNetwork, r: Request, v: Vehicle) -> float:
-    """Detour ratio of r under the vehicle's committed path.
-
-    Waiting: planned in-vehicle distance o->d along the path over the direct
-    distance, minus one.  Onboard: distance already ridden plus the remaining
-    distance to r's destination, over direct, minus one.  Completed: realized.
-    """
-    if r.state == RequestState.WAITING:
-        io = stop_index(v.path, r.id, StopKind.ORIGIN)
-        idst = stop_index(v.path, r.id, StopKind.DESTINATION)
-        planned = planned_leg_dist(net, v.path, io, idst)
-        return planned / r.direct_dist - 1.0
-    if r.state == RequestState.ONBOARD:
-        assert r.traveled_at_pickup is not None
-        ridden = v.odometer - r.traveled_at_pickup
-        idst = stop_index(v.path, r.id, StopKind.DESTINATION)
-        remaining = dist_to_stop(net, v, v.path, idst)
-        return (ridden + remaining) / r.direct_dist - 1.0
-    if r.state == RequestState.COMPLETED:
-        assert r.traveled_at_pickup is not None
-        assert r.traveled_at_dropoff is not None
-        return (r.traveled_at_dropoff - r.traveled_at_pickup) / r.direct_dist - 1.0
-    raise ValueError(f"request {r.id} is unscheduled, no detour defined")
-
-
-def current_buffer(net: RoadNetwork, r: Request, v: Vehicle) -> float:
-    """Pickup buffer of r in km.
-
-    Waiting: km driven since scheduling plus the remaining driving distance to
-    r's origin stop.  Onboard/Completed: frozen at pickup.
-    """
-    assert r.odometer_at_schedule is not None
-    if r.state == RequestState.WAITING:
-        io = stop_index(v.path, r.id, StopKind.ORIGIN)
-        return (v.odometer - r.odometer_at_schedule
-                + dist_to_stop(net, v, v.path, io))
-    if r.state in (RequestState.ONBOARD, RequestState.COMPLETED):
-        assert r.traveled_at_pickup is not None
-        return r.traveled_at_pickup - r.odometer_at_schedule
-    raise ValueError(f"request {r.id} is unscheduled, no buffer defined")
 
 
 # -- request I/O -----------------------------------------------------------
@@ -287,3 +210,41 @@ def save_requests(requests: list[Request], path: str | os.PathLike) -> None:
         w.writerow(REQUEST_HEADER)
         for r in requests:
             w.writerow([r.id, repr(r.t), r.n, r.o, r.d])
+
+
+def sample_requests(net: RoadNetwork, rng: np.random.Generator, count: int,
+                    duration_s: float, min_e_km: float = 0.0,
+                    max_e_km: float = math.inf,
+                    party_n: int = 1) -> list[Request]:
+    """Seeded request stream: uniform release times and node pairs.
+
+    Draws ``count`` sorted release times in [0, duration_s), then one
+    origin-destination pair per request, redrawing pairs with o == d or a
+    straight-line separation outside [min_e_km, max_e_km].  ``direct_dist``
+    is left unset, to be resolved at ingestion.  Raises NetworkError when
+    the pairs keep failing the separation bounds.
+    """
+    times = sorted(float(t) for t in rng.uniform(0.0, duration_s, size=count))
+    node_ids = sorted(net.nodes)
+    pts = {nid: net.point(nid) for nid in node_ids}
+    out: list[Request] = []
+    max_attempts = 10000 * max(count, 1)
+    attempts = 0
+    for idx in range(count):
+        while True:
+            attempts += 1
+            if attempts > max_attempts:
+                raise NetworkError(
+                    f"could not draw an O/D pair with E >= {min_e_km} km "
+                    f"after {max_attempts} attempts; separation infeasible "
+                    f"for this network")
+            o, d = (node_ids[int(k)]
+                    for k in rng.integers(0, len(node_ids), size=2))
+            if o == d:
+                continue
+            e = euclid(pts[o], pts[d])
+            if e < min_e_km or e > max_e_km:
+                continue
+            break
+        out.append(Request(id=idx, t=times[idx], n=party_n, o=o, d=d))
+    return out

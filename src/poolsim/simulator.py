@@ -289,7 +289,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             onboard_riders=tm.onboard_riders, moving=tm.moving,
             completed_total=tm.completed))
 
-        if all(r.state == RequestState.COMPLETED for r in reqs.values()):
+        if tm.completed == len(reqs):
             break
         if config.horizon_s is not None and now >= config.horizon_s:
             break
@@ -346,10 +346,8 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
         total_travel_km=travel,
         sum_direct_completed_km=direct_done,
         saved_km=direct_done - travel,
-        completed=sum(1 for r in reqs.values()
-                      if r.state == RequestState.COMPLETED),
-        unserved=sum(1 for r in reqs.values()
-                     if r.state != RequestState.COMPLETED),
+        completed=tm.completed,
+        unserved=len(reqs) - tm.completed,
         counters=totals, epochs=rows, assignments=assignment_log,
         requests=outcomes, events=events)
 

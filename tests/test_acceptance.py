@@ -18,10 +18,10 @@ import pytest
 from poolsim.analysis import (eta_monte_carlo, four_over_pi_monte_carlo,
                               rrcc_gate_harness)
 from poolsim.geometry import Point, euclid
-from poolsim.insertion import (CASE_A, CASE_B, CASE_C, candidate_positions,
-                               enumerate_all, evaluate_candidate)
+from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
+                               candidate_positions, enumerate_all)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
-                           Vehicle, waiting_time)
+                           Vehicle, sample_requests, waiting_time)
 from poolsim.roadnet import gen_grid
 from poolsim.scheduler import gate
 from poolsim.seeds import substream
@@ -53,36 +53,11 @@ def _verdict(capsys, num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def sample_requests(net, count, duration_s, seed, min_e_km=0.0,
-                    max_e_km=None):
-    """Seeded request stream with uniform release times and node pairs."""
-    rng = substream(seed, "requests")
-    times = sorted(float(t) for t in rng.uniform(0.0, duration_s, size=count))
-    node_ids = sorted(net.nodes)
-    pts = {nid: net.point(nid) for nid in node_ids}
-    out = []
-    for idx in range(count):
-        while True:
-            o, d = (node_ids[int(k)]
-                    for k in rng.integers(0, len(node_ids), size=2))
-            if o == d:
-                continue
-            e = euclid(pts[o], pts[d])
-            if e < min_e_km:
-                continue
-            if max_e_km is not None and e > max_e_km:
-                continue
-            break
-        out.append(Request(id=idx, t=times[idx], n=1, o=o, d=d,
-                           direct_dist=net.shortest_dist(o, d)))
-    return out
-
-
 def oracle_instance(net, seed):
     n_veh = 3 + seed % 3
     n_req = 20 + (seed * 7) % 21
-    reqs = sample_requests(net, n_req, ORACLE_DURATION_S, seed,
-                           max_e_km=ORACLE_TRIP_CAP_KM)
+    reqs = sample_requests(net, substream(seed, "requests"), n_req,
+                           ORACLE_DURATION_S, max_e_km=ORACLE_TRIP_CAP_KM)
     return n_veh, reqs
 
 
@@ -108,15 +83,16 @@ class SubsetObserver:
         positions = candidate_positions(len(v.path))
         self.evaluated += len(evaluated)
         self.full += len(positions)
-        if not check_buffer:
+        if not check_buffer or not evaluated:
             return
         legal = set(positions)
+        trial = VehicleTrial(self.net, v, requests, r, self.config,
+                             check_buffer)
         for c in evaluated:
             if (c.i, c.j) not in legal:
                 self.escaped += 1
                 continue
-            again = evaluate_candidate(self.net, v, requests, r, self.config,
-                                       check_buffer, c.i, c.j)
+            again = trial.evaluate(c.i, c.j)
             if again.cost != c.cost or again.case != c.case:
                 self.cost_mismatches += 1
 
@@ -206,7 +182,8 @@ def oracle_bundle():
 def dense_results():
     """Saturated scenario: pruned planner and exhaustive search side by side."""
     net = gen_grid(*DENSE_GRID)
-    reqs = sample_requests(net, DENSE_REQUESTS, DENSE_DURATION_S, DENSE_SEED,
+    reqs = sample_requests(net, substream(DENSE_SEED, "requests"),
+                           DENSE_REQUESTS, DENSE_DURATION_S,
                            min_e_km=DENSE_MIN_TRIP_KM)
     out = {"net": net, "requests": reqs}
     for label, sched in (("literal", "psap"), ("es", "es")):
@@ -396,7 +373,7 @@ def test_09_sharing_benefit(capsys, dense_results):
     peak = max(e.sharing_rate for e in rep.epochs
                if e.sharing_rate is not None)
     baseline = poev_baseline(net, reqs)
-    direct_sum = sum(r.direct_dist for r in reqs)
+    direct_sum = sum(rc.direct_km for rc in rep.requests)
     ok = (saved > 0.0 and peak > 1.0
           and baseline.total_km == direct_sum
           and baseline.fleet_size == math.ceil(len(reqs) / 2)

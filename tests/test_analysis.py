@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from poolsim.analysis import (_MC_CHUNK, FOUR_OVER_PI, EtaBounds,
-                              EtaEstimate, RrccRow, candidate_counts,
-                              eta_closed, eta_monte_carlo,
+                              EtaEstimate, RrccRow, eta_closed,
+                              eta_monte_carlo,
                               expected_reduction, expected_rrcc,
                               four_over_pi_monte_carlo, rrcc_gate_harness,
                               traffic_metrics)
@@ -235,15 +235,19 @@ class TestCandidateCounts:
             n_a = sum(1 for i, j in pairs if j <= k)
             n_b = sum(1 for i, j in pairs if j == k + 1 and i < k)
             n_c = sum(1 for i, j in pairs if j == k + 1 and i == k)
-            assert candidate_counts(k) == (n_a, n_b, n_c)
+            assert counts_for_path(k) == (n_a, n_b, n_c)
 
     def test_agrees_with_scheduler_counts(self):
+        # the reduction model weighs the scheduler's own per-case tallies
+        psi_a, psi_b = expected_rrcc(30.0, 100.0)
         for k in range(1, 20):
-            assert candidate_counts(k) == counts_for_path(k)
+            n_a, n_b, _ = counts_for_path(k)
+            assert expected_reduction(k, 30.0, 100.0) == (n_a * psi_a
+                                                          + n_b * psi_b)
 
     def test_rejects_empty_path(self):
         with pytest.raises(ValueError):
-            candidate_counts(0)
+            expected_reduction(0, 30.0, 100.0)
 
 
 class TestExpectedReduction:

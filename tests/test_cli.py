@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,24 @@ class TestGenRequests:
         reqs = load_requests(str(out), net)
         # Poisson with mean 60; a draw this far out would be astronomical
         assert 20 <= len(reqs) <= 120
+
+    @pytest.mark.parametrize("flags,sha256", [
+        (("--count", "50", "--min-e-km", "1.0", "--seed", "3"),
+         "a43660fb2693c136f872886ac54901c6ea6e4acd95b18c23242e30af4cfa2f2c"),
+        (("--rate-per-h", "300", "--duration-s", "1800", "--seed", "5"),
+         "14f880ea2c04da73ea71cd530e71798c1f2ffd27d77b7bfd033dd33e59fcf681"),
+        (("--count", "40", "--party-n", "2", "--seed", "9"),
+         "ccadc55f82d7a1dd2a306405c66cef157eecb1d6f6cc49fa8eeb57bf0e29ad22"),
+    ], ids=["min-e", "rate", "party"])
+    def test_pinned_draws(self, tmp_path, flags, sha256):
+        # the sampler's draw order is part of the file format: a change to
+        # it moves every request file a seed produces
+        net = tmp_path / "net"
+        assert main(["gen-grid", "--nx", "12", "--ny", "9",
+                     "--spacing-km", "0.4", "--out", str(net)]) == 0
+        out = tmp_path / "r.csv"
+        assert main(self.base(net, out, *flags)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_count_and_rate_conflict(self, net_dir, tmp_path):
         assert main(self.base(net_dir, tmp_path / "x", "--count", "5",

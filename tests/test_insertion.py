@@ -11,8 +11,7 @@ from poolsim.geometry import Point
 from poolsim.insertion import (_QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
                                Candidate, SpliceLegs, VehicleTrial,
                                candidate_positions, classify_case,
-                               enumerate_all, insertion_cost, qos_check,
-                               splice)
+                               enumerate_all, splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import Edge, NoPathError, RoadNetwork, gen_grid
 
@@ -84,12 +83,12 @@ class TestInsertionCost:
         # head 0, one stop at node 4; o=1, d=3 slot straight onto the route
         net = line_net(11, 1.0)
         path = stops(("d", 9, 4))
-        cost = insertion_cost(net, 0, path, 1, 3, 0, 1)
+        cost = SpliceLegs(net, 0, path, 1, 3).cost(0, 1)
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_append_to_empty(self):
         net = line_net(11, 1.0)
-        cost = insertion_cost(net, 0, [], 2, 5, 0, 1)
+        cost = SpliceLegs(net, 0, [], 2, 5).cost(0, 1)
         assert cost == pytest.approx(5.0)
 
     def test_perpendicular_pair(self):
@@ -98,20 +97,20 @@ class TestInsertionCost:
         head = 5          # (0, 1)
         path = stops(("d", 9, 9))   # (4, 1)
         o, d = 12, 2      # (2, 2) and (2, 0)
-        cost = insertion_cost(net, head, path, o, d, 0, 1)
+        cost = SpliceLegs(net, head, path, o, d).cost(0, 1)
         assert cost == pytest.approx(4.0)
 
     def test_tail_append_case(self):
         net = line_net(11, 1.0)
         path = stops(("d", 9, 4))
-        cost = insertion_cost(net, 0, path, 6, 8, 1, 2)
+        cost = SpliceLegs(net, 0, path, 6, 8).cost(1, 2)
         assert cost == pytest.approx(4.0)
 
     def test_origin_interior_destination_appended(self):
         net = line_net(11, 1.0)
         path = stops(("d", 8, 4), ("d", 9, 8))
         # o=5 between stops, d=10 appended
-        cost = insertion_cost(net, 0, path, 5, 10, 1, 3)
+        cost = SpliceLegs(net, 0, path, 5, 10).cost(1, 3)
         want = (net.shortest_dist(4, 5) + net.shortest_dist(5, 8)
                 - net.shortest_dist(4, 8) + net.shortest_dist(8, 10))
         assert cost == pytest.approx(want)
@@ -122,7 +121,7 @@ class TestInsertionCost:
         # d legs read positions of the o-augmented path
         net = line_net(11, 1.0)
         path = stops(("o", 2, 6), ("d", 2, 9))
-        cost = insertion_cost(net, 0, path, 2, 4, 0, 2)
+        cost = SpliceLegs(net, 0, path, 2, 4).cost(0, 2)
         spliced = splice(path, 2, 4, 0, 2, request_id=3)
         want = seq_length(net, 0, spliced) - seq_length(net, 0, path)
         assert cost == pytest.approx(want)
@@ -130,10 +129,14 @@ class TestInsertionCost:
 
     def test_rejects_bad_positions(self):
         net = line_net(11, 1.0)
+        new = Request(id=2, t=0, n=1, o=1, d=2, direct_dist=1.0)
+        empty = Vehicle(id=0, capacity=5, node=0)
+        one_stop = Vehicle(id=0, capacity=5, node=0, path=stops(("d", 1, 4)))
         with pytest.raises(ValueError):
-            insertion_cost(net, 0, [], 1, 2, 1, 2)
+            VehicleTrial(net, empty, {}, new, SimConfig(), True).evaluate(1, 2)
         with pytest.raises(ValueError):
-            insertion_cost(net, 0, stops(("d", 1, 4)), 1, 2, 1, 1)
+            VehicleTrial(net, one_stop, {}, new, SimConfig(),
+                         True).evaluate(1, 1)
 
     def test_equals_spliced_length_delta_random(self):
         # the closed forms must equal re-summing the whole spliced path
@@ -153,9 +156,10 @@ class TestInsertionCost:
             if o == d:
                 continue
             base = seq_length(net, head, path)
+            legs = SpliceLegs(net, head, path, o, d)
             for i in range(0, k + 1):
                 for j in range(i + 1, k + 2):
-                    cost = insertion_cost(net, head, path, o, d, i, j)
+                    cost = legs.cost(i, j)
                     spliced = splice(path, o, d, i, j, request_id=999)
                     assert cost == pytest.approx(
                         seq_length(net, head, spliced) - base, abs=1e-9)
@@ -172,7 +176,7 @@ class TestInsertionCost:
             o, d = (int(x) for x in rng.choice(ids, 2))
             i = int(rng.integers(0, k + 1))
             j = int(rng.integers(i + 1, k + 2))
-            assert insertion_cost(net, head, path, o, d, i, j) >= -1e-9
+            assert SpliceLegs(net, head, path, o, d).cost(i, j) >= -1e-9
 
 
 class TestSplice:
@@ -210,8 +214,7 @@ class TestQosCheck:
         cfg = self.config()
         r = Request(id=1, t=0, n=1, o=4, d=8, direct_dist=2.0)
         v = Vehicle(id=0, capacity=5, node=0)
-        path = splice([], r.o, r.d, 0, 1, r.id)
-        assert qos_check(net, v, {}, path, r, cfg, check_buffer=True) is None
+        assert VehicleTrial(net, v, {}, r, cfg, True).violation(0, 1) is None
 
     def test_detour_violation(self):
         # direct 4 km, planned 5 km: 25% over the 20% bound
@@ -222,8 +225,8 @@ class TestQosCheck:
         r = Request(id=1, t=0, n=1, o=0, d=8, direct_dist=4.0)
         v = Vehicle(id=0, capacity=5, node=0, service_list=[9],
                     path=stops(("o", 9, 9), ("d", 9, 0)))
-        path = stops(("o", 1, 0), ("o", 9, 9), ("d", 1, 8), ("d", 9, 0))
-        hit = qos_check(net, v, {9: other}, path, r, cfg, check_buffer=True)
+        # spliced: o1 o9 d1 d9
+        hit = VehicleTrial(net, v, {9: other}, r, cfg, True).violation(0, 2)
         assert hit is not None
         assert hit.kind == "detour"
         assert hit.request_id == 1
@@ -235,10 +238,9 @@ class TestQosCheck:
         cfg = self.config()
         r = Request(id=1, t=0, n=1, o=14, d=16, direct_dist=1.0)
         v = Vehicle(id=0, capacity=5, node=0)
-        path = splice([], r.o, r.d, 0, 1, r.id)
-        hit = qos_check(net, v, {}, path, r, cfg, check_buffer=True)
+        hit = VehicleTrial(net, v, {}, r, cfg, True).violation(0, 1)
         assert hit is not None and hit.kind == "buffer"
-        assert qos_check(net, v, {}, path, r, cfg, check_buffer=False) is None
+        assert VehicleTrial(net, v, {}, r, cfg, False).violation(0, 1) is None
 
     def test_committed_rider_keeps_buffer_guarantee(self):
         # rider 2 was scheduled under the waiting threshold with its pickup
@@ -254,16 +256,16 @@ class TestQosCheck:
         late = Request(id=1, t=0, n=1, o=2, d=0, direct_dist=1.0)
         v = Vehicle(id=0, capacity=5, node=0, service_list=[2],
                     path=stops(("o", 2, 11), ("d", 2, 16)))
-        path = stops(("o", 1, 2), ("d", 1, 0), ("o", 2, 11), ("d", 2, 16))
-        hit = qos_check(net, v, {2: committed}, path, late, cfg,
-                        check_buffer=False)
+        # spliced: o1 d1 o2 d2
+        hit = VehicleTrial(net, v, {2: committed}, late, cfg,
+                           False).violation(0, 1)
         assert hit is not None
         assert hit.kind == "buffer"
         assert hit.request_id == 2
         # a rider committed past the threshold never had the guarantee
         committed.scheduled_under_wait = False
-        assert qos_check(net, v, {2: committed}, path, late, cfg,
-                         check_buffer=False) is None
+        assert VehicleTrial(net, v, {2: committed}, late, cfg,
+                            False).violation(0, 1) is None
 
     def test_boundary_detour_feasible(self):
         # planned exactly (1 + max detour) * direct survives float rounding;
@@ -275,9 +277,9 @@ class TestQosCheck:
                         state=RequestState.WAITING, odometer_at_schedule=0.0)
         v = Vehicle(id=0, capacity=5, node=10, service_list=[2],
                     path=stops(("o", 2, 43), ("d", 2, 10)))
-        path = stops(("o", 1, 10), ("o", 2, 43), ("d", 1, 40), ("d", 2, 10))
-        assert qos_check(net, v, {2: other}, path, r, cfg,
-                         check_buffer=True) is None
+        # spliced: o1 o2 d1 d2
+        assert VehicleTrial(net, v, {2: other}, r, cfg,
+                            True).violation(0, 2) is None
 
     def test_existing_waiting_rider_protected(self):
         # the new rider fits, but the splice stretches a committed rider past
@@ -290,11 +292,12 @@ class TestQosCheck:
         v = Vehicle(id=0, capacity=5, node=0, service_list=[2],
                     path=stops(("o", 2, 10), ("d", 2, 20)))
         new = Request(id=1, t=0, n=1, o=15, d=45, direct_dist=3.0)
-        path = stops(("o", 2, 10), ("o", 1, 15), ("d", 2, 20), ("d", 1, 45))
-        # committed rider unharmed here (o and d stay in order, planned 1.0)
-        assert qos_check(net, v, {2: committed}, path, new, cfg, True) is None
-        bad = stops(("o", 2, 10), ("o", 1, 15), ("d", 1, 45), ("d", 2, 20))
-        hit = qos_check(net, v, {2: committed}, bad, new, cfg, True)
+        trial = VehicleTrial(net, v, {2: committed}, new, cfg, True)
+        # spliced: o2 o1 d2 d1; committed rider unharmed here (o and d stay
+        # in order, planned 1.0)
+        assert trial.violation(1, 3) is None
+        # spliced: o2 o1 d1 d2
+        hit = trial.violation(1, 2)
         assert hit is not None
         assert hit.request_id == 2
         assert hit.kind == "detour"
@@ -309,8 +312,8 @@ class TestQosCheck:
                     service_list=[2], path=stops(("d", 2, 30)))
         new = Request(id=1, t=0, n=1, o=50, d=30, direct_dist=2.0)
         # detour to pick up at x=5.0 then back: onboard rider rides 2 + 3 + 2 + 2
-        path = stops(("o", 1, 50), ("d", 2, 30), ("d", 1, 30))
-        hit = qos_check(net, v, {2: onboard}, path, new, cfg, True)
+        # spliced: o1 d2 d1
+        hit = VehicleTrial(net, v, {2: onboard}, new, cfg, True).violation(0, 2)
         assert hit is not None
         assert hit.request_id == 2
 
@@ -326,14 +329,13 @@ class TestQosCheck:
                     path=stops(("o", 2, 2), ("o", 3, 4), ("d", 3, 16),
                                ("d", 2, 18)))
         new = Request(id=1, t=0, n=1, o=6, d=14, direct_dist=4.0)
-        path = splice(v.path, new.o, new.d, 2, 3, new.id)
-        hit = qos_check(net, v, reqs, path, new, cfg, True)
+        hit = VehicleTrial(net, v, reqs, new, cfg, True).violation(2, 3)
         assert hit is not None
         assert hit.kind == "capacity"
         # seat frees up before the third rider boards: feasible
-        path2 = splice(v.path, 16, 18, 3, 4, new.id)
         new2 = Request(id=1, t=0, n=1, o=16, d=18, direct_dist=1.0)
-        assert qos_check(net, v, reqs, path2, new2, cfg, True) is None
+        assert VehicleTrial(net, v, reqs, new2, cfg,
+                            True).violation(3, 4) is None
 
     def test_matches_brute_force_resummation(self):
         # random committed paths on a half-km grid with a quarter-km edge
@@ -351,16 +353,18 @@ class TestQosCheck:
             new = Request(id=99, t=0, n=1, o=o, d=d,
                           direct_dist=net.shortest_dist(o, d))
             k = len(v.path)
+            trials = {check_buffer: VehicleTrial(net, v, reqs, new, cfg,
+                                                 check_buffer)
+                      for check_buffer in (True, False)}
             for i in range(k + 1):
                 for j in range(i + 1, k + 2):
                     path = splice(v.path, o, d, i, j, new.id)
                     same_node += any(a.node == b.node
                                      for a, b in zip(path, path[1:]))
-                    for check_buffer in (True, False):
+                    for check_buffer, trial in trials.items():
                         want, bound = brute_force_qos(net, v, reqs, path,
                                                       new, cfg, check_buffer)
-                        got = qos_check(net, v, reqs, path, new, cfg,
-                                        check_buffer)
+                        got = trial.violation(i, j)
                         assert ((got.request_id, got.kind) if got else None
                                 ) == want, (v, path, check_buffer)
                         checked += 1

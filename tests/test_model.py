@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from poolsim.geometry import Point
+from poolsim.geometry import Point, euclid
 from poolsim.model import (Request, RequestError, RequestState, SimConfig,
-                           Stop, StopKind, Vehicle, WorldState,
-                           current_buffer, current_detour, load_requests,
-                           passengers_committed, save_requests, waiting_time)
-from poolsim.roadnet import gen_grid
+                           Vehicle, load_requests, passengers_committed,
+                           sample_requests, save_requests, waiting_time)
+from poolsim.roadnet import NetworkError, gen_grid
+from poolsim.seeds import substream
 
 
 def line_net(n=61, spacing=0.1):
@@ -44,90 +44,6 @@ def test_passengers_committed():
     assert passengers_committed(v, reqs) == 5
 
 
-class TestDetour:
-    def test_waiting_no_detour(self):
-        net = line_net()
-        r = Request(id=1, t=0, n=1, o=10, d=40, direct_dist=3.0,
-                    state=RequestState.WAITING, odometer_at_schedule=0.0)
-        v = Vehicle(id=0, capacity=5, node=0,
-                    path=[Stop(StopKind.ORIGIN, 1, 10),
-                          Stop(StopKind.DESTINATION, 1, 40)],
-                    service_list=[1])
-        assert current_detour(net, r, v) == pytest.approx(0.0, abs=1e-12)
-
-    def test_waiting_boundary_detour(self):
-        # planned 3.6 km over direct 3.0 km: exactly the 0.2 default bound
-        net = line_net()
-        r = Request(id=1, t=0, n=1, o=10, d=40, direct_dist=3.0,
-                    state=RequestState.WAITING, odometer_at_schedule=0.0)
-        v = Vehicle(id=0, capacity=5, node=0,
-                    path=[Stop(StopKind.ORIGIN, 1, 10),
-                          Stop(StopKind.ORIGIN, 2, 43),
-                          Stop(StopKind.DESTINATION, 1, 40),
-                          Stop(StopKind.DESTINATION, 2, 43)],
-                    service_list=[1, 2])
-        assert current_detour(net, r, v) == pytest.approx(0.2)
-
-    def test_onboard_detour(self):
-        # direct 3 km, already rode 4 km, standing at the destination stop
-        net = line_net()
-        r = Request(id=1, t=0, n=1, o=10, d=40, direct_dist=3.0,
-                    state=RequestState.ONBOARD, odometer_at_schedule=0.0,
-                    pickup_time=0.0, traveled_at_pickup=0.0)
-        v = Vehicle(id=0, capacity=5, node=40, odometer=4.0,
-                    path=[Stop(StopKind.DESTINATION, 1, 40)],
-                    service_list=[1])
-        assert current_detour(net, r, v) == pytest.approx(1.0 / 3.0)
-
-    def test_completed_realized(self):
-        net = line_net()
-        r = Request(id=1, t=0, n=1, o=10, d=40, direct_dist=3.0,
-                    state=RequestState.COMPLETED, traveled_at_pickup=2.0,
-                    traveled_at_dropoff=5.3)
-        v = Vehicle(id=0, capacity=5, node=40)
-        assert current_detour(net, r, v) == pytest.approx(0.3 / 3.0)
-
-    def test_unscheduled_raises(self):
-        net = line_net()
-        r = Request(id=1, t=0, n=1, o=10, d=40, direct_dist=3.0)
-        v = Vehicle(id=0, capacity=5, node=0)
-        with pytest.raises(ValueError):
-            current_detour(net, r, v)
-
-
-class TestBuffer:
-    def test_waiting_accumulates(self):
-        # drove 3 km since scheduling, origin stop still 1.5 km ahead
-        net = line_net()
-        r = Request(id=1, t=0, n=1, o=45, d=55, direct_dist=1.0,
-                    state=RequestState.WAITING, odometer_at_schedule=2.0)
-        v = Vehicle(id=0, capacity=5, node=30, odometer=5.0,
-                    path=[Stop(StopKind.ORIGIN, 1, 45),
-                          Stop(StopKind.DESTINATION, 1, 55)],
-                    service_list=[1])
-        assert current_buffer(net, r, v) == pytest.approx(3.0 + 1.5)
-
-    def test_frozen_after_pickup(self):
-        net = line_net()
-        r = Request(id=1, t=0, n=1, o=45, d=55, direct_dist=1.0,
-                    state=RequestState.ONBOARD, odometer_at_schedule=2.0,
-                    traveled_at_pickup=7.0)
-        v = Vehicle(id=0, capacity=5, node=50, odometer=9.0)
-        assert current_buffer(net, r, v) == pytest.approx(5.0)
-
-    def test_mid_edge_offset_counts(self):
-        net = line_net()
-        r = Request(id=1, t=0, n=1, o=45, d=55, direct_dist=1.0,
-                    state=RequestState.WAITING, odometer_at_schedule=0.0)
-        v = Vehicle(id=0, capacity=5, node=31, offset_km=0.05, prev_node=30,
-                    odometer=0.05,
-                    path=[Stop(StopKind.ORIGIN, 1, 45),
-                          Stop(StopKind.DESTINATION, 1, 55)],
-                    service_list=[1])
-        # 0.05 to finish the edge, then 14 hops of 0.1 km
-        assert current_buffer(net, r, v) == pytest.approx(0.05 + 0.05 + 1.4)
-
-
 def test_position_point_interpolates():
     net = line_net(11, 1.0)
     v = Vehicle(id=0, capacity=5, node=3, offset_km=0.25, prev_node=2)
@@ -137,18 +53,27 @@ def test_position_point_interpolates():
     assert v2.position_point(net) == Point(3.0, 0.0)
 
 
-class TestWorldStateViews:
-    def test_views_partition_by_state(self):
-        reqs = {
-            0: Request(id=0, t=0, n=1, o=0, d=1),
-            1: Request(id=1, t=0, n=1, o=0, d=1, state=RequestState.WAITING),
-            2: Request(id=2, t=0, n=1, o=0, d=1, state=RequestState.ONBOARD),
-            3: Request(id=3, t=0, n=1, o=0, d=1, state=RequestState.COMPLETED),
-        }
-        st = WorldState(clock=0.0, vehicles={}, requests=reqs)
-        assert st.unscheduled == [0]
-        assert st.waiting == [1]
-        assert st.onboard == [2]
+class TestSampleRequests:
+    def test_draws_respect_the_separation_bounds(self):
+        net = gen_grid(6, 6, 0.5)
+        reqs = sample_requests(net, substream(3, "requests"), 80, 600.0,
+                               min_e_km=1.0, max_e_km=2.0, party_n=2)
+        assert [r.id for r in reqs] == list(range(80))
+        times = [r.t for r in reqs]
+        assert times == sorted(times)
+        assert all(0.0 <= t < 600.0 for t in times)
+        for r in reqs:
+            e = euclid(net.point(r.o), net.point(r.d))
+            assert r.o != r.d and 1.0 <= e <= 2.0
+            assert r.n == 2 and r.direct_dist == 0.0
+            assert r.state == RequestState.UNSCHEDULED
+
+    def test_unsatisfiable_separation_raises(self):
+        # pair distances on this grid are 1, 2, sqrt 2 and sqrt 5 km
+        net = gen_grid(3, 2, 1.0)
+        with pytest.raises(NetworkError, match="separation infeasible"):
+            sample_requests(net, substream(0, "requests"), 1, 60.0,
+                            min_e_km=1.5, max_e_km=1.9)
 
 
 class TestSimConfig:
