@@ -12,7 +12,7 @@ from .model import (Request, RequestError, RequestState, SimConfig, Stop,
 from .insertion import (Candidate, QosViolation, candidate_positions,
                         classify_case, enumerate_all, splice)
 from .scheduler import (Assignment, EpochCounters, counts_for_path, es_epoch,
-                        furthest_psa, gate, psap_epoch, refresh_psa_on_event)
+                        furthest_psa, gate, psap_epoch, search_area)
 from .simulator import (PoevBaseline, SimEvent, SimReport, advance_vehicle,
                         poev_baseline, run, write_report_files)
 from .analysis import (EtaBounds, EtaEstimate, RrccRow, TrafficMetrics,

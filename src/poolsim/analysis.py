@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import (Point, PsaRect, VehiclePsa, make_psa_rect, rect_bbox)
 from .model import RequestState, WorldState
-from .scheduler import CASE_A, CASE_B, counts_for_path, gate
+from .scheduler import counts_for_path, gate
 from .seeds import substream
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -300,10 +300,10 @@ def rrcc_gate_harness(area_fraction: float, samples: int, seed: int,
     """Measured gate rejection rates with a frozen square search area.
 
     Pins a vehicle search area of the given fractional size in a square city,
-    draws uniform origin-destination pairs, and counts how often the real
-    case-A and case-B gates reject.  The case-B gate is applied in its
-    origin-membership (inclusive) form, matching the expectation model, which
-    tracks only the origin test.
+    draws uniform origin-destination pairs, and counts how often one call of
+    the real gate, on an empty path, rejects case A and case B.  The gate runs
+    in inclusive mode, whose case B is the origin-membership test the
+    expectation model tracks; case A does not depend on the mode.
     """
     if not (0.0 < area_fraction <= 1.0):
         raise ValueError("area_fraction must be in (0, 1]")
@@ -323,10 +323,9 @@ def rrcc_gate_harness(area_fraction: float, samples: int, seed: int,
     for ox, oy, dx, dy in pts:
         o = Point(ox, oy)
         d = Point(dx, dy)
-        if gate(psa, CASE_A, o, d, [], pos, 0.0, "literal"):
-            pass_a += 1
-        if gate(psa, CASE_B, o, d, [], pos, 0.0, "inclusive"):
-            pass_b += 1
+        admit_a, admit_b, _ = gate(psa, o, d, [], pos, 0.0, "inclusive")
+        pass_a += admit_a
+        pass_b += admit_b
     exp_a, exp_b = expected_rrcc(area, s)
     return RrccRow(area=area, s=s, samples=samples,
                    psi_a=1.0 - pass_a / samples,

@@ -74,6 +74,7 @@ class Vehicle:
     odometer: float = 0.0
     service_list: list[int] = field(default_factory=list)
     path: list[Stop] = field(default_factory=list)
+    # search area as last built; read it through scheduler.search_area
     psa: VehiclePsa = field(default_factory=VehiclePsa.empty)
     route: list[int] | None = None  # expanded hops after `node`; None = stale
 

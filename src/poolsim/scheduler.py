@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .geometry import (PSA_EMPTY, PSA_OPEN, Point, VehiclePsa, make_psa_rect,
+from .geometry import (PSA_OPEN, PSA_SINGLE, Point, VehiclePsa, make_psa_rect,
                        psa_contains, rect_contains)
 from .insertion import (CASE_A, CASE_B, CASE_C, Candidate, VehicleTrial,
                         classify_case, candidate_positions, splice)
@@ -95,6 +95,7 @@ class EpochCounters:
 
 @dataclass(frozen=True)
 class Assignment:
+    t_s: float
     request_id: int
     vehicle_id: int
     i: int
@@ -133,10 +134,30 @@ def furthest_psa(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
     return VehiclePsa.union(alpha, beta, r.id)
 
 
-def gate(psa: VehiclePsa, case: str, o_pt: Point, d_pt: Point,
-         path_pts: list[Point], vehicle_pos: Point | None, buffer_km: float,
-         mode: str) -> bool:
-    """Cheap geometric admission test for one candidate case.
+def search_area(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
+                config: SimConfig) -> VehiclePsa:
+    """The vehicle's search area, rebuilt only when it no longer fits the path.
+
+    The area depends only on the furthest rider and on whether they are
+    onboard, which the stored area records as ``furthest_request_id`` and as
+    ``kind == single``.  It is rebuilt here, where the gate reads it, once a
+    commit, pickup or drop-off has changed either; nothing else updates it.
+    """
+    psa = v.psa
+    furthest = v.path[-1].request_id if v.path else None
+    onboard = (furthest is not None
+               and requests[furthest].state == RequestState.ONBOARD)
+    if (furthest, onboard) != (psa.furthest_request_id,
+                               psa.kind == PSA_SINGLE):
+        psa = v.psa = furthest_psa(net, v, requests, config.buffer_km,
+                                   config.max_detour)
+    return psa
+
+
+def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path_pts: list[Point],
+         vehicle_pos: Point, buffer_km: float,
+         mode: str) -> tuple[bool, bool, bool]:
+    """Cheap geometric admission test of the cases (A, B, C) of one vehicle.
 
     Case A keeps candidates whose origin and destination both lie in the
     vehicle's search area.  Case B requires the origin in the area; literal
@@ -145,51 +166,18 @@ def gate(psa: VehiclePsa, case: str, o_pt: Point, d_pt: Point,
     case B in both modes because it has no boundary to separate the cases on.
     Case C bounds the new rider's pickup buffer: every committed stop must lie
     in the rectangle spanned by the vehicle position and the new origin with
-    the buffer as path budget; an empty path passes vacuously.  Only case C
-    reads ``path_pts`` and ``vehicle_pos``.
+    the buffer as path budget; an empty path passes vacuously.
     """
-    if case == CASE_C:
-        if not path_pts:
-            return True
-        rect = make_psa_rect(vehicle_pos, o_pt, buffer_km)
-        if rect is None:
-            return False
-        return all(rect_contains(rect, p) for p in path_pts)
-    if case == CASE_A:
-        return psa_contains(psa, o_pt) and psa_contains(psa, d_pt)
-    if case == CASE_B:
-        if not psa_contains(psa, o_pt):
-            return False
-        if mode == MODE_LITERAL and psa.kind != PSA_OPEN:
-            return not psa_contains(psa, d_pt)
-        return True
-    raise ValueError(f"unknown case {case!r}")
-
-
-def refresh_psa_on_event(net: RoadNetwork, v: Vehicle,
-                         requests: dict[int, Request], event_kind: str,
-                         request_id: int, config: SimConfig) -> None:
-    """Keep the vehicle search area consistent across pickup/dropoff events.
-
-    A pickup of the furthest rider collapses the union to the single ride
-    rectangle; a dropoff only matters when it empties the path (the furthest
-    rider's destination is by construction the last stop).  Everything else
-    leaves the area untouched.
-    """
-    new_furthest = v.path[-1].request_id if v.path else None
-    if event_kind == "pickup":
-        if request_id == new_furthest:
-            v.psa = furthest_psa(net, v, requests, config.buffer_km,
-                                 config.max_detour)
-    elif event_kind == "dropoff":
-        if new_furthest is None:
-            if v.psa.kind != PSA_EMPTY:
-                v.psa = VehiclePsa.empty()
-        elif new_furthest != v.psa.furthest_request_id:
-            v.psa = furthest_psa(net, v, requests, config.buffer_km,
-                                 config.max_detour)
-    else:
-        raise ValueError(f"unknown event kind {event_kind!r}")
+    o_in = psa_contains(psa, o_pt)
+    d_in = o_in and psa_contains(psa, d_pt)
+    admit_b = o_in and (mode != MODE_LITERAL or psa.kind == PSA_OPEN
+                        or not d_in)
+    if not path_pts:
+        return d_in, admit_b, True
+    rect = make_psa_rect(vehicle_pos, o_pt, buffer_km)
+    admit_c = rect is not None and all(rect_contains(rect, p)
+                                       for p in path_pts)
+    return d_in, admit_b, admit_c
 
 
 def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
@@ -199,9 +187,10 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     """One scheduling pass over the released unassigned requests.
 
     Mutates ``state`` in place: winning insertions are committed (path,
-    service list, request bookkeeping, search-area refresh).  Requests with no
-    feasible insertion stay unassigned and are retried next epoch.  Returns
-    the committed assignments and the per-case candidate counters.
+    service list, request bookkeeping); gated vehicles read their search area
+    through ``search_area``.  Requests with no feasible insertion stay
+    unassigned and are retried next epoch.  Returns the committed
+    assignments, stamped with ``now``, and the per-case candidate counters.
     """
     if mode not in (MODE_LITERAL, MODE_INCLUSIVE, MODE_ES):
         raise ValueError(f"unknown scheduler mode {mode!r}")
@@ -235,16 +224,9 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             counters.n_c += n_c
 
             if mode != MODE_ES and check_buffer:
-                psa = v.psa
-                buffer_km = config.buffer_km
-                # only case C looks at the committed stops and the position
-                admit = (
-                    gate(psa, CASE_A, o_pt, d_pt, [], None, buffer_km, mode),
-                    gate(psa, CASE_B, o_pt, d_pt, [], None, buffer_km, mode),
-                    gate(psa, CASE_C, o_pt, d_pt,
-                         [net.point(s.node) for s in v.path],
-                         v.position_point(net), buffer_km, mode),
-                )
+                admit = gate(search_area(net, v, state.requests, config),
+                             o_pt, d_pt, [net.point(s.node) for s in v.path],
+                             v.position_point(net), config.buffer_km, mode)
             else:
                 admit = _ADMIT_ALL
             positions = admitted_positions(k, admit)
@@ -280,11 +262,8 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             r.p_s = v.position_point(net)
             r.odometer_at_schedule = v.odometer
             r.scheduled_under_wait = check_buffer
-            assignments.append(Assignment(r.id, vid, i, j, best_case, cost))
-            if best_case in (CASE_B, CASE_C):
-                # destination became the new last stop: furthest rider changed
-                v.psa = furthest_psa(net, v, state.requests, config.buffer_km,
-                                     config.max_detour)
+            assignments.append(Assignment(now, r.id, vid, i, j, best_case,
+                                          cost))
     return assignments, counters
 
 

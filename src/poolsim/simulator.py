@@ -23,8 +23,8 @@ from .analysis import traffic_metrics
 from .model import (Request, RequestState, SimConfig, StopKind, Vehicle,
                     WorldState, waiting_time)
 from .roadnet import RoadNetwork
-from .scheduler import (EpochCounters, es_epoch, psap_epoch,
-                        refresh_psa_on_event, TrialObserver)
+from .scheduler import (Assignment, EpochCounters, es_epoch, psap_epoch,
+                        TrialObserver)
 from .seeds import substream
 
 
@@ -41,6 +41,11 @@ _EVENT_ORDER = {"release": 0, "schedule": 1, "pickup": 2, "dropoff": 3}
 
 @dataclass
 class EpochRow:
+    """One epoch's ``metrics.csv`` row.
+
+    ``unserved`` counts the released requests still unscheduled after the
+    scheduling pass, unlike ``SimReport.unserved``.
+    """
     epoch: int
     t_s: float
     n_a: int
@@ -61,17 +66,6 @@ class EpochRow:
     onboard_riders: int
     moving: int
     completed_total: int
-
-
-@dataclass(frozen=True)
-class AssignmentRecord:
-    t_s: float
-    request_id: int
-    vehicle_id: int
-    i: int
-    j: int
-    case: str
-    cost: float
 
 
 @dataclass
@@ -96,6 +90,11 @@ class RequestOutcome:
 
 @dataclass
 class SimReport:
+    """A whole run, as ``write_report_files`` writes it.
+
+    ``unserved`` (``report.json`` ``totals.unserved``) counts every request
+    not completed when the run stopped, waiting and onboard riders included.
+    """
     scheduler: str
     mode: str
     config: dict
@@ -110,7 +109,7 @@ class SimReport:
     unserved: int
     counters: EpochCounters
     epochs: list[EpochRow] = field(default_factory=list)
-    assignments: list[AssignmentRecord] = field(default_factory=list)
+    assignments: list[Assignment] = field(default_factory=list)
     requests: list[RequestOutcome] = field(default_factory=list)
     events: list[SimEvent] = field(default_factory=list)
 
@@ -172,16 +171,12 @@ def advance_vehicle(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
                     r.pickup_time = t
                     r.traveled_at_pickup = v.odometer
                     events.append(SimEvent(t, "pickup", r.id, v.id))
-                    refresh_psa_on_event(net, v, requests, "pickup", r.id,
-                                         config)
                 else:
                     r.state = RequestState.COMPLETED
                     r.dropoff_time = t
                     r.traveled_at_dropoff = v.odometer
                     v.service_list.remove(r.id)
                     events.append(SimEvent(t, "dropoff", r.id, v.id))
-                    refresh_psa_on_event(net, v, requests, "dropoff", r.id,
-                                         config)
         if budget <= 1e-15:
             break
         if v.offset_km > 0.0:
@@ -253,7 +248,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     release_ptr = 0
     events: list[SimEvent] = []
     rows: list[EpochRow] = []
-    assignment_log: list[AssignmentRecord] = []
+    assignment_log: list[Assignment] = []
     totals = EpochCounters()
 
     now = config.start_s
@@ -269,10 +264,9 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
         assignments, counters = sched_fn(net, state, config, now,
                                          trial_observer)
         totals.add(counters)
+        assignment_log.extend(assignments)
         for a in assignments:
             events.append(SimEvent(now, "schedule", a.request_id, a.vehicle_id))
-            assignment_log.append(AssignmentRecord(
-                now, a.request_id, a.vehicle_id, a.i, a.j, a.case, a.cost))
 
         tm = traffic_metrics(state)
         rows.append(EpochRow(

@@ -23,7 +23,7 @@ from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, sample_requests, waiting_time)
 from poolsim.roadnet import gen_grid
-from poolsim.scheduler import gate
+from poolsim.scheduler import gate, search_area
 from poolsim.seeds import substream
 from poolsim.simulator import poev_baseline, run, write_report_files
 
@@ -114,9 +114,10 @@ class SoundnessObserver:
         d_pt = self.net.point(r.d)
         path_pts = [self.net.point(s.node) for s in v.path]
         pos = v.position_point(self.net)
-        allowed = {case: gate(v.psa, case, o_pt, d_pt, path_pts, pos,
-                              self.config.buffer_km, "inclusive")
-                   for case in (CASE_A, CASE_B, CASE_C)}
+        admit = gate(search_area(self.net, v, requests, self.config),
+                     o_pt, d_pt, path_pts, pos, self.config.buffer_km,
+                     "inclusive")
+        allowed = dict(zip((CASE_A, CASE_B, CASE_C), admit))
         if allowed[CASE_A] and allowed[CASE_B]:
             return
         for c in enumerate_all(self.net, v, requests, r, self.config,

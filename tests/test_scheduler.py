@@ -13,9 +13,10 @@ from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, WorldState, waiting_time)
 from poolsim.roadnet import Edge, RoadNetwork, gen_grid
+from poolsim import scheduler
 from poolsim.scheduler import (Assignment, EpochCounters, counts_for_path,
                                es_epoch, furthest_psa, gate, psap_epoch,
-                               refresh_psa_on_event, run_epoch)
+                               run_epoch, search_area)
 from poolsim.simulator import run, write_report_files
 from test_acceptance import ORACLE_GRID, oracle_instance
 from test_insertion import full_check_candidate
@@ -148,91 +149,81 @@ class TestGate:
         self.corner = Point(4.8, 2.2)    # in the rectangle, off the ellipse
         self.outside = Point(10.0, 0.0)
 
+    def admit(self, psa, o, d, mode, path_pts=(), pos=Point(0, 0)):
+        return gate(psa, o, d, list(path_pts), pos, 6.0, mode)
+
     def test_case_a_needs_both(self):
         for mode in ("literal", "inclusive"):
-            assert gate(self.single, CASE_A, self.inside, self.corner, [],
-                        Point(0, 0), 6.0, mode)
-            assert not gate(self.single, CASE_A, self.inside, self.outside,
-                            [], Point(0, 0), 6.0, mode)
-            assert not gate(self.single, CASE_A, self.outside, self.inside,
-                            [], Point(0, 0), 6.0, mode)
+            assert self.admit(self.single, self.inside, self.corner, mode)[0]
+            assert not self.admit(self.single, self.inside, self.outside,
+                                  mode)[0]
+            assert not self.admit(self.single, self.outside, self.inside,
+                                  mode)[0]
 
     def test_case_b_literal_excludes_inner_destination(self):
-        assert gate(self.single, CASE_B, self.inside, self.outside, [],
-                    Point(0, 0), 6.0, "literal")
-        assert not gate(self.single, CASE_B, self.inside, self.corner, [],
-                        Point(0, 0), 6.0, "literal")
-        assert not gate(self.single, CASE_B, self.outside, self.inside, [],
-                        Point(0, 0), 6.0, "literal")
+        assert self.admit(self.single, self.inside, self.outside,
+                          "literal")[1]
+        assert not self.admit(self.single, self.inside, self.corner,
+                              "literal")[1]
+        assert not self.admit(self.single, self.outside, self.inside,
+                              "literal")[1]
 
     def test_case_b_inclusive_keeps_inner_destination(self):
-        assert gate(self.single, CASE_B, self.inside, self.corner, [],
-                    Point(0, 0), 6.0, "inclusive")
-        assert gate(self.single, CASE_B, self.inside, self.outside, [],
-                    Point(0, 0), 6.0, "inclusive")
-        assert not gate(self.single, CASE_B, self.outside, self.inside, [],
-                        Point(0, 0), 6.0, "inclusive")
+        assert self.admit(self.single, self.inside, self.corner,
+                          "inclusive")[1]
+        assert self.admit(self.single, self.inside, self.outside,
+                          "inclusive")[1]
+        assert not self.admit(self.single, self.outside, self.inside,
+                              "inclusive")[1]
 
     def test_case_a_union_alpha_only_point(self):
         alpha = make_psa_rect(Point(-3, 0), Point(0, 0), 6.0)
         union = VehiclePsa.union(alpha, self.beta, 7)
         o = Point(-2.0, 0.0)    # alpha rectangle only
-        assert gate(union, CASE_A, o, self.inside, [], Point(0, 0), 6.0,
-                    "literal")
-        assert not gate(self.single, CASE_A, o, self.inside, [], Point(0, 0),
-                        6.0, "literal")
+        assert self.admit(union, o, self.inside, "literal")[0]
+        assert not self.admit(self.single, o, self.inside, "literal")[0]
 
     def test_case_c_empty_path_vacuous(self):
         # even an infeasible pickup rectangle admits an idle vehicle
         for mode in ("literal", "inclusive"):
-            assert gate(self.single, CASE_C, self.outside, self.inside, [],
-                        Point(0, 0), 6.0, mode)
+            assert self.admit(self.single, self.outside, self.inside,
+                              mode)[2]
 
     def test_case_c_bounds_committed_stops(self):
-        pos = Point(0.0, 0.0)
         o = Point(3.0, 0.0)
         near = [Point(1.0, 0.5)]
         far = [Point(1.0, 0.5), Point(0.0, 4.0)]
-        assert gate(self.single, CASE_C, o, self.inside, near, pos, 6.0,
-                    "literal")
-        assert not gate(self.single, CASE_C, o, self.inside, far, pos, 6.0,
-                        "literal")
+        assert self.admit(self.single, o, self.inside, "literal", near)[2]
+        assert not self.admit(self.single, o, self.inside, "literal", far)[2]
 
     def test_case_c_infeasible_rect_nonempty_path(self):
-        assert not gate(self.single, CASE_C, self.outside, self.inside,
-                        [Point(1.0, 0.0)], Point(0, 0), 6.0, "literal")
+        assert not self.admit(self.single, self.outside, self.inside,
+                              "literal", [Point(1.0, 0.0)])[2]
 
     def test_empty_area_rejects_a_and_b(self):
         empty = VehiclePsa.empty()
-        assert not gate(empty, CASE_A, self.inside, self.inside, [],
-                        Point(0, 0), 6.0, "literal")
-        assert not gate(empty, CASE_B, self.inside, self.outside, [],
-                        Point(0, 0), 6.0, "literal")
+        assert self.admit(empty, self.inside, self.inside,
+                          "literal")[:2] == (False, False)
+        assert self.admit(empty, self.inside, self.outside,
+                          "literal")[:2] == (False, False)
 
     def test_open_area_admits_everything_inclusive(self):
         area = VehiclePsa.open_area(7)
-        assert gate(area, CASE_A, self.outside, self.outside, [],
-                    Point(0, 0), 6.0, "inclusive")
-        assert gate(area, CASE_B, self.outside, self.outside, [],
-                    Point(0, 0), 6.0, "inclusive")
+        assert self.admit(area, self.outside, self.outside,
+                          "inclusive") == (True, True, True)
 
     def test_open_area_admits_everything_literal(self):
         # strict case separation needs a boundary; an open area has none, so
         # literal mode admits case B alongside case A instead of starving the
         # vehicle of appends
         area = VehiclePsa.open_area(7)
-        assert gate(area, CASE_A, self.inside, self.outside, [],
-                    Point(0, 0), 6.0, "literal")
-        assert gate(area, CASE_B, self.inside, self.corner, [],
-                    Point(0, 0), 6.0, "literal")
-
-    def test_unknown_case_raises(self):
-        with pytest.raises(ValueError):
-            gate(self.single, "D", self.inside, self.inside, [], Point(0, 0),
-                 6.0, "literal")
+        assert self.admit(area, self.inside, self.outside, "literal")[:2] \
+            == (True, True)
+        assert self.admit(area, self.inside, self.corner, "literal")[:2] \
+            == (True, True)
 
 
-class TestRefreshPsaOnEvent:
+class TestSearchArea:
     def world(self):
         net = gen_grid(5, 2, 1.0)
         cfg = SimConfig()
@@ -245,49 +236,90 @@ class TestRefreshPsaOnEvent:
         v = Vehicle(id=0, capacity=5, node=0, service_list=[1, 2],
                     path=stops(("o", 1, 1), ("o", 2, 1), ("d", 1, 2),
                                ("d", 2, 4)))
-        reqs = {1: near, 2: far}
-        v.psa = furthest_psa(net, v, reqs, cfg.buffer_km, cfg.max_detour)
-        return net, cfg, v, reqs
+        return net, cfg, v, {1: near, 2: far}
+
+    def pick_up(self, v, reqs, rid):
+        reqs[rid].state = RequestState.ONBOARD
+        v.path = [s for s in v.path
+                  if not (s.request_id == rid and s.kind == StopKind.ORIGIN)]
 
     def test_pickup_of_furthest_collapses_union(self):
         net, cfg, v, reqs = self.world()
-        assert v.psa.kind == PSA_UNION
-        reqs[2].state = RequestState.ONBOARD
-        v.path = [s for s in v.path
-                  if not (s.request_id == 2 and s.kind == StopKind.ORIGIN)]
-        refresh_psa_on_event(net, v, reqs, "pickup", 2, cfg)
-        assert v.psa.kind == PSA_SINGLE
-        assert v.psa.furthest_request_id == 2
+        assert search_area(net, v, reqs, cfg).kind == PSA_UNION
+        self.pick_up(v, reqs, 2)
+        psa = search_area(net, v, reqs, cfg)
+        assert psa is v.psa
+        assert psa.kind == PSA_SINGLE
+        assert psa.furthest_request_id == 2
 
     def test_pickup_of_other_rider_keeps_area(self):
         net, cfg, v, reqs = self.world()
-        before = v.psa
-        reqs[1].state = RequestState.ONBOARD
-        v.path = [s for s in v.path
-                  if not (s.request_id == 1 and s.kind == StopKind.ORIGIN)]
-        refresh_psa_on_event(net, v, reqs, "pickup", 1, cfg)
-        assert v.psa is before
+        before = search_area(net, v, reqs, cfg)
+        self.pick_up(v, reqs, 1)
+        assert search_area(net, v, reqs, cfg) is before
 
     def test_intermediate_dropoff_keeps_area(self):
         net, cfg, v, reqs = self.world()
         for rid in (1, 2):
-            reqs[rid].state = RequestState.ONBOARD
+            self.pick_up(v, reqs, rid)
+        before = search_area(net, v, reqs, cfg)
+        assert before.kind == PSA_SINGLE
+        reqs[1].state = RequestState.COMPLETED
         v.path = stops(("d", 2, 4))
-        before = furthest_psa(net, v, reqs, cfg.buffer_km, cfg.max_detour)
-        v.psa = before
-        refresh_psa_on_event(net, v, reqs, "dropoff", 1, cfg)
-        assert v.psa is before
+        assert search_area(net, v, reqs, cfg) is before
 
     def test_final_dropoff_empties_area(self):
         net, cfg, v, reqs = self.world()
+        search_area(net, v, reqs, cfg)
+        for rid in (1, 2):
+            reqs[rid].state = RequestState.COMPLETED
         v.path = []
-        refresh_psa_on_event(net, v, reqs, "dropoff", 2, cfg)
-        assert v.psa.kind == PSA_EMPTY
+        assert search_area(net, v, reqs, cfg).kind == PSA_EMPTY
 
-    def test_unknown_event_kind_raises(self):
-        net, cfg, v, reqs = self.world()
-        with pytest.raises(ValueError):
-            refresh_psa_on_event(net, v, reqs, "teleport", 2, cfg)
+
+class TestSearchAreaInRuns:
+    """The area the gate reads is always the one a fresh build gives."""
+
+    @pytest.fixture(scope="class")
+    def oracle_net(self):
+        return gen_grid(*ORACLE_GRID)
+
+    @pytest.mark.parametrize("gating", ["inclusive", "literal"])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_gated_area_equals_fresh_build(self, oracle_net, seed, gating):
+        n_veh, reqs = oracle_instance(oracle_net, seed)
+        cfg = SimConfig(n_vehicles=n_veh, seed=seed, gating=gating)
+        checked = 0
+
+        def observer(now, r, v, evaluated, requests):
+            nonlocal checked
+            if waiting_time(r, now) > cfg.wait_threshold_s:
+                return
+            assert v.psa == furthest_psa(oracle_net, v, requests,
+                                         cfg.buffer_km, cfg.max_detour)
+            checked += 1
+
+        run(oracle_net, reqs, cfg, scheduler="psap", trial_observer=observer)
+        assert checked > 0
+
+    def test_es_never_builds_an_area(self, oracle_net, monkeypatch):
+        calls = 0
+        original = scheduler.furthest_psa
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(scheduler, "furthest_psa", counting)
+        n_veh, reqs = oracle_instance(oracle_net, 1)
+        run(oracle_net, reqs, SimConfig(n_vehicles=n_veh, seed=1),
+            scheduler="es")
+        assert calls == 0
+        # the counter sees the pruned planner's builds
+        run(oracle_net, reqs, SimConfig(n_vehicles=n_veh, seed=1),
+            scheduler="psap")
+        assert calls > 0
 
 
 class TestRunEpochBasics:
@@ -305,7 +337,7 @@ class TestRunEpochBasics:
         state = self.one_request_world(net, o=2, d=6)
         cfg = SimConfig()
         assignments, counters = psap_epoch(net, state, cfg, now=0.0)
-        assert assignments == [Assignment(1, 0, 0, 1, CASE_C,
+        assert assignments == [Assignment(0.0, 1, 0, 0, 1, CASE_C,
                                           pytest.approx(3.0))]
         assert (counters.n_a, counters.n_b, counters.n_c) == (0, 0, 1)
         assert (counters.m_a, counters.m_b, counters.m_c) == (0, 0, 1)
@@ -319,8 +351,9 @@ class TestRunEpochBasics:
         assert r.scheduled_under_wait is True
         assert [s.node for s in v.path] == [2, 6]
         assert v.service_list == [1]
-        assert v.psa.kind == PSA_UNION
-        assert v.psa.furthest_request_id == 1
+        psa = search_area(net, v, state.requests, cfg)
+        assert psa.kind == PSA_UNION
+        assert psa.furthest_request_id == 1
 
     def test_unreleased_request_ignored(self):
         net = self.line()
@@ -404,7 +437,6 @@ class TestPruning:
         }
         v = Vehicle(id=0, capacity=5, node=0, service_list=[8, 9],
                     path=stops(("d", 8, 2), ("d", 9, 5)))
-        v.psa = furthest_psa(net, v, riders, cfg.buffer_km, cfg.max_detour)
         new = Request(id=1, t=0, n=1, o=35, d=33,
                       direct_dist=net.shortest_dist(35, 33))
         state = WorldState(clock=0.0, vehicles={0: v},

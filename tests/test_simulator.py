@@ -8,7 +8,6 @@ import pytest
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle)
 from poolsim.roadnet import gen_grid
-from poolsim.scheduler import furthest_psa
 from poolsim.simulator import (METRICS_HEADER, PoevBaseline, SimEvent,
                                advance_vehicle, poev_baseline,
                                poev_fleet_size, run, write_report_files)
@@ -48,7 +47,6 @@ class TestAdvanceVehicle:
         r = waiting(1, o=1, d=3, direct=1.0, p_s=net.point(0))
         v = Vehicle(id=0, capacity=5, node=0, service_list=[1],
                     path=stops(("o", 1, 1), ("d", 1, 3)))
-        v.psa = furthest_psa(net, v, {1: r}, 6.0, 0.2)
         events = advance_vehicle(net, v, {1: r}, 60.0, SimConfig(), 100.0)
         assert [e.kind for e in events] == ["pickup"]
         assert events[0].t == pytest.approx(160.0)
@@ -63,7 +61,6 @@ class TestAdvanceVehicle:
         reqs = {1: onboard(1, 0, 2, 0.2), 2: onboard(2, 0, 4, 0.4)}
         v = Vehicle(id=0, capacity=5, node=0, service_list=[1, 2],
                     path=stops(("d", 1, 2), ("d", 2, 4)))
-        v.psa = furthest_psa(net, v, reqs, 6.0, 0.2)
         events = advance_vehicle(net, v, reqs, 60.0, SimConfig(), 0.0)
         assert [(e.kind, e.req) for e in events] == [("dropoff", 1),
                                                     ("dropoff", 2)]
@@ -79,7 +76,6 @@ class TestAdvanceVehicle:
         reqs = {1: joiner, 2: rider}
         v = Vehicle(id=0, capacity=5, node=0, service_list=[2, 1],
                     path=stops(("o", 1, 5), ("d", 2, 5), ("d", 1, 8)))
-        v.psa = furthest_psa(net, v, reqs, 6.0, 0.2)
         events = advance_vehicle(net, v, reqs, 300.0, SimConfig(), 0.0)
         assert [(e.kind, e.req) for e in events] == [("pickup", 1),
                                                     ("dropoff", 2)]
@@ -93,7 +89,6 @@ class TestAdvanceVehicle:
         v = Vehicle(id=0, capacity=5, node=2, prev_node=1, offset_km=0.3,
                     odometer=0.2, service_list=[1],
                     path=stops(("d", 1, 0)))
-        v.psa = furthest_psa(net, v, {1: r}, 6.0, 0.2)
         events = advance_vehicle(net, v, {1: r}, 12.0, SimConfig(), 0.0)
         assert events == []
         assert v.node == 2 and v.offset_km == pytest.approx(0.2)
@@ -114,7 +109,6 @@ class TestAdvanceVehicle:
                     2: onboard(2, 0, 6, 3.0)}
             v = Vehicle(id=0, capacity=5, node=0, service_list=[2, 1],
                         path=stops(("o", 1, 3), ("d", 2, 6), ("d", 1, 9)))
-            v.psa = furthest_psa(net, v, reqs, 6.0, 0.2)
             return v, reqs
 
         v_one, reqs_one = fresh()
