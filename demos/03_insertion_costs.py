@@ -23,7 +23,7 @@ def main() -> None:
     # two riders already aboard, headed to nodes 14 and 22
     riders = {1: onboard(1, o=8, d=14, direct=net.shortest_dist(8, 14)),
               2: onboard(2, o=9, d=22, direct=net.shortest_dist(9, 22))}
-    v = Vehicle(id=0, capacity=5, node=10, service_list=[1, 2],
+    v = Vehicle(id=0, capacity=5, node=10,
                 path=[Stop(StopKind.DESTINATION, 1, 14),
                       Stop(StopKind.DESTINATION, 2, 22)])
     new = Request(id=3, t=0.0, n=1, o=12, d=21,

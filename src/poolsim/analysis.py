@@ -307,6 +307,8 @@ def rrcc_gate_harness(area_fraction: float, samples: int, seed: int,
     """
     if not (0.0 < area_fraction <= 1.0):
         raise ValueError("area_fraction must be in (0, 1]")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     s = side_km * side_km
     area = area_fraction * s
     half = math.sqrt(area) / 2.0
@@ -359,7 +361,7 @@ def traffic_metrics(state: WorldState) -> TrafficMetrics:
     """
     vehicles = state.vehicles.values()
     moving = sum(1 for v in vehicles if v.path)
-    busy = sum(1 for v in vehicles if v.service_list)
+    busy = moving  # a path is non-empty exactly while the vehicle has riders
     onboard_riders = sum(r.n for r in state.requests.values()
                          if r.state == RequestState.ONBOARD)
     travel = sum(v.odometer for v in vehicles)

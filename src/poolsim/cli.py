@@ -212,6 +212,11 @@ def cmd_compare(args) -> int:
                     [os.path.join(d, "report.json") for d in legs.values()]
                     + [os.path.join(args.out, "compare.json")])
 
+    # the harness validates its options before any simulation runs
+    fractions = [float(f) for f in args.harness_fractions.split(",") if f]
+    harness = [vars(rrcc_gate_harness(frac, args.harness_samples, args.seed))
+               for frac in fractions]
+
     reports: dict[str, SimReport] = {}
     walls: dict[str, float] = {}
     for name, outdir in legs.items():
@@ -225,10 +230,6 @@ def cmd_compare(args) -> int:
             for name in reports}
     only_psap = sorted(keys["psap"] - keys["es"])
     only_es = sorted(keys["es"] - keys["psap"])
-
-    fractions = [float(f) for f in args.harness_fractions.split(",") if f]
-    harness = [vars(rrcc_gate_harness(frac, args.harness_samples, args.seed))
-               for frac in fractions]
 
     def leg_summary(name: str) -> dict:
         rep = reports[name]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
-from .model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
+from .model import Request, SimConfig, Stop, StopKind, Vehicle
 from .roadnet import NoPathError, RoadNetwork
 
 CASE_A = "A"
@@ -57,7 +57,7 @@ class Candidate(NamedTuple):
 @dataclass(frozen=True)
 class QosViolation:
     request_id: int
-    kind: str  # detour | buffer | capacity
+    kind: str  # detour | buffer
 
 
 # feasibility comparisons carry a hair of slack so exact-boundary plans
@@ -185,7 +185,6 @@ class VehicleTrial(SpliceLegs):
         self.v = v
         self.requests = requests
         self.new_request = new_request
-        self.config = config
         self.check_buffer = check_buffer
         self.max_detour = config.max_detour + _QOS_EPS
         self.max_buffer = config.buffer_km + _QOS_EPS
@@ -198,35 +197,37 @@ class VehicleTrial(SpliceLegs):
         self.riders: list[_Rider] | None = None
 
     def _rider_table(self) -> list[_Rider]:
-        """Committed riders in service-list order.
+        """Committed riders in drop-off order, read off the path in one pass.
 
         Per rider: (id, origin position or -1 once onboard, destination
         position, direct km, km already counted against the bound,
-        buffer-guarded).
+        buffer-guarded).  A rider whose origin stop precedes its destination
+        stop is waiting; one with only a destination stop is onboard.
         """
         v = self.v
         requests = self.requests
-        origin_at = {s.request_id: m for m, s in enumerate(v.path)
-                     if s.kind is _ORIGIN}
-        dest_at = {s.request_id: m for m, s in enumerate(v.path)
-                   if s.kind is not _ORIGIN}
+        origin_at: dict[int, int] = {}
         riders = []
-        for rid in v.service_list:
+        for m, s in enumerate(v.path):
+            rid = s.request_id
+            if s.kind is _ORIGIN:
+                origin_at[rid] = m
+                continue
             r = requests[rid]
-            if r.state == RequestState.WAITING:
+            oi = origin_at.pop(rid, -1)
+            if oi < 0:  # onboard
+                riders.append((rid, -1, m, r.direct_dist,
+                               v.odometer - r.traveled_at_pickup, False))
+            else:
                 guarded = bool(r.scheduled_under_wait)
                 since = v.odometer - r.odometer_at_schedule if guarded else 0.0
-                riders.append((rid, origin_at[rid], dest_at[rid],
-                               r.direct_dist, since, guarded))
-            else:  # onboard
-                riders.append((rid, -1, dest_at[rid], r.direct_dist,
-                               v.odometer - r.traveled_at_pickup, False))
+                riders.append((rid, oi, m, r.direct_dist, since, guarded))
         return riders
 
     def violation(self, i: int, j: int) -> QosViolation | None:
         """First quality-of-service violation of the (i, j) splice, or None.
 
-        Checks the new request first, then committed requests in service-list
+        Checks the new request first, then committed requests in drop-off
         order; per request the detour bound comes before the pickup buffer.
         The buffer guarantee is per request and only applies before pickup:
         the new request is buffer-checked when ``check_buffer`` is set (an
@@ -269,15 +270,6 @@ class VehicleTrial(SpliceLegs):
                 return QosViolation(rid, "detour")
             if guarded and counted + at_o > max_buffer:
                 return QosViolation(rid, "buffer")
-        if self.config.strict_occupancy:
-            v = self.v
-            requests = self.requests
-            onboard_now = sum(requests[rid].n for rid in v.service_list
-                              if requests[rid].state == RequestState.ONBOARD)
-            trial = splice(v.path, new.o, new.d, i, j, new.id)
-            if (_max_occupancy(trial, requests, new, onboard_now)
-                    > v.capacity):
-                return QosViolation(new.id, "capacity")
         return None
 
     def evaluate(self, i: int, j: int) -> Candidate:
@@ -318,20 +310,6 @@ def splice(stops: list[Stop], o: int, d: int, i: int, j: int,
     out.insert(i, Stop(StopKind.ORIGIN, request_id, o))
     out.insert(j, Stop(StopKind.DESTINATION, request_id, d))
     return out
-
-
-def _max_occupancy(path: list[Stop], requests: dict[int, Request],
-                   new_request: Request, onboard_now: int) -> int:
-    load = onboard_now
-    peak = load
-    for s in path:
-        r = new_request if s.request_id == new_request.id else requests[s.request_id]
-        if s.kind == StopKind.ORIGIN:
-            load += r.n
-            peak = max(peak, load)
-        else:
-            load -= r.n
-    return peak
 
 
 def enumerate_all(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],

@@ -2,8 +2,8 @@
 
 Request lifecycle: Unscheduled -> Waiting (assigned, not yet picked up) ->
 Onboard -> Completed.  A vehicle's planned path is an ordered stop list the
-vehicle serves front to back; its service list holds the ids of every request
-it has committed to and not yet dropped off.
+vehicle serves front to back and the only record of its riders: each has a
+destination stop there, plus an origin stop until pickup.
 
 Quality-of-service quantities:
   waiting time  seconds since release, frozen at pickup
@@ -72,7 +72,6 @@ class Vehicle:
     offset_km: float = 0.0       # km remaining to reach `node`; 0 means at it
     prev_node: int | None = None  # edge tail while mid-edge
     odometer: float = 0.0
-    service_list: list[int] = field(default_factory=list)
     path: list[Stop] = field(default_factory=list)
     # search area as last built; read it through scheduler.search_area
     psa: VehiclePsa = field(default_factory=VehiclePsa.empty)
@@ -100,11 +99,15 @@ class SimConfig:
     n_vehicles: int = 1
     seed: int = 0
     gating: str = "literal"          # literal | inclusive
-    start_s: float = 0.0
     horizon_s: float | None = None   # hard stop; None runs to completion
-    strict_occupancy: bool = False   # seat check on simultaneous occupancy
 
     def __post_init__(self) -> None:
+        # NaN slips past every ordered comparison below
+        for name in ("max_detour", "wait_threshold_s", "buffer_km",
+                     "speed_kmh", "epoch_s", "horizon_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_detour < 0:
             raise ValueError("max_detour must be >= 0")
         if self.wait_threshold_s < 0:
@@ -143,8 +146,9 @@ def waiting_time(r: Request, now: float) -> float:
 
 
 def passengers_committed(v: Vehicle, requests: dict[int, Request]) -> int:
-    """Total party size over the service list (waiting plus onboard)."""
-    return sum(requests[rid].n for rid in v.service_list)
+    """Seats held by the riders (waiting plus onboard), one drop-off each."""
+    return sum(requests[s.request_id].n for s in v.path
+               if s.kind is StopKind.DESTINATION)
 
 
 # -- request I/O -----------------------------------------------------------

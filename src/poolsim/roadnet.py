@@ -169,10 +169,6 @@ class RoadNetwork:
         except KeyError:
             raise NetworkError(f"no edge from node {a} to node {b}") from None
 
-    def stop_sequence_length(self, seq: list[int]) -> float:
-        """Total D along consecutive node pairs of seq."""
-        return sum(self.shortest_dist(u, v) for u, v in zip(seq, seq[1:]))
-
     def bbox(self) -> tuple[float, float, float, float]:
         xs = [p.x for p in self.nodes.values()]
         ys = [p.y for p in self.nodes.values()]

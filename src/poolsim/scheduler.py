@@ -186,11 +186,11 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
               ) -> tuple[list[Assignment], EpochCounters]:
     """One scheduling pass over the released unassigned requests.
 
-    Mutates ``state`` in place: winning insertions are committed (path,
-    service list, request bookkeeping); gated vehicles read their search area
-    through ``search_area``.  Requests with no feasible insertion stay
-    unassigned and are retried next epoch.  Returns the committed
-    assignments, stamped with ``now``, and the per-case candidate counters.
+    Mutates ``state`` in place: winning insertions are committed (path and
+    request bookkeeping); gated vehicles read their search area through
+    ``search_area``.  Requests with no feasible insertion stay unassigned
+    and are retried next epoch.  Returns the committed assignments, stamped
+    with ``now``, and the per-case candidate counters.
     """
     if mode not in (MODE_LITERAL, MODE_INCLUSIVE, MODE_ES):
         raise ValueError(f"unknown scheduler mode {mode!r}")
@@ -213,9 +213,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
         best_case = ""
         for vid in vehicle_ids:
             v = state.vehicles[vid]
-            if (not config.strict_occupancy
-                    and passengers_committed(v, state.requests) + r.n
-                    > v.capacity):
+            if passengers_committed(v, state.requests) + r.n > v.capacity:
                 continue
             k = len(v.path)
             n_a, n_b, n_c = counts_for_path(k)
@@ -254,7 +252,6 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             cost, vid, i, j = best
             v = state.vehicles[vid]
             v.path = splice(v.path, r.o, r.d, i, j, r.id)
-            v.service_list.append(r.id)
             v.route = None
             r.state = RequestState.WAITING
             r.vehicle_id = vid

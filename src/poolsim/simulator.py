@@ -175,7 +175,6 @@ def advance_vehicle(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
                     r.state = RequestState.COMPLETED
                     r.dropoff_time = t
                     r.traveled_at_dropoff = v.odometer
-                    v.service_list.remove(r.id)
                     events.append(SimEvent(t, "dropoff", r.id, v.id))
         if budget <= 1e-15:
             break
@@ -241,7 +240,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
 
     reqs = _fresh_requests(net, requests)
     vehicles = _place_vehicles(net, config)
-    state = WorldState(clock=config.start_s, vehicles=vehicles, requests=reqs)
+    state = WorldState(clock=0.0, vehicles=vehicles, requests=reqs)
     area = net.area_km2()
 
     release_order = sorted(reqs.values(), key=lambda r: (r.t, r.id))
@@ -251,7 +250,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     assignment_log: list[Assignment] = []
     totals = EpochCounters()
 
-    now = config.start_s
+    now = 0.0
     epoch_idx = 0
     while True:
         state.clock = now

@@ -281,7 +281,6 @@ def test_04_candidate_tallies(capsys):
                                scheduled_under_wait=True)
                   for rid in range(1, k + 1)}
         v = Vehicle(id=0, capacity=10 ** 9, node=0,
-                    service_list=list(range(1, k + 1)),
                     path=[Stop(StopKind.DESTINATION, rid, 1)
                           for rid in range(1, k + 1)])
         new = Request(id=0, t=0.0, n=1, o=0, d=1, direct_dist=1.0)

@@ -293,19 +293,19 @@ def _mk_request(rid, state, n=1, direct=1.0, t=0.0):
                    state=state)
 
 
-def _stop():
-    return Stop(StopKind.DESTINATION, 99, 0)
+def _stop(rid):
+    return Stop(StopKind.DESTINATION, rid, 0)
 
 
 class TestTrafficMetrics:
     def test_snapshot_rates(self):
         vehicles = {
             0: Vehicle(id=0, capacity=5, node=0, odometer=50.0,
-                       service_list=[1], path=[_stop()]),
+                       path=[_stop(1)]),
             1: Vehicle(id=1, capacity=5, node=0, odometer=40.0,
-                       service_list=[2], path=[_stop()]),
+                       path=[_stop(2)]),
             2: Vehicle(id=2, capacity=5, node=0, odometer=30.0,
-                       service_list=[3], path=[_stop()]),
+                       path=[_stop(3)]),
             3: Vehicle(id=3, capacity=5, node=0),
         }
         requests = {

@@ -206,6 +206,14 @@ class TestSimulate:
         assert main(sim_args(net_dir, req_file, tmp_path / "sim",
                              "--delta", "-0.5")) == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--delta", "nan"), ("--buffer-km", "nan"), ("--speed-kmh", "inf"),
+    ])
+    def test_non_finite_value_is_usage_error(self, net_dir, req_file,
+                                             tmp_path, flag, value):
+        assert main(sim_args(net_dir, req_file, tmp_path / "sim",
+                             flag, value)) == 1
+
     def test_inclusive_psap_reproduces_exhaustive_outcomes(self, net_dir,
                                                            req_file,
                                                            tmp_path):
@@ -272,6 +280,11 @@ class TestCompare:
         assert summary["assignment_diff"]["count"] == 0
         assert summary["assignment_diff"]["only_psap"] == []
         assert summary["assignment_diff"]["only_es"] == []
+
+    def test_zero_harness_samples_is_usage_error(self, net_dir, req_file,
+                                                  tmp_path):
+        assert self.run_compare(net_dir, req_file, tmp_path / "cmp",
+                                "--harness-samples", "0") == 1
 
     def test_harness_fractions_flag(self, net_dir, req_file, tmp_path):
         out = tmp_path / "cmp"

@@ -25,9 +25,21 @@ def stops(*pairs) -> list[Stop]:
     return [Stop(kinds[k], rid, node) for k, rid, node in pairs]
 
 
+def stop_sequence_length(net, seq: list[int]) -> float:
+    """Total D along consecutive node pairs of seq: the re-summed reference."""
+    return sum(net.shortest_dist(u, v) for u, v in zip(seq, seq[1:]))
+
+
+def test_stop_sequence_length():
+    net = gen_grid(5, 5, 1.0)
+    assert stop_sequence_length(net, [0, 4, 24]) == pytest.approx(4 + 4)
+    assert stop_sequence_length(net, [7]) == 0.0
+    assert stop_sequence_length(net, []) == 0.0
+
+
 def seq_length(net, head: int, path: list[Stop]) -> float:
     nodes = [head] + [s.node for s in path]
-    return net.stop_sequence_length(nodes)
+    return stop_sequence_length(net, nodes)
 
 
 class TestClassifyCase:
@@ -223,7 +235,7 @@ class TestQosCheck:
         other = Request(id=9, t=0, n=1, o=9, d=0, direct_dist=4.5,
                         state=RequestState.WAITING, odometer_at_schedule=0.0)
         r = Request(id=1, t=0, n=1, o=0, d=8, direct_dist=4.0)
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[9],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 9, 9), ("d", 9, 0)))
         # spliced: o1 o9 d1 d9
         hit = VehicleTrial(net, v, {9: other}, r, cfg, True).violation(0, 2)
@@ -254,7 +266,7 @@ class TestQosCheck:
                             odometer_at_schedule=0.0,
                             scheduled_under_wait=True)
         late = Request(id=1, t=0, n=1, o=2, d=0, direct_dist=1.0)
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[2],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 2, 11), ("d", 2, 16)))
         # spliced: o1 d1 o2 d2
         hit = VehicleTrial(net, v, {2: committed}, late, cfg,
@@ -275,7 +287,7 @@ class TestQosCheck:
         r = Request(id=1, t=0, n=1, o=10, d=40, direct_dist=3.0)
         other = Request(id=2, t=0, n=1, o=43, d=10, direct_dist=3.3,
                         state=RequestState.WAITING, odometer_at_schedule=0.0)
-        v = Vehicle(id=0, capacity=5, node=10, service_list=[2],
+        v = Vehicle(id=0, capacity=5, node=10,
                     path=stops(("o", 2, 43), ("d", 2, 10)))
         # spliced: o1 o2 d1 d2
         assert VehicleTrial(net, v, {2: other}, r, cfg,
@@ -289,7 +301,7 @@ class TestQosCheck:
         committed = Request(id=2, t=0, n=1, o=10, d=20, direct_dist=1.0,
                             state=RequestState.WAITING,
                             odometer_at_schedule=0.0)
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[2],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 2, 10), ("d", 2, 20)))
         new = Request(id=1, t=0, n=1, o=15, d=45, direct_dist=3.0)
         trial = VehicleTrial(net, v, {2: committed}, new, cfg, True)
@@ -309,33 +321,13 @@ class TestQosCheck:
                           state=RequestState.ONBOARD,
                           odometer_at_schedule=0.0, traveled_at_pickup=0.0)
         v = Vehicle(id=0, capacity=5, node=20, odometer=2.0,
-                    service_list=[2], path=stops(("d", 2, 30)))
+                    path=stops(("d", 2, 30)))
         new = Request(id=1, t=0, n=1, o=50, d=30, direct_dist=2.0)
         # detour to pick up at x=5.0 then back: onboard rider rides 2 + 3 + 2 + 2
         # spliced: o1 d2 d1
         hit = VehicleTrial(net, v, {2: onboard}, new, cfg, True).violation(0, 2)
         assert hit is not None
         assert hit.request_id == 2
-
-    def test_strict_occupancy_flag(self):
-        net = line_net(21, 0.5)
-        cfg = self.config(capacity=2, strict_occupancy=True, buffer_km=100.0)
-        a = Request(id=2, t=0, n=1, o=2, d=18, direct_dist=8.0,
-                    state=RequestState.WAITING, odometer_at_schedule=0.0)
-        b = Request(id=3, t=0, n=1, o=4, d=16, direct_dist=6.0,
-                    state=RequestState.WAITING, odometer_at_schedule=0.0)
-        reqs = {2: a, 3: b}
-        v = Vehicle(id=0, capacity=2, node=0, service_list=[2, 3],
-                    path=stops(("o", 2, 2), ("o", 3, 4), ("d", 3, 16),
-                               ("d", 2, 18)))
-        new = Request(id=1, t=0, n=1, o=6, d=14, direct_dist=4.0)
-        hit = VehicleTrial(net, v, reqs, new, cfg, True).violation(2, 3)
-        assert hit is not None
-        assert hit.kind == "capacity"
-        # seat frees up before the third rider boards: feasible
-        new2 = Request(id=1, t=0, n=1, o=16, d=18, direct_dist=1.0)
-        assert VehicleTrial(net, v, reqs, new2, cfg,
-                            True).violation(3, 4) is None
 
     def test_matches_brute_force_resummation(self):
         # random committed paths on a half-km grid with a quarter-km edge
@@ -405,7 +397,6 @@ def random_committed_vehicle(net, rng, ids):
             path.insert(b, Stop(StopKind.DESTINATION, rid, d))
         reqs[rid] = r
     v.path = path
-    v.service_list = sorted(reqs)
     # committed plans start out feasible, with no slack, so a splice that
     # stretches a rider's trip shows up as a detour violation
     nodes = [v.node] + [s.node for s in path]
@@ -414,23 +405,24 @@ def random_committed_vehicle(net, rng, ids):
                   if s.request_id == r.id and s.kind == StopKind.DESTINATION)
         if r.state == RequestState.WAITING:
             oi = next(m for m, s in enumerate(path) if s.request_id == r.id)
-            r.direct_dist = net.stop_sequence_length(nodes[oi + 1:di + 2])
+            r.direct_dist = stop_sequence_length(net, nodes[oi + 1:di + 2])
         else:
             r.direct_dist = (v.odometer - r.traveled_at_pickup + v.offset_km
-                             + net.stop_sequence_length(nodes[:di + 2]))
+                             + stop_sequence_length(net, nodes[:di + 2]))
     return v, reqs
 
 
 def brute_force_qos(net, v, reqs, path, new, cfg, check_buffer):
     """Reference verdict by re-summing the path; also flags exact-bound plans.
 
-    Returns ((request id, kind) of the first violation or None, whether some
-    checked plan sat exactly on the detour bound).
+    Riders are checked new one first, then in drop-off order.  Returns
+    ((request id, kind) of the first violation or None, whether some checked
+    plan sat exactly on the detour bound).
     """
     nodes = [v.node] + [s.node for s in path]
 
     def km_to(m):
-        return v.offset_km + net.stop_sequence_length(nodes[:m + 2])
+        return v.offset_km + stop_sequence_length(net, nodes[:m + 2])
 
     def where(rid, kind):
         return next(m for m, s in enumerate(path)
@@ -438,13 +430,15 @@ def brute_force_qos(net, v, reqs, path, new, cfg, check_buffer):
 
     on_bound = False
     verdict = None
-    for r in [new] + [reqs[rid] for rid in v.service_list]:
+    committed = [reqs[s.request_id] for s in path
+                 if s.kind == StopKind.DESTINATION and s.request_id != new.id]
+    for r in [new] + committed:
         is_new = r is new
         di = where(r.id, StopKind.DESTINATION)
         if is_new or r.state == RequestState.WAITING:
             oi = where(r.id, StopKind.ORIGIN)
-            ratio = net.stop_sequence_length(
-                [s.node for s in path[oi:di + 1]]) / r.direct_dist - 1.0
+            ratio = stop_sequence_length(
+                net, [s.node for s in path[oi:di + 1]]) / r.direct_dist - 1.0
             buffered = check_buffer if is_new else r.scheduled_under_wait
             since = 0.0 if is_new else v.odometer - r.odometer_at_schedule
             over_buffer = buffered and since + km_to(oi) > cfg.buffer_km + _QOS_EPS
@@ -476,8 +470,7 @@ class TestEnumerateAll:
                                 odometer_at_schedule=0.0,
                                 traveled_at_pickup=0.0)
             path.append(Stop(StopKind.DESTINATION, rid, node))
-        v = Vehicle(id=0, capacity=99, node=0, service_list=sorted(reqs),
-                    path=path)
+        v = Vehicle(id=0, capacity=99, node=0, path=path)
         new = Request(id=1, t=0, n=1, o=1, d=3,
                       direct_dist=net.shortest_dist(1, 3))
         return net, v, reqs, new, cfg
@@ -585,7 +578,6 @@ def screened_trials(draw):
             path.insert(b, Stop(StopKind.DESTINATION, rid, d))
         reqs[rid] = r
     v.path = path
-    v.service_list = sorted(reqs)
     at = SpliceLegs(net, v.node, path, 0, 1, v.offset_km).at
     for r in reqs.values():
         di = next(m for m, s in enumerate(path)
@@ -656,7 +648,7 @@ class TestScreenedEvaluate:
         net = gen_grid(8, 2, 0.5)
         rider = Request(id=1, t=0, n=1, o=7, d=0, direct_dist=3.5,
                         state=RequestState.ONBOARD, traveled_at_pickup=3.0)
-        v = Vehicle(id=0, capacity=4, node=7, odometer=3.0, service_list=[1],
+        v = Vehicle(id=0, capacity=4, node=7, odometer=3.0,
                     path=stops(("d", 1, 0)))
         # o at x = 3 km, d at x = 0.5 km: driving on to x = 0 first is a
         # 40% detour, although the last leg alone (0 -> d) is short
@@ -679,8 +671,7 @@ class TestScreenedEvaluate:
         net = ISLAND_NET
         rider = Request(id=1, t=0, n=1, o=0, d=17, direct_dist=1.0,
                         state=RequestState.ONBOARD, traveled_at_pickup=0.0)
-        v = Vehicle(id=0, capacity=4, node=0, service_list=[1],
-                    path=stops(("d", 1, 17)))
+        v = Vehicle(id=0, capacity=4, node=0, path=stops(("d", 1, 17)))
         new = Request(id=2, t=0, n=1, o=1, d=2, direct_dist=0.5)
         trial = VehicleTrial(net, v, {1: rider}, new,
                              SimConfig(max_detour=100.0, buffer_km=100.0),

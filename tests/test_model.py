@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from poolsim.geometry import Point, euclid
 from poolsim.model import (Request, RequestError, RequestState, SimConfig,
-                           Vehicle, load_requests, passengers_committed,
-                           sample_requests, save_requests, waiting_time)
+                           Stop, StopKind, Vehicle, load_requests,
+                           passengers_committed, sample_requests,
+                           save_requests, waiting_time)
 from poolsim.roadnet import NetworkError, gen_grid
 from poolsim.seeds import substream
 
@@ -38,10 +41,17 @@ class TestWaitingTime:
 
 
 def test_passengers_committed():
-    reqs = {1: Request(id=1, t=0, n=2, o=0, d=1),
-            2: Request(id=2, t=0, n=3, o=0, d=1)}
-    v = Vehicle(id=0, capacity=5, node=0, service_list=[1, 2])
+    # rider 1 waits (origin and destination stops), rider 2 rides (its
+    # destination stop only): each party counts once
+    reqs = {1: Request(id=1, t=0, n=2, o=3, d=5,
+                       state=RequestState.WAITING),
+            2: Request(id=2, t=0, n=3, o=0, d=4,
+                       state=RequestState.ONBOARD)}
+    path = [Stop(StopKind.ORIGIN, 1, 3), Stop(StopKind.DESTINATION, 2, 4),
+            Stop(StopKind.DESTINATION, 1, 5)]
+    v = Vehicle(id=0, capacity=5, node=0, path=path)
     assert passengers_committed(v, reqs) == 5
+    assert passengers_committed(Vehicle(id=1, capacity=5, node=0), reqs) == 0
 
 
 def test_position_point_interpolates():
@@ -94,6 +104,15 @@ class TestSimConfig:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SimConfig(**kw)
+
+    @pytest.mark.parametrize("name", [
+        "max_detour", "wait_threshold_s", "buffer_km", "speed_kmh",
+        "epoch_s", "horizon_s",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimConfig(**{name: value})
 
 
 class TestRequestIO:

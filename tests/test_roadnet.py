@@ -231,12 +231,6 @@ class TestShortestPaths:
         with pytest.raises(NetworkError):
             net.index_of(999)
 
-    def test_stop_sequence_length(self):
-        net = gen_grid(5, 5, 1.0)
-        assert net.stop_sequence_length([0, 4, 24]) == pytest.approx(4 + 4)
-        assert net.stop_sequence_length([7]) == 0.0
-        assert net.stop_sequence_length([]) == 0.0
-
     def test_unknown_node(self):
         net = gen_grid(2, 2, 1.0)
         with pytest.raises(NetworkError):

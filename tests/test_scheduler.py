@@ -11,7 +11,8 @@ from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
                                enumerate_all)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
-                           Vehicle, WorldState, waiting_time)
+                           Vehicle, WorldState, passengers_committed,
+                           waiting_time)
 from poolsim.roadnet import Edge, RoadNetwork, gen_grid
 from poolsim import scheduler
 from poolsim.scheduler import (Assignment, EpochCounters, counts_for_path,
@@ -77,7 +78,7 @@ class TestFurthestPsa:
         r = Request(id=7, t=0, n=1, o=0, d=1, direct_dist=5.0,
                     state=RequestState.ONBOARD, odometer_at_schedule=0.0,
                     traveled_at_pickup=0.0)
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[7],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("d", 7, 1)))
         psa = furthest_psa(net, v, {7: r}, 6.0, 0.2)
         assert psa.kind == PSA_SINGLE
@@ -93,7 +94,7 @@ class TestFurthestPsa:
         r = Request(id=7, t=0, n=1, o=0, d=1, direct_dist=5.0,
                     state=RequestState.WAITING, odometer_at_schedule=0.0,
                     scheduled_under_wait=True, p_s=Point(-3.0, 0.0))
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[7],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 7, 0), ("d", 7, 1)))
         psa = furthest_psa(net, v, {7: r}, 6.0, 0.2)
         assert psa.kind == PSA_UNION
@@ -108,7 +109,7 @@ class TestFurthestPsa:
         r = Request(id=7, t=0, n=1, o=0, d=1, direct_dist=5.0,
                     state=RequestState.WAITING, odometer_at_schedule=0.0,
                     scheduled_under_wait=True, p_s=Point(-7.0, 0.0))
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[7],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 7, 0), ("d", 7, 1)))
         psa = furthest_psa(net, v, {7: r}, 6.0, 0.2)
         assert psa.kind == PSA_UNION
@@ -121,7 +122,7 @@ class TestFurthestPsa:
         r = Request(id=7, t=0, n=1, o=0, d=1, direct_dist=5.0,
                     state=RequestState.WAITING, odometer_at_schedule=0.0,
                     scheduled_under_wait=False, p_s=Point(-3.0, 0.0))
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[7],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 7, 0), ("d", 7, 1)))
         psa = furthest_psa(net, v, {7: r}, 6.0, 0.2)
         assert psa.kind == PSA_OPEN
@@ -135,7 +136,7 @@ class TestFurthestPsa:
         r2 = Request(id=2, t=0, n=1, o=0, d=4, direct_dist=4.0,
                      state=RequestState.ONBOARD, odometer_at_schedule=0.0,
                      traveled_at_pickup=0.0)
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[1, 2],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("d", 1, 2), ("d", 2, 4)))
         psa = furthest_psa(net, v, {1: r1, 2: r2}, 6.0, 0.2)
         assert psa.furthest_request_id == 2
@@ -233,7 +234,7 @@ class TestSearchArea:
         far = Request(id=2, t=0, n=1, o=1, d=4, direct_dist=3.0,
                       state=RequestState.WAITING, odometer_at_schedule=0.0,
                       scheduled_under_wait=True, p_s=Point(0.0, 0.0))
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[1, 2],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 1, 1), ("o", 2, 1), ("d", 1, 2),
                                ("d", 2, 4)))
         return net, cfg, v, {1: near, 2: far}
@@ -350,7 +351,6 @@ class TestRunEpochBasics:
         assert r.odometer_at_schedule == 0.0
         assert r.scheduled_under_wait is True
         assert [s.node for s in v.path] == [2, 6]
-        assert v.service_list == [1]
         psa = search_area(net, v, state.requests, cfg)
         assert psa.kind == PSA_UNION
         assert psa.furthest_request_id == 1
@@ -369,6 +369,33 @@ class TestRunEpochBasics:
         assignments, counters = psap_epoch(net, state, SimConfig(), now=0.0)
         assert assignments == []
         assert counters.n_total == 0 and counters.m_total == 0
+
+    def test_committed_seats_come_from_the_path(self):
+        # a waiting party of 2 (origin and destination stops) and an onboard
+        # rider (destination stop only) hold 3 of the 5 seats
+        net = self.line()
+        riders = {
+            7: Request(id=7, t=0, n=2, o=4, d=10,
+                       direct_dist=net.shortest_dist(4, 10),
+                       state=RequestState.WAITING, odometer_at_schedule=0.0,
+                       scheduled_under_wait=True, p_s=net.point(0)),
+            8: Request(id=8, t=0, n=1, o=0, d=12,
+                       direct_dist=net.shortest_dist(0, 12),
+                       state=RequestState.ONBOARD, odometer_at_schedule=0.0,
+                       traveled_at_pickup=0.0),
+        }
+        cfg = SimConfig(max_detour=10.0, buffer_km=100.0)
+        for n, fits in ((3, False), (2, True)):
+            v = Vehicle(id=0, capacity=5, node=0,
+                        path=stops(("o", 7, 4), ("d", 7, 10), ("d", 8, 12)))
+            new = Request(id=1, t=0, n=n, o=2, d=6,
+                          direct_dist=net.shortest_dist(2, 6))
+            state = WorldState(clock=0.0, vehicles={0: v},
+                               requests={**riders, 1: new})
+            assignments, counters = es_epoch(net, state, cfg, now=0.0)
+            assert (len(assignments) == 1) is fits, n
+            assert (counters.n_total > 0) is fits, n
+        assert passengers_committed(v, state.requests) == 5
 
     def test_vehicle_tie_breaks_by_id(self):
         net = self.line()
@@ -435,7 +462,7 @@ class TestPruning:
                        state=RequestState.ONBOARD, odometer_at_schedule=0.0,
                        traveled_at_pickup=0.0),
         }
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[8, 9],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("d", 8, 2), ("d", 9, 5)))
         new = Request(id=1, t=0, n=1, o=35, d=33,
                       direct_dist=net.shortest_dist(35, 33))

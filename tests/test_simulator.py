@@ -45,7 +45,7 @@ class TestAdvanceVehicle:
     def test_reaches_stop_at_exact_time(self):
         net = gen_grid(13, 2, 0.5)
         r = waiting(1, o=1, d=3, direct=1.0, p_s=net.point(0))
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[1],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 1, 1), ("d", 1, 3)))
         events = advance_vehicle(net, v, {1: r}, 60.0, SimConfig(), 100.0)
         assert [e.kind for e in events] == ["pickup"]
@@ -59,14 +59,14 @@ class TestAdvanceVehicle:
     def test_multiple_stops_fire_in_one_step(self):
         net = gen_grid(21, 2, 0.1)
         reqs = {1: onboard(1, 0, 2, 0.2), 2: onboard(2, 0, 4, 0.4)}
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[1, 2],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("d", 1, 2), ("d", 2, 4)))
         events = advance_vehicle(net, v, reqs, 60.0, SimConfig(), 0.0)
         assert [(e.kind, e.req) for e in events] == [("dropoff", 1),
                                                     ("dropoff", 2)]
         assert events[0].t == pytest.approx(0.2 / SPEED_KM_S)
         assert events[1].t == pytest.approx(0.4 / SPEED_KM_S)
-        assert v.path == [] and v.service_list == []
+        assert v.path == []
         assert v.odometer == pytest.approx(0.4)
 
     def test_same_node_stops_fire_in_path_order(self):
@@ -74,7 +74,7 @@ class TestAdvanceVehicle:
         rider = onboard(2, 0, 5, 2.5)
         joiner = waiting(1, o=5, d=8, direct=1.5, p_s=net.point(0))
         reqs = {1: joiner, 2: rider}
-        v = Vehicle(id=0, capacity=5, node=0, service_list=[2, 1],
+        v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 1, 5), ("d", 2, 5), ("d", 1, 8)))
         events = advance_vehicle(net, v, reqs, 300.0, SimConfig(), 0.0)
         assert [(e.kind, e.req) for e in events] == [("pickup", 1),
@@ -87,8 +87,7 @@ class TestAdvanceVehicle:
         net = gen_grid(13, 2, 0.5)
         r = onboard(1, 4, 0, 2.0)
         v = Vehicle(id=0, capacity=5, node=2, prev_node=1, offset_km=0.3,
-                    odometer=0.2, service_list=[1],
-                    path=stops(("d", 1, 0)))
+                    odometer=0.2, path=stops(("d", 1, 0)))
         events = advance_vehicle(net, v, {1: r}, 12.0, SimConfig(), 0.0)
         assert events == []
         assert v.node == 2 and v.offset_km == pytest.approx(0.2)
@@ -107,7 +106,7 @@ class TestAdvanceVehicle:
             reqs = {1: waiting(1, o=3, d=9, direct=3.0,
                         p_s=net.point(0)),
                     2: onboard(2, 0, 6, 3.0)}
-            v = Vehicle(id=0, capacity=5, node=0, service_list=[2, 1],
+            v = Vehicle(id=0, capacity=5, node=0,
                         path=stops(("o", 1, 3), ("d", 2, 6), ("d", 1, 9)))
             return v, reqs
 
