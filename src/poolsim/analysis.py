@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (Point, PsaRect, VehiclePsa, make_psa_rect, rect_bbox)
-from .model import RequestState, WorldState
+from .model import WorldState
 from .scheduler import counts_for_path, gate
 from .seeds import substream
 
@@ -341,11 +341,9 @@ def rrcc_gate_harness(area_fraction: float, samples: int, seed: int,
 @dataclass(frozen=True)
 class TrafficMetrics:
     moving: int
-    busy: int
     onboard_riders: int
     sharing_rate: float | None
     utilization: float
-    busy_rate: float
     saved_km: float
     completed: int
     unserved: int
@@ -357,25 +355,19 @@ def traffic_metrics(state: WorldState) -> TrafficMetrics:
     Sharing rate is passengers onboard per moving vehicle and is absent
     (None) when nothing moves.  Saved distance is the direct-route total of
     completed requests minus all fleet travel so far; negative while pickup
-    legs dominate.
+    legs dominate.  The request counts come from the state's running
+    ``tally``, so only the vehicles are scanned.
     """
     vehicles = state.vehicles.values()
     moving = sum(1 for v in vehicles if v.path)
-    busy = moving  # a path is non-empty exactly while the vehicle has riders
-    onboard_riders = sum(r.n for r in state.requests.values()
-                         if r.state == RequestState.ONBOARD)
+    tally = state.tally
+    onboard_riders = tally.onboard_riders
     travel = sum(v.odometer for v in vehicles)
-    direct_done = sum(r.direct_dist for r in state.requests.values()
-                      if r.state == RequestState.COMPLETED)
     fleet = len(state.vehicles)
     return TrafficMetrics(
-        moving=moving, busy=busy, onboard_riders=onboard_riders,
+        moving=moving, onboard_riders=onboard_riders,
         sharing_rate=(onboard_riders / moving) if moving else None,
         utilization=moving / fleet if fleet else 0.0,
-        busy_rate=busy / fleet if fleet else 0.0,
-        saved_km=direct_done - travel,
-        completed=sum(1 for r in state.requests.values()
-                      if r.state == RequestState.COMPLETED),
-        unserved=sum(1 for r in state.requests.values()
-                     if r.state == RequestState.UNSCHEDULED
-                     and r.t <= state.clock))
+        saved_km=tally.direct_done_km - travel,
+        completed=tally.completed,
+        unserved=tally.unserved)

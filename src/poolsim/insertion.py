@@ -11,8 +11,12 @@ head node.  Candidates fall into three cases by where the destination lands:
 
 The added driving distance has a closed form per case built from at most six
 shortest-path lookups, so cost never re-sums the whole path.  Costing and the
-quality-of-service check share one ``VehicleTrial`` per (vehicle, request),
-which reads every distance they need once from the network's cached rows.
+quality-of-service check share one ``VehicleTrial`` per (vehicle, request).
+It joins two parts that it reads without copying: the vehicle's
+``VehiclePath`` (the rows and legs of its committed path, its seats, rider
+table and gate points), built once per vehicle per scheduling epoch, and the
+request's ``RequestRows`` (the rows of the new origin and destination),
+built once per request.
 
 Most candidates fail on the new rider's own bounds, and those two bounds
 read only the km to the new origin and to the new destination.  The km to
@@ -37,7 +41,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
-from .model import Request, SimConfig, Stop, StopKind, Vehicle
+from .geometry import Point
+from .model import (Request, SimConfig, Stop, StopKind, Vehicle,
+                    passengers_committed)
 from .roadnet import NoPathError, RoadNetwork
 
 CASE_A = "A"
@@ -62,11 +68,11 @@ class QosViolation:
 
 # feasibility comparisons carry a hair of slack so exact-boundary plans
 # (planned/direct landing on the threshold) survive float rounding
-_QOS_EPS = 1e-9
+QOS_EPS = 1e-9
 
 _ORIGIN = StopKind.ORIGIN
 
-# a committed rider as the full check reads it, see VehicleTrial._rider_table
+# a committed rider as the full check reads it, see VehiclePath.riders
 _Rider = tuple[int, int, int, float, float, bool]
 
 
@@ -87,33 +93,124 @@ def candidate_positions(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 2)]
 
 
-class SpliceLegs:
-    """Distances around one stop path and one new origin-destination pair.
+class PathLegs:
+    """Distances along one committed stop path: the vehicle part of a splice.
 
     ``theta(m)`` is the head node for m = 0, else the node of stop m - 1.
-    Holds the path's legs and prefix distances and the distance rows of
-    every theta(m) and of the new stops, read straight from the network's
-    cache, so costing or prefix-summing an (i, j) splice touches only what
-    the splice changes.  An unreachable leg shows up as an infinite (or
-    NaN) result rather than an exception.
+    Holds the distance row and index of every theta(m), read straight from
+    the network's cache, the path's legs and the prefix distances.  It
+    depends on the head node, the in-progress edge remainder and the stops
+    alone, so it is valid until the vehicle moves or its path changes.
     """
 
     def __init__(self, net: RoadNetwork, head: int, stops: list[Stop],
-                 o: int, d: int, offset_km: float = 0.0) -> None:
+                 offset_km: float = 0.0) -> None:
         dists_from = net.dists_from
         index_of = net.index_of
         theta = [head] + [s.node for s in stops]
         self.k = len(stops)
         self.rows = rows = [dists_from(t) for t in theta]
         self.ix = ix = [index_of(t) for t in theta]
-        self.o_ix = index_of(o)
-        self.d_ix = index_of(d)
-        self.row_o = dists_from(o)
-        self.row_d = dists_from(d)
         # leg[m] = D(theta(m), theta(m+1)); at[m] = km to theta(m) with at[0]
         # the remainder of the in-progress edge
         self.leg = [r[x] for r, x in zip(rows, ix[1:])]
         self.at = list(accumulate(self.leg, initial=offset_km))
+
+
+class VehiclePath(PathLegs):
+    """A vehicle's ``PathLegs`` and everything else its trials read off it.
+
+    Adds the seats its committed riders hold, and, each built on first
+    use, the committed riders' table the full QoS check walks and the
+    position and stop points the gate tests.  All of it is fixed while the
+    vehicle stands between two moves and keeps its path, so ``run_epoch``
+    builds one per vehicle on the vehicle's first visit of an epoch, shares
+    it among that epoch's requests, and drops it when a commit splices a
+    new rider into the path.
+    """
+
+    def __init__(self, net: RoadNetwork, v: Vehicle,
+                 requests: dict[int, Request]) -> None:
+        super().__init__(net, v.node, v.path, v.offset_km)
+        self.net = net
+        self.v = v
+        self.requests = requests
+        self.seats = passengers_committed(v, requests)
+        self._riders: list[_Rider] | None = None
+        self._gate_points: tuple[Point, list[Point]] | None = None
+
+    def gate_points(self) -> tuple[Point, list[Point]]:
+        """The vehicle's position point and the points of its stops."""
+        if self._gate_points is None:
+            net = self.net
+            self._gate_points = (self.v.position_point(net),
+                                 [net.point(s.node) for s in self.v.path])
+        return self._gate_points
+
+    def riders(self) -> list[_Rider]:
+        """Committed riders in drop-off order, read off the path in one pass.
+
+        Per rider: (id, origin position or -1 once onboard, destination
+        position, direct km, km already counted against the bound,
+        buffer-guarded).  A rider whose origin stop precedes its destination
+        stop is waiting; one with only a destination stop is onboard.
+        """
+        if self._riders is not None:
+            return self._riders
+        v = self.v
+        requests = self.requests
+        origin_at: dict[int, int] = {}
+        riders = self._riders = []
+        for m, s in enumerate(v.path):
+            rid = s.request_id
+            if s.kind is _ORIGIN:
+                origin_at[rid] = m
+                continue
+            r = requests[rid]
+            oi = origin_at.pop(rid, -1)
+            if oi < 0:  # onboard
+                riders.append((rid, -1, m, r.direct_dist,
+                               v.odometer - r.traveled_at_pickup, False))
+            else:
+                guarded = bool(r.scheduled_under_wait)
+                since = v.odometer - r.odometer_at_schedule if guarded else 0.0
+                riders.append((rid, oi, m, r.direct_dist, since, guarded))
+        return riders
+
+
+class RequestRows:
+    """The new origin's and destination's distance rows and indices.
+
+    The request part of a splice: built once per request, before any
+    vehicle is tried.
+    """
+
+    def __init__(self, net: RoadNetwork, o: int, d: int) -> None:
+        self.o_ix = net.index_of(o)
+        self.d_ix = net.index_of(d)
+        self.row_o = net.dists_from(o)
+        self.row_d = net.dists_from(d)
+
+
+class SpliceLegs:
+    """Distances around one stop path and one new origin-destination pair.
+
+    Joins a path's ``PathLegs`` and a request's ``RequestRows`` without
+    copying either, so costing or prefix-summing an (i, j) splice touches
+    only what the splice changes.  An unreachable leg shows up as an
+    infinite (or NaN) result rather than an exception.
+    """
+
+    def __init__(self, path: PathLegs, new: RequestRows) -> None:
+        self.k = path.k
+        self.rows = path.rows
+        self.ix = path.ix
+        self.leg = path.leg
+        self.at = path.at
+        self.o_ix = new.o_ix
+        self.d_ix = new.d_ix
+        self.row_o = new.row_o
+        self.row_d = new.row_d
 
     def cost(self, i: int, j: int) -> float:
         """Added driving distance of splicing o at i and d at j."""
@@ -161,7 +258,8 @@ class SpliceLegs:
 class VehicleTrial(SpliceLegs):
     """One request tried against one vehicle: the (i, j)-independent work.
 
-    Built once per (vehicle, request) on top of the splice distances.
+    Built once per (vehicle, request) from the vehicle's ``VehiclePath``
+    and the request's ``RequestRows``, which it reads without copying.
     ``evaluate`` first decides the new rider's pickup buffer and detour
     from the km to its two stops, which it sums exactly as ``prefix``
     does: the km to the origin from the committed prefix, and the km to
@@ -169,60 +267,38 @@ class VehicleTrial(SpliceLegs):
     the first candidate with that i.  A candidate that fails either bound
     is infeasible without an O(K) step.  A survivor gets its cost and the
     full check: the re-summed prefix and every bound, committed riders
-    included.  The committed riders' table (stop positions and the parts
-    of their bounds that do not depend on the splice) is built on first
-    use, so a trial whose every candidate fails on the new rider never
-    builds it.  ``violation`` is always the full check.  Both decide with
-    the same float operations in the same order as re-summing the whole
-    spliced path, so every verdict is bit-identical to that.
+    included.  The trial takes the vehicle's committed-rider table on the
+    first full check, so a trial whose every candidate fails on the new
+    rider never asks for it.  ``violation`` is always the full check.  Both
+    decide with the same float operations in the same order as re-summing
+    the whole spliced path, so every verdict is bit-identical to that.
     """
 
-    def __init__(self, net: RoadNetwork, v: Vehicle,
-                 requests: dict[int, Request], new_request: Request,
-                 config: SimConfig, check_buffer: bool) -> None:
-        super().__init__(net, v.node, v.path, new_request.o, new_request.d,
-                         v.offset_km)
-        self.v = v
-        self.requests = requests
+    def __init__(self, path: VehiclePath, new: RequestRows,
+                 new_request: Request, config: SimConfig,
+                 check_buffer: bool) -> None:
+        super().__init__(path, new)
+        self.path = path
         self.new_request = new_request
         self.check_buffer = check_buffer
-        self.max_detour = config.max_detour + _QOS_EPS
-        self.max_buffer = config.buffer_km + _QOS_EPS
+        self.max_detour = config.max_detour + QOS_EPS
+        self.max_buffer = config.buffer_km + QOS_EPS
         # _chain[m] = km to stop i + m of the splice before its destination
         # goes in (the new origin, then the committed stops after it), for
         # the origin position i = _chain_i
         self._chain_i = -1
         self._chain: list[float] = []
-        # the committed riders' table, built when the full check first runs
+        # the vehicle's committed riders, taken when the full check first runs
         self.riders: list[_Rider] | None = None
 
-    def _rider_table(self) -> list[_Rider]:
-        """Committed riders in drop-off order, read off the path in one pass.
-
-        Per rider: (id, origin position or -1 once onboard, destination
-        position, direct km, km already counted against the bound,
-        buffer-guarded).  A rider whose origin stop precedes its destination
-        stop is waiting; one with only a destination stop is onboard.
-        """
-        v = self.v
-        requests = self.requests
-        origin_at: dict[int, int] = {}
-        riders = []
-        for m, s in enumerate(v.path):
-            rid = s.request_id
-            if s.kind is _ORIGIN:
-                origin_at[rid] = m
-                continue
-            r = requests[rid]
-            oi = origin_at.pop(rid, -1)
-            if oi < 0:  # onboard
-                riders.append((rid, -1, m, r.direct_dist,
-                               v.odometer - r.traveled_at_pickup, False))
-            else:
-                guarded = bool(r.scheduled_under_wait)
-                since = v.odometer - r.odometer_at_schedule if guarded else 0.0
-                riders.append((rid, oi, m, r.direct_dist, since, guarded))
-        return riders
+    @classmethod
+    def for_vehicle(cls, net: RoadNetwork, v: Vehicle,
+                    requests: dict[int, Request], new_request: Request,
+                    config: SimConfig, check_buffer: bool) -> "VehicleTrial":
+        """A trial on parts of its own, for a caller outside an epoch."""
+        return cls(VehiclePath(net, v, requests),
+                   RequestRows(net, new_request.o, new_request.d),
+                   new_request, config, check_buffer)
 
     def violation(self, i: int, j: int) -> QosViolation | None:
         """First quality-of-service violation of the (i, j) splice, or None.
@@ -258,7 +334,7 @@ class VehicleTrial(SpliceLegs):
         jm = j - 1
         riders = self.riders
         if riders is None:
-            riders = self.riders = self._rider_table()
+            riders = self.riders = self.path.riders()
         for rid, oi, di, direct, counted, guarded in riders:
             at_d = q[di + 1 + (di >= i) + (di >= jm)]
             if oi < 0:  # onboard: km ridden plus km still to its drop-off
@@ -319,5 +395,6 @@ def enumerate_all(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
 
     This is the exhaustive-search per-vehicle step: no geometric filtering.
     """
-    trial = VehicleTrial(net, v, requests, new_request, config, check_buffer)
+    trial = VehicleTrial.for_vehicle(net, v, requests, new_request, config,
+                                     check_buffer)
     return [trial.evaluate(i, j) for i, j in candidate_positions(len(v.path))]

@@ -17,6 +17,7 @@ import csv
 import enum
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -130,11 +131,90 @@ class SimConfig:
         return asdict(self)
 
 
+class RequestTally:
+    """Running request totals that the per-epoch traffic metrics read.
+
+    Counted once from the requests' states at construction, then moved by
+    the code that changes a request's state: ``release`` as the clock
+    passes release times, ``schedule`` at commit, ``pickup`` and
+    ``dropoff`` from the vehicles' stop events, so no epoch rescans every
+    request.  The direct km of the completed requests is kept as prefix
+    sums over them in ``requests`` order, so ``direct_done_km`` is
+    bit-identical to summing them in that order; a drop-off re-sums only
+    the entries after its own, which are few when requests complete about
+    in the order they were listed.
+    """
+
+    def __init__(self, requests: dict[int, Request], clock: float) -> None:
+        self._in_order = list(requests.values())
+        self._order = {r.id: m for m, r in enumerate(self._in_order)}
+        self._release_t = sorted(r.t for r in self._in_order)
+        self._released = bisect_right(self._release_t, clock)
+        self.unserved = sum(1 for r in self._in_order
+                            if r.state == RequestState.UNSCHEDULED
+                            and r.t <= clock)
+        self.onboard_riders = sum(r.n for r in self._in_order
+                                  if r.state == RequestState.ONBOARD)
+        # _done holds the completed requests' positions in ``requests``,
+        # ascending, and _done_km[m] the direct km of the first m of them
+        self._done = [m for m, r in enumerate(self._in_order)
+                      if r.state == RequestState.COMPLETED]
+        self._done_km: list[float] = [0]
+        self._resum(0)
+
+    @property
+    def completed(self) -> int:
+        return len(self._done)
+
+    @property
+    def direct_done_km(self) -> float:
+        return self._done_km[-1]
+
+    def _resum(self, m: int) -> None:
+        """Re-sum the prefix sums past the m-th completed request."""
+        km = self._done_km
+        del km[m + 1:]
+        for pos in self._done[m:]:
+            km.append(km[-1] + self._in_order[pos].direct_dist)
+
+    def release(self, clock: float) -> None:
+        """Count the requests released up to ``clock`` as unserved."""
+        released = bisect_right(self._release_t, clock)
+        self.unserved += released - self._released
+        self._released = released
+
+    def schedule(self) -> None:
+        self.unserved -= 1
+
+    def pickup(self, r: Request) -> None:
+        self.onboard_riders += r.n
+
+    def dropoff(self, r: Request) -> None:
+        self.onboard_riders -= r.n
+        pos = self._order[r.id]
+        m = bisect_right(self._done, pos)
+        self._done.insert(m, pos)
+        self._resum(m)
+
+
 @dataclass
 class WorldState:
+    """Fleet and requests at ``clock``, with their running totals.
+
+    Move ``clock`` with ``advance_clock`` so that ``tally`` counts the
+    requests released by then.
+    """
     clock: float
     vehicles: dict[int, Vehicle]
     requests: dict[int, Request]
+    tally: RequestTally = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.tally = RequestTally(self.requests, self.clock)
+
+    def advance_clock(self, now: float) -> None:
+        self.clock = now
+        self.tally.release(now)
 
 
 def waiting_time(r: Request, now: float) -> float:

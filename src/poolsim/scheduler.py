@@ -27,10 +27,11 @@ from typing import Callable
 
 from .geometry import (PSA_OPEN, PSA_SINGLE, Point, VehiclePsa, make_psa_rect,
                        psa_contains, rect_contains)
-from .insertion import (CASE_A, CASE_B, CASE_C, Candidate, VehicleTrial,
-                        classify_case, candidate_positions, splice)
+from .insertion import (CASE_A, CASE_B, CASE_C, Candidate, RequestRows,
+                        VehiclePath, VehicleTrial, classify_case,
+                        candidate_positions, splice)
 from .model import (Request, RequestState, SimConfig, StopKind, Vehicle,
-                    WorldState, passengers_committed, waiting_time)
+                    WorldState, waiting_time)
 from .roadnet import RoadNetwork
 
 MODE_LITERAL = "literal"
@@ -186,11 +187,17 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
               ) -> tuple[list[Assignment], EpochCounters]:
     """One scheduling pass over the released unassigned requests.
 
-    Mutates ``state`` in place: winning insertions are committed (path and
-    request bookkeeping); gated vehicles read their search area through
-    ``search_area``.  Requests with no feasible insertion stay unassigned
-    and are retried next epoch.  Returns the committed assignments, stamped
-    with ``now``, and the per-case candidate counters.
+    Mutates ``state`` in place: winning insertions are committed (path,
+    request bookkeeping and the state's running tally); gated vehicles read
+    their search area through ``search_area``.  Requests with no feasible
+    insertion stay unassigned and are retried next epoch.  Returns the
+    committed assignments, stamped with ``now``, and the per-case candidate
+    counters.
+
+    No vehicle moves during the pass, so each vehicle's ``VehiclePath`` is
+    built on its first visit and shared by every later request of the
+    pass, until a commit to that vehicle changes its path and drops it.
+    Each request's ``RequestRows`` is built once, before its vehicle loop.
     """
     if mode not in (MODE_LITERAL, MODE_INCLUSIVE, MODE_ES):
         raise ValueError(f"unknown scheduler mode {mode!r}")
@@ -203,28 +210,37 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     pool.sort(key=lambda r: (r.t, r.id))
 
     vehicle_ids = sorted(state.vehicles)
+    requests = state.requests
+    # the vehicle part of every trial, built on the vehicle's first visit
+    # and dropped when a commit changes its path
+    paths: dict[int, VehiclePath] = {}
     observing = trial_observer is not None
     for r in pool:
         w = waiting_time(r, now)
         check_buffer = w <= config.wait_threshold_s
         o_pt = net.point(r.o)
         d_pt = net.point(r.d)
+        ends = RequestRows(net, r.o, r.d)
         best: tuple[float, int, int, int] | None = None  # cost, vid, i, j
         best_case = ""
         for vid in vehicle_ids:
             v = state.vehicles[vid]
-            if passengers_committed(v, state.requests) + r.n > v.capacity:
+            path = paths.get(vid)
+            if path is None:
+                path = paths[vid] = VehiclePath(net, v, requests)
+            if path.seats + r.n > v.capacity:
                 continue
-            k = len(v.path)
+            k = path.k
             n_a, n_b, n_c = counts_for_path(k)
             counters.n_a += n_a
             counters.n_b += n_b
             counters.n_c += n_c
 
             if mode != MODE_ES and check_buffer:
-                admit = gate(search_area(net, v, state.requests, config),
-                             o_pt, d_pt, [net.point(s.node) for s in v.path],
-                             v.position_point(net), config.buffer_km, mode)
+                position, stop_points = path.gate_points()
+                admit = gate(search_area(net, v, requests, config),
+                             o_pt, d_pt, stop_points, position,
+                             config.buffer_km, mode)
             else:
                 admit = _ADMIT_ALL
             positions = admitted_positions(k, admit)
@@ -234,7 +250,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
 
             evaluated: list[Candidate] = []
             if positions:
-                evaluate = VehicleTrial(net, v, state.requests, r, config,
+                evaluate = VehicleTrial(path, ends, r, config,
                                         check_buffer).evaluate
                 for i, j in positions:
                     cand = evaluate(i, j)
@@ -246,19 +262,21 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
                             best = key
                             best_case = cand.case
             if observing:
-                trial_observer(now, r, v, evaluated, state.requests)
+                trial_observer(now, r, v, evaluated, requests)
 
         if best is not None:
             cost, vid, i, j = best
             v = state.vehicles[vid]
             v.path = splice(v.path, r.o, r.d, i, j, r.id)
             v.route = None
+            del paths[vid]
             r.state = RequestState.WAITING
             r.vehicle_id = vid
             r.schedule_time = now
             r.p_s = v.position_point(net)
             r.odometer_at_schedule = v.odometer
             r.scheduled_under_wait = check_buffer
+            state.tally.schedule()
             assignments.append(Assignment(now, r.id, vid, i, j, best_case,
                                           cost))
     return assignments, counters

@@ -227,7 +227,10 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     """Simulate the full request set and return the run report.
 
     ``scheduler`` is "psap" (search-area pruned; gating per config) or "es"
-    (exhaustive).  Input request objects are never mutated.
+    (exhaustive).  Input request objects are never mutated.  The epoch's
+    ``traffic_metrics`` read the state's running tally, which the clock,
+    the scheduler's commits and each step's pickup and drop-off events
+    keep current.
     """
     if scheduler == "psap":
         sched_fn = psap_epoch
@@ -253,7 +256,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     now = 0.0
     epoch_idx = 0
     while True:
-        state.clock = now
+        state.advance_clock(now)
         while (release_ptr < len(release_order)
                and release_order[release_ptr].t <= now):
             r = release_order[release_ptr]
@@ -276,7 +279,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             psi_c=counters.psi("C"),
             sharing_rate=tm.sharing_rate,
             utilization=tm.utilization,
-            busy_rate=tm.busy_rate,
+            busy_rate=tm.utilization,
             saved_km=tm.saved_km,
             assigned=len(assignments), unserved=tm.unserved,
             onboard_riders=tm.onboard_riders, moving=tm.moving,
@@ -300,6 +303,12 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
         for vid in sorted(vehicles):
             step_events.extend(advance_vehicle(net, vehicles[vid], reqs,
                                                config.epoch_s, config, now))
+        tally = state.tally
+        for e in step_events:
+            if e.kind == "pickup":
+                tally.pickup(reqs[e.req])
+            else:
+                tally.dropoff(reqs[e.req])
         step_events.sort(key=lambda e: (e.t, _EVENT_ORDER[e.kind],
                                         e.veh if e.veh is not None else -1,
                                         e.req if e.req is not None else -1))
@@ -330,8 +339,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             assign_cost_km=a.cost if a else None))
 
     travel = sum(v.odometer for v in vehicles.values())
-    direct_done = sum(r.direct_dist for r in reqs.values()
-                      if r.state == RequestState.COMPLETED)
+    direct_done = state.tally.direct_done_km
     return SimReport(
         scheduler=scheduler, mode=mode, config=config.to_dict(),
         n_requests=len(reqs), n_vehicles=len(vehicles), area_km2=area,

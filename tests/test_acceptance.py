@@ -86,8 +86,8 @@ class SubsetObserver:
         if not check_buffer or not evaluated:
             return
         legal = set(positions)
-        trial = VehicleTrial(self.net, v, requests, r, self.config,
-                             check_buffer)
+        trial = VehicleTrial.for_vehicle(self.net, v, requests, r,
+                                         self.config, check_buffer)
         for c in evaluated:
             if (c.i, c.j) not in legal:
                 self.escaped += 1

@@ -319,11 +319,9 @@ class TestTrafficMetrics:
         tm = traffic_metrics(WorldState(clock=20.0, vehicles=vehicles,
                                         requests=requests))
         assert tm.moving == 3
-        assert tm.busy == 3
         assert tm.onboard_riders == 6
         assert tm.sharing_rate == pytest.approx(2.0)
         assert tm.utilization == pytest.approx(0.75)
-        assert tm.busy_rate == pytest.approx(0.75)
         assert tm.saved_km == pytest.approx(100.0 - 120.0)
         assert tm.completed == 1
         assert tm.unserved == 1   # the 500 s release is not out yet
@@ -339,5 +337,4 @@ class TestTrafficMetrics:
     def test_empty_world(self):
         tm = traffic_metrics(WorldState(clock=0.0, vehicles={}, requests={}))
         assert tm.utilization == 0.0
-        assert tm.busy_rate == 0.0
         assert tm.saved_km == 0.0

@@ -8,16 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolsim.geometry import Point
-from poolsim.insertion import (_QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
-                               Candidate, SpliceLegs, VehicleTrial,
-                               candidate_positions, classify_case,
-                               enumerate_all, splice)
+from poolsim.insertion import (QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
+                               Candidate, PathLegs, RequestRows, SpliceLegs,
+                               VehicleTrial, candidate_positions,
+                               classify_case, enumerate_all, splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import Edge, NoPathError, RoadNetwork, gen_grid
 
 
 def line_net(n=61, spacing=0.1):
     return gen_grid(n, 2, spacing)
+
+
+def splice_legs(net, head, path, o, d, offset_km=0.0) -> SpliceLegs:
+    return SpliceLegs(PathLegs(net, head, path, offset_km),
+                      RequestRows(net, o, d))
+
+
+trial_for = VehicleTrial.for_vehicle
 
 
 def stops(*pairs) -> list[Stop]:
@@ -95,12 +103,12 @@ class TestInsertionCost:
         # head 0, one stop at node 4; o=1, d=3 slot straight onto the route
         net = line_net(11, 1.0)
         path = stops(("d", 9, 4))
-        cost = SpliceLegs(net, 0, path, 1, 3).cost(0, 1)
+        cost = splice_legs(net, 0, path, 1, 3).cost(0, 1)
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_append_to_empty(self):
         net = line_net(11, 1.0)
-        cost = SpliceLegs(net, 0, [], 2, 5).cost(0, 1)
+        cost = splice_legs(net, 0, [], 2, 5).cost(0, 1)
         assert cost == pytest.approx(5.0)
 
     def test_perpendicular_pair(self):
@@ -109,20 +117,20 @@ class TestInsertionCost:
         head = 5          # (0, 1)
         path = stops(("d", 9, 9))   # (4, 1)
         o, d = 12, 2      # (2, 2) and (2, 0)
-        cost = SpliceLegs(net, head, path, o, d).cost(0, 1)
+        cost = splice_legs(net, head, path, o, d).cost(0, 1)
         assert cost == pytest.approx(4.0)
 
     def test_tail_append_case(self):
         net = line_net(11, 1.0)
         path = stops(("d", 9, 4))
-        cost = SpliceLegs(net, 0, path, 6, 8).cost(1, 2)
+        cost = splice_legs(net, 0, path, 6, 8).cost(1, 2)
         assert cost == pytest.approx(4.0)
 
     def test_origin_interior_destination_appended(self):
         net = line_net(11, 1.0)
         path = stops(("d", 8, 4), ("d", 9, 8))
         # o=5 between stops, d=10 appended
-        cost = SpliceLegs(net, 0, path, 5, 10).cost(1, 3)
+        cost = splice_legs(net, 0, path, 5, 10).cost(1, 3)
         want = (net.shortest_dist(4, 5) + net.shortest_dist(5, 8)
                 - net.shortest_dist(4, 8) + net.shortest_dist(8, 10))
         assert cost == pytest.approx(want)
@@ -133,7 +141,7 @@ class TestInsertionCost:
         # d legs read positions of the o-augmented path
         net = line_net(11, 1.0)
         path = stops(("o", 2, 6), ("d", 2, 9))
-        cost = SpliceLegs(net, 0, path, 2, 4).cost(0, 2)
+        cost = splice_legs(net, 0, path, 2, 4).cost(0, 2)
         spliced = splice(path, 2, 4, 0, 2, request_id=3)
         want = seq_length(net, 0, spliced) - seq_length(net, 0, path)
         assert cost == pytest.approx(want)
@@ -144,11 +152,13 @@ class TestInsertionCost:
         new = Request(id=2, t=0, n=1, o=1, d=2, direct_dist=1.0)
         empty = Vehicle(id=0, capacity=5, node=0)
         one_stop = Vehicle(id=0, capacity=5, node=0, path=stops(("d", 1, 4)))
+        rider = Request(id=1, t=0, n=1, o=0, d=4, direct_dist=4.0,
+                        state=RequestState.ONBOARD, traveled_at_pickup=0.0)
         with pytest.raises(ValueError):
-            VehicleTrial(net, empty, {}, new, SimConfig(), True).evaluate(1, 2)
+            trial_for(net, empty, {}, new, SimConfig(), True).evaluate(1, 2)
         with pytest.raises(ValueError):
-            VehicleTrial(net, one_stop, {}, new, SimConfig(),
-                         True).evaluate(1, 1)
+            trial_for(net, one_stop, {1: rider}, new, SimConfig(),
+                      True).evaluate(1, 1)
 
     def test_equals_spliced_length_delta_random(self):
         # the closed forms must equal re-summing the whole spliced path
@@ -168,7 +178,7 @@ class TestInsertionCost:
             if o == d:
                 continue
             base = seq_length(net, head, path)
-            legs = SpliceLegs(net, head, path, o, d)
+            legs = splice_legs(net, head, path, o, d)
             for i in range(0, k + 1):
                 for j in range(i + 1, k + 2):
                     cost = legs.cost(i, j)
@@ -188,7 +198,7 @@ class TestInsertionCost:
             o, d = (int(x) for x in rng.choice(ids, 2))
             i = int(rng.integers(0, k + 1))
             j = int(rng.integers(i + 1, k + 2))
-            assert SpliceLegs(net, head, path, o, d).cost(i, j) >= -1e-9
+            assert splice_legs(net, head, path, o, d).cost(i, j) >= -1e-9
 
 
 class TestSplice:
@@ -226,7 +236,7 @@ class TestQosCheck:
         cfg = self.config()
         r = Request(id=1, t=0, n=1, o=4, d=8, direct_dist=2.0)
         v = Vehicle(id=0, capacity=5, node=0)
-        assert VehicleTrial(net, v, {}, r, cfg, True).violation(0, 1) is None
+        assert trial_for(net, v, {}, r, cfg, True).violation(0, 1) is None
 
     def test_detour_violation(self):
         # direct 4 km, planned 5 km: 25% over the 20% bound
@@ -238,7 +248,7 @@ class TestQosCheck:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 9, 9), ("d", 9, 0)))
         # spliced: o1 o9 d1 d9
-        hit = VehicleTrial(net, v, {9: other}, r, cfg, True).violation(0, 2)
+        hit = trial_for(net, v, {9: other}, r, cfg, True).violation(0, 2)
         assert hit is not None
         assert hit.kind == "detour"
         assert hit.request_id == 1
@@ -250,9 +260,9 @@ class TestQosCheck:
         cfg = self.config()
         r = Request(id=1, t=0, n=1, o=14, d=16, direct_dist=1.0)
         v = Vehicle(id=0, capacity=5, node=0)
-        hit = VehicleTrial(net, v, {}, r, cfg, True).violation(0, 1)
+        hit = trial_for(net, v, {}, r, cfg, True).violation(0, 1)
         assert hit is not None and hit.kind == "buffer"
-        assert VehicleTrial(net, v, {}, r, cfg, False).violation(0, 1) is None
+        assert trial_for(net, v, {}, r, cfg, False).violation(0, 1) is None
 
     def test_committed_rider_keeps_buffer_guarantee(self):
         # rider 2 was scheduled under the waiting threshold with its pickup
@@ -269,15 +279,15 @@ class TestQosCheck:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 2, 11), ("d", 2, 16)))
         # spliced: o1 d1 o2 d2
-        hit = VehicleTrial(net, v, {2: committed}, late, cfg,
-                           False).violation(0, 1)
+        hit = trial_for(net, v, {2: committed}, late, cfg,
+                        False).violation(0, 1)
         assert hit is not None
         assert hit.kind == "buffer"
         assert hit.request_id == 2
         # a rider committed past the threshold never had the guarantee
         committed.scheduled_under_wait = False
-        assert VehicleTrial(net, v, {2: committed}, late, cfg,
-                            False).violation(0, 1) is None
+        assert trial_for(net, v, {2: committed}, late, cfg,
+                         False).violation(0, 1) is None
 
     def test_boundary_detour_feasible(self):
         # planned exactly (1 + max detour) * direct survives float rounding;
@@ -290,8 +300,8 @@ class TestQosCheck:
         v = Vehicle(id=0, capacity=5, node=10,
                     path=stops(("o", 2, 43), ("d", 2, 10)))
         # spliced: o1 o2 d1 d2
-        assert VehicleTrial(net, v, {2: other}, r, cfg,
-                            True).violation(0, 2) is None
+        assert trial_for(net, v, {2: other}, r, cfg,
+                         True).violation(0, 2) is None
 
     def test_existing_waiting_rider_protected(self):
         # the new rider fits, but the splice stretches a committed rider past
@@ -304,7 +314,7 @@ class TestQosCheck:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 2, 10), ("d", 2, 20)))
         new = Request(id=1, t=0, n=1, o=15, d=45, direct_dist=3.0)
-        trial = VehicleTrial(net, v, {2: committed}, new, cfg, True)
+        trial = trial_for(net, v, {2: committed}, new, cfg, True)
         # spliced: o2 o1 d2 d1; committed rider unharmed here (o and d stay
         # in order, planned 1.0)
         assert trial.violation(1, 3) is None
@@ -325,7 +335,7 @@ class TestQosCheck:
         new = Request(id=1, t=0, n=1, o=50, d=30, direct_dist=2.0)
         # detour to pick up at x=5.0 then back: onboard rider rides 2 + 3 + 2 + 2
         # spliced: o1 d2 d1
-        hit = VehicleTrial(net, v, {2: onboard}, new, cfg, True).violation(0, 2)
+        hit = trial_for(net, v, {2: onboard}, new, cfg, True).violation(0, 2)
         assert hit is not None
         assert hit.request_id == 2
 
@@ -345,8 +355,8 @@ class TestQosCheck:
             new = Request(id=99, t=0, n=1, o=o, d=d,
                           direct_dist=net.shortest_dist(o, d))
             k = len(v.path)
-            trials = {check_buffer: VehicleTrial(net, v, reqs, new, cfg,
-                                                 check_buffer)
+            trials = {check_buffer: trial_for(net, v, reqs, new, cfg,
+                                              check_buffer)
                       for check_buffer in (True, False)}
             for i in range(k + 1):
                 for j in range(i + 1, k + 2):
@@ -441,14 +451,14 @@ def brute_force_qos(net, v, reqs, path, new, cfg, check_buffer):
                 net, [s.node for s in path[oi:di + 1]]) / r.direct_dist - 1.0
             buffered = check_buffer if is_new else r.scheduled_under_wait
             since = 0.0 if is_new else v.odometer - r.odometer_at_schedule
-            over_buffer = buffered and since + km_to(oi) > cfg.buffer_km + _QOS_EPS
+            over_buffer = buffered and since + km_to(oi) > cfg.buffer_km + QOS_EPS
         else:
             ridden = v.odometer - r.traveled_at_pickup
             ratio = (ridden + km_to(di)) / r.direct_dist - 1.0
             over_buffer = False
         on_bound |= ratio == cfg.max_detour
         if verdict is None:
-            if ratio > cfg.max_detour + _QOS_EPS:
+            if ratio > cfg.max_detour + QOS_EPS:
                 verdict = (r.id, "detour")
             elif over_buffer:
                 verdict = (r.id, "buffer")
@@ -578,7 +588,7 @@ def screened_trials(draw):
             path.insert(b, Stop(StopKind.DESTINATION, rid, d))
         reqs[rid] = r
     v.path = path
-    at = SpliceLegs(net, v.node, path, 0, 1, v.offset_km).at
+    at = PathLegs(net, v.node, path, v.offset_km).at
     for r in reqs.values():
         di = next(m for m, s in enumerate(path)
                   if s.request_id == r.id and s.kind == StopKind.DESTINATION)
@@ -598,7 +608,7 @@ def screened_trials(draw):
     if max_detour is None or buffer_km is None:
         i, j = draw(st.sampled_from([(i, j) for i in range(k + 1)
                                      for j in range(i + 1, k + 2)]))
-        q = SpliceLegs(net, v.node, path, o, d, v.offset_km).prefix(i, j)
+        q = splice_legs(net, v.node, path, o, d, v.offset_km).prefix(i, j)
         if max_detour is None:
             ratio = (q[j + 1] - q[i + 1]) / new.direct_dist - 1.0
             max_detour = ratio if math.isfinite(ratio) else 0.0
@@ -617,8 +627,8 @@ class TestScreenedEvaluate:
         positions = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 2)]
         # any order: the per-origin running sum must follow changes of i
         order = data.draw(st.permutations(positions))
-        trial = VehicleTrial(net, v, reqs, new, cfg, check_buffer)
-        reference = VehicleTrial(net, v, reqs, new, cfg, check_buffer)
+        trial = trial_for(net, v, reqs, new, cfg, check_buffer)
+        reference = trial_for(net, v, reqs, new, cfg, check_buffer)
         for i, j in order:
             got = trial.evaluate(i, j)
             want = full_check_candidate(reference, i, j)
@@ -629,11 +639,11 @@ class TestScreenedEvaluate:
         net = gen_grid(6, 2, 0.5)
         v = Vehicle(id=0, capacity=4, node=0, offset_km=0.25)
         new = Request(id=1, t=0, n=1, o=2, d=4, direct_dist=1.0)
-        trial = VehicleTrial(net, v, {}, new,
-                             SimConfig(max_detour=0.0, buffer_km=1.25), True)
+        trial = trial_for(net, v, {}, new,
+                          SimConfig(max_detour=0.0, buffer_km=1.25), True)
         assert trial.evaluate(0, 1).cost == 2.0
-        trial = VehicleTrial(net, v, {}, new,
-                             SimConfig(max_detour=0.0, buffer_km=1.0), True)
+        trial = trial_for(net, v, {}, new,
+                          SimConfig(max_detour=0.0, buffer_km=1.0), True)
         assert trial.evaluate(0, 1).cost == INFEASIBLE
 
     def test_new_rider_failures_skip_the_full_check(self, monkeypatch):
@@ -654,14 +664,14 @@ class TestScreenedEvaluate:
         # 40% detour, although the last leg alone (0 -> d) is short
         new = Request(id=2, t=0, n=1, o=6, d=1, direct_dist=2.5)
         cfg = SimConfig(max_detour=0.2, buffer_km=0.25)
-        trial = VehicleTrial(net, v, {1: rider}, new, cfg, False)
+        trial = trial_for(net, v, {1: rider}, new, cfg, False)
         assert trial.evaluate(0, 2).cost == INFEASIBLE
-        trial = VehicleTrial(net, v, {1: rider}, new, cfg, True)
+        trial = trial_for(net, v, {1: rider}, new, cfg, True)
         assert trial.evaluate(0, 1).cost == INFEASIBLE  # pickup past 0.25 km
         assert summed == []
         # the committed riders' table is built only by the full check
         assert trial.riders is None
-        trial = VehicleTrial(net, v, {1: rider}, new, cfg, False)
+        trial = trial_for(net, v, {1: rider}, new, cfg, False)
         assert trial.evaluate(0, 1).cost == 0.0
         assert summed == [(0, 1)]
         assert trial.riders is not None
@@ -673,9 +683,9 @@ class TestScreenedEvaluate:
                         state=RequestState.ONBOARD, traveled_at_pickup=0.0)
         v = Vehicle(id=0, capacity=4, node=0, path=stops(("d", 1, 17)))
         new = Request(id=2, t=0, n=1, o=1, d=2, direct_dist=0.5)
-        trial = VehicleTrial(net, v, {1: rider}, new,
-                             SimConfig(max_detour=100.0, buffer_km=100.0),
-                             True)
+        trial = trial_for(net, v, {1: rider}, new,
+                          SimConfig(max_detour=100.0, buffer_km=100.0),
+                          True)
         # picked up and dropped off on the way to the island: feasible
         assert trial.evaluate(0, 1).cost == 0.0
         for i, j in [(0, 2), (1, 2)]:
