@@ -27,8 +27,8 @@ from typing import Callable
 
 from .geometry import (PSA_OPEN, PSA_SINGLE, Point, VehiclePsa, make_psa_rect,
                        psa_contains, rect_contains)
-from .insertion import (CASE_A, CASE_B, CASE_C, Candidate, RequestRows,
-                        VehiclePath, VehicleTrial, classify_case,
+from .insertion import (CASE_A, CASE_B, CASE_C, QOS_EPS, Candidate,
+                        RequestRows, VehiclePath, VehicleTrial, classify_case,
                         candidate_positions, splice)
 from .model import (Request, RequestState, SimConfig, StopKind, Vehicle,
                     WorldState, waiting_time)
@@ -116,7 +116,8 @@ def furthest_psa(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
     rectangles degrade the union to the ride rectangle alone).  Still-waiting
     furthest rider without the guarantee: open, because nothing bounds the leg
     up to its pickup and any rectangle would prune feasible insertions.  No
-    committed riders: empty.
+    committed riders: empty.  Both budgets carry the QoS check's slack
+    ``QOS_EPS``, so a plan that lies exactly on a bound is never gated out.
     """
     if not v.path:
         return VehiclePsa.empty()
@@ -127,11 +128,11 @@ def furthest_psa(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
             and not r.scheduled_under_wait):
         return VehiclePsa.open_area(r.id)
     beta = make_psa_rect(net.point(r.o), net.point(r.d),
-                         (1.0 + max_detour) * r.direct_dist)
+                         (1.0 + max_detour + QOS_EPS) * r.direct_dist)
     assert beta is not None  # (1+detour)*D >= D >= E always holds
     if r.state == RequestState.ONBOARD:
         return VehiclePsa.single(beta, r.id)
-    alpha = make_psa_rect(r.p_s, net.point(r.o), buffer_km)
+    alpha = make_psa_rect(r.p_s, net.point(r.o), buffer_km + QOS_EPS)
     return VehiclePsa.union(alpha, beta, r.id)
 
 
@@ -167,7 +168,8 @@ def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path_pts: list[Point],
     case B in both modes because it has no boundary to separate the cases on.
     Case C bounds the new rider's pickup buffer: every committed stop must lie
     in the rectangle spanned by the vehicle position and the new origin with
-    the buffer as path budget; an empty path passes vacuously.
+    the buffer, plus the QoS check's slack, as path budget; an empty path
+    passes vacuously.
     """
     o_in = psa_contains(psa, o_pt)
     d_in = o_in and psa_contains(psa, d_pt)
@@ -175,7 +177,7 @@ def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path_pts: list[Point],
                         or not d_in)
     if not path_pts:
         return d_in, admit_b, True
-    rect = make_psa_rect(vehicle_pos, o_pt, buffer_km)
+    rect = make_psa_rect(vehicle_pos, o_pt, buffer_km + QOS_EPS)
     admit_c = rect is not None and all(rect_contains(rect, p)
                                        for p in path_pts)
     return d_in, admit_b, admit_c

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
-                              Point, VehiclePsa, make_psa_rect)
-from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
-                               enumerate_all)
+                              Point, VehiclePsa, make_psa_rect, psa_contains)
+from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, PathLegs,
+                               RequestRows, SpliceLegs, VehicleTrial,
+                               candidate_positions, enumerate_all)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, WorldState, passengers_committed,
                            waiting_time)
@@ -222,6 +225,212 @@ class TestGate:
             == (True, True)
         assert self.admit(area, self.inside, self.corner, "literal")[:2] \
             == (True, True)
+
+
+DENSE_NET = gen_grid(20, 20, 0.3)
+
+
+def dense_node(x_km: float, y_km: float) -> int:
+    return round(y_km / 0.3) * 20 + round(x_km / 0.3)
+
+
+class TestGateSlack:
+    """The gate admits every plan the QoS check accepts, bounds included."""
+
+    def seed_703_world(self):
+        # the dense workload's geometry at seed 703, period 0, t = 130 s:
+        # rider 23 rides (5.7, 5.7) -> (5.7, 2.7) over a direct distance of
+        # 2.9999999999999996 km, and request 38's origin (5.7, 2.4) lies
+        # 0.3 km past that destination, where the ride rectangle ends
+        net = DENSE_NET
+        top, drop, mid = (dense_node(5.7, 5.7), dense_node(5.7, 2.7),
+                          dense_node(5.7, 4.2))
+        riders = {
+            rid: Request(id=rid, t=0.0, n=1, o=top, d=d,
+                         direct_dist=net.shortest_dist(top, d),
+                         state=RequestState.ONBOARD, traveled_at_pickup=0.0)
+            for rid, d in ((22, mid), (23, drop))}
+        assert riders[23].direct_dist == 2.9999999999999996
+        v = Vehicle(id=0, capacity=5, node=top,
+                    path=stops(("d", 22, mid), ("d", 23, drop)))
+        o, d = dense_node(5.7, 2.4), dense_node(4.8, 2.7)
+        new = Request(id=38, t=0.0, n=1, o=o, d=d,
+                      direct_dist=net.shortest_dist(o, d))
+        return net, v, {**riders, 38: new}
+
+    def test_seed_703_plan_on_the_detour_bound_is_admitted(self):
+        net, v, requests = self.seed_703_world()
+        new = requests[38]
+        cfg = SimConfig()
+        # o before rider 23's drop-off, d appended: rider 23 rides 3.6 km,
+        # exactly (1 + 0.2) times the direct distance
+        trial = VehicleTrial.for_vehicle(net, v, requests, new, cfg, True)
+        assert trial.evaluate(1, 3).cost != INFEASIBLE
+        psa = furthest_psa(net, v, requests, cfg.buffer_km, cfg.max_detour)
+        assert psa.kind == PSA_SINGLE and psa.furthest_request_id == 23
+        assert psa_contains(psa, net.point(new.o))
+        _, admit_b, _ = gate(psa, net.point(new.o), net.point(new.d),
+                             [net.point(s.node) for s in v.path],
+                             v.position_point(net), cfg.buffer_km,
+                             "inclusive")
+        assert admit_b
+
+    def test_seed_703_inclusive_commits_what_es_commits(self):
+        committed = {}
+        for mode in ("inclusive", "es"):
+            net, v, requests = self.seed_703_world()
+            state = WorldState(clock=0.0, vehicles={0: v}, requests=requests)
+            assignments, _ = run_epoch(net, state, SimConfig(), 0.0, mode)
+            committed[mode] = (assignments, _path_snapshot(state))
+        assert committed["inclusive"] == committed["es"]
+        assert committed["es"][0]
+
+    def test_pickup_on_the_buffer_bound_is_admitted(self):
+        # case C: the committed stop sits on the straight pickup route, and
+        # the buffer equals the km to the new origin exactly
+        net = gen_grid(8, 2, 0.3)
+        rider = Request(id=1, t=0.0, n=1, o=0, d=3,
+                        direct_dist=net.shortest_dist(0, 3),
+                        state=RequestState.ONBOARD, traveled_at_pickup=0.0)
+        v = Vehicle(id=0, capacity=5, node=0, path=stops(("d", 1, 3)))
+        new = Request(id=2, t=0.0, n=1, o=7, d=15,
+                      direct_dist=net.shortest_dist(7, 15))
+        buffer_km = net.shortest_dist(0, 3) + net.shortest_dist(3, 7)
+        cfg = SimConfig(buffer_km=buffer_km)
+        trial = VehicleTrial.for_vehicle(net, v, {1: rider}, new, cfg, True)
+        assert trial.evaluate(1, 2).cost != INFEASIBLE
+        psa = furthest_psa(net, v, {1: rider}, cfg.buffer_km, cfg.max_detour)
+        assert gate(psa, net.point(7), net.point(15), [net.point(3)],
+                    v.position_point(net), buffer_km, "inclusive")[2]
+
+
+    def test_waiting_riders_pickup_bound_is_admitted(self):
+        # the furthest rider waits at x = 1.0 with the pickup guarantee;
+        # the vehicle overshoots to the new origin at x = 1.2 and comes
+        # back, which puts that origin on the far end of the pickup
+        # rectangle, outside the ride rectangle, with the buffer equal to
+        # the rider's planned pickup km
+        net = gen_grid(8, 2, 0.2)
+        riders = {
+            1: Request(id=1, t=0.0, n=1, o=5, d=13,
+                       direct_dist=net.shortest_dist(5, 13),
+                       state=RequestState.WAITING, p_s=net.point(0),
+                       odometer_at_schedule=20.0, scheduled_under_wait=True),
+            2: Request(id=2, t=0.0, n=1, o=0, d=2,
+                       direct_dist=net.shortest_dist(0, 2),
+                       state=RequestState.ONBOARD, traveled_at_pickup=20.0),
+        }
+        v = Vehicle(id=0, capacity=5, node=0, odometer=20.0,
+                    path=stops(("d", 2, 2), ("o", 1, 5), ("d", 1, 13)))
+        new = Request(id=3, t=0.0, n=1, o=6, d=5,
+                      direct_dist=net.shortest_dist(6, 5))
+        requests = {**riders, 3: new}
+        pickup_km = VehicleTrial.for_vehicle(
+            net, v, requests, new, SimConfig(), True).prefix(1, 2)[4]
+        cfg = SimConfig(buffer_km=pickup_km)
+        trial = VehicleTrial.for_vehicle(net, v, requests, new, cfg, True)
+        assert trial.evaluate(1, 2).cost != INFEASIBLE
+        psa = furthest_psa(net, v, requests, cfg.buffer_km, cfg.max_detour)
+        assert psa.kind == PSA_UNION
+        assert gate(psa, net.point(6), net.point(5),
+                    [net.point(s.node) for s in v.path],
+                    v.position_point(net), cfg.buffer_km, "inclusive")[0]
+
+
+# a block of streets, and a two-lane strip where routes run collinear
+GATE_NETS = (gen_grid(5, 4, 0.3), gen_grid(7, 2, 0.3))
+
+
+@st.composite
+def bound_states(draw):
+    """A vehicle whose committed plans lie exactly on their bounds.
+
+    Riders are onboard or waiting, with or without the pickup guarantee,
+    and the km each has driven since pickup or scheduling is at least the
+    network distance from where that began, so the search area is sound.
+    Each rider's direct distance is its planned ride, so with a zero detour
+    bound its plan sits exactly on it; the detour bound may instead be
+    pinned to one candidate's exact new-rider ratio, and the buffer to the
+    new rider's or a guarded rider's exact pickup km.
+    """
+    net = draw(st.sampled_from(GATE_NETS))
+    node = st.sampled_from(sorted(net.nodes))
+    head = draw(node)
+    v = Vehicle(id=0, capacity=9, node=head, odometer=20.0)
+    requests: dict[int, Request] = {}
+    path: list[Stop] = []
+    for rid in range(1, draw(st.integers(1, 3)) + 1):
+        began = draw(node)
+        since = net.shortest_dist(began, head) + draw(
+            st.sampled_from([0.0, 0.3]))
+        d = draw(node.filter(lambda x: x != began))
+        if draw(st.booleans()):
+            r = Request(id=rid, t=0.0, n=1, o=began, d=d,
+                        state=RequestState.ONBOARD,
+                        traveled_at_pickup=v.odometer - since)
+            at = draw(st.integers(0, len(path)))
+            path.insert(at, Stop(StopKind.DESTINATION, rid, d))
+        else:
+            o = draw(node.filter(lambda x: x != d))
+            r = Request(id=rid, t=0.0, n=1, o=o, d=d,
+                        state=RequestState.WAITING, p_s=net.point(began),
+                        odometer_at_schedule=v.odometer - since,
+                        scheduled_under_wait=draw(st.booleans()))
+            a = draw(st.integers(0, len(path)))
+            path.insert(a, Stop(StopKind.ORIGIN, rid, o))
+            b = draw(st.integers(a + 1, len(path)))
+            path.insert(b, Stop(StopKind.DESTINATION, rid, d))
+        requests[rid] = r
+    if path[-1].kind != StopKind.DESTINATION:
+        path.append(path.pop(next(m for m in range(len(path) - 1, -1, -1)
+                                  if path[m].kind == StopKind.DESTINATION)))
+    v.path = path
+    at = PathLegs(net, head, path).at
+    pickups = []
+    for r in requests.values():
+        di = next(m for m, s in enumerate(path) if s.request_id == r.id
+                  and s.kind == StopKind.DESTINATION)
+        if r.state == RequestState.ONBOARD:
+            planned = v.odometer - r.traveled_at_pickup + at[di + 1]
+        else:
+            oi = next(m for m, s in enumerate(path) if s.request_id == r.id)
+            planned = at[di + 1] - at[oi + 1]
+            if r.scheduled_under_wait:
+                pickups.append(v.odometer - r.odometer_at_schedule
+                               + at[oi + 1])
+        r.direct_dist = max(planned, net.shortest_dist(r.o, r.d))
+
+    o = draw(node)
+    d = draw(node.filter(lambda x: x != o))
+    new = Request(id=99, t=0.0, n=1, o=o, d=d,
+                  direct_dist=net.shortest_dist(o, d))
+    k = len(path)
+    i, j = draw(st.sampled_from(candidate_positions(k)))
+    legs = SpliceLegs(PathLegs(net, head, path), RequestRows(net, o, d))
+    q = legs.prefix(i, j)
+    max_detour = draw(st.sampled_from(
+        [0.0, 0.2, (q[j + 1] - q[i + 1]) / new.direct_dist - 1.0]))
+    # the km to the new origin of this candidate and of the tail append
+    pickups += [q[i + 1], legs.prefix(k, k + 1)[k + 1]]
+    buffer_km = draw(st.sampled_from([6.0, *pickups]))
+    cfg = SimConfig(max_detour=max(max_detour, 0.0), buffer_km=buffer_km)
+    return net, v, requests, new, cfg
+
+
+class TestGateSoundness:
+    @settings(max_examples=400, deadline=None)
+    @given(case=bound_states())
+    def test_inclusive_gate_admits_every_feasible_candidate(self, case):
+        net, v, requests, new, cfg = case
+        requests = {**requests, new.id: new}
+        psa = furthest_psa(net, v, requests, cfg.buffer_km, cfg.max_detour)
+        admit = dict(zip((CASE_A, CASE_B, CASE_C), gate(
+            psa, net.point(new.o), net.point(new.d),
+            [net.point(s.node) for s in v.path], v.position_point(net),
+            cfg.buffer_km, "inclusive")))
+        for cand in enumerate_all(net, v, requests, new, cfg, True):
+            if cand.cost != INFEASIBLE:
+                assert admit[cand.case], cand
 
 
 class TestSearchArea:
