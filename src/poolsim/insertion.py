@@ -267,11 +267,12 @@ class VehicleTrial(SpliceLegs):
     the first candidate with that i.  A candidate that fails either bound
     is infeasible without an O(K) step.  A survivor gets its cost and the
     full check: the re-summed prefix and every bound, committed riders
-    included.  The trial takes the vehicle's committed-rider table on the
-    first full check, so a trial whose every candidate fails on the new
-    rider never asks for it.  ``violation`` is always the full check.  Both
-    decide with the same float operations in the same order as re-summing
-    the whole spliced path, so every verdict is bit-identical to that.
+    included.  Only the full check reads the committed-rider table, which
+    the vehicle part builds on first use, so a vehicle whose every
+    candidate fails on the new rider never builds it.  ``violation`` is
+    always the full check.  Both decide with the same float operations in
+    the same order as re-summing the whole spliced path, so every verdict
+    is bit-identical to that.
     """
 
     def __init__(self, path: VehiclePath, new: RequestRows,
@@ -288,8 +289,6 @@ class VehicleTrial(SpliceLegs):
         # the origin position i = _chain_i
         self._chain_i = -1
         self._chain: list[float] = []
-        # the vehicle's committed riders, taken when the full check first runs
-        self.riders: list[_Rider] | None = None
 
     @classmethod
     def for_vehicle(cls, net: RoadNetwork, v: Vehicle,
@@ -332,10 +331,7 @@ class VehicleTrial(SpliceLegs):
             return QosViolation(new.id, "buffer")
         # committed stop m sits at splice position m + (m >= i) + (m >= j-1)
         jm = j - 1
-        riders = self.riders
-        if riders is None:
-            riders = self.riders = self.path.riders()
-        for rid, oi, di, direct, counted, guarded in riders:
+        for rid, oi, di, direct, counted, guarded in self.path.riders():
             at_d = q[di + 1 + (di >= i) + (di >= jm)]
             if oi < 0:  # onboard: km ridden plus km still to its drop-off
                 if (counted + at_d) / direct - 1.0 > max_detour:

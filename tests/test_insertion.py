@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from poolsim.geometry import Point
 from poolsim.insertion import (QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
                                Candidate, PathLegs, RequestRows, SpliceLegs,
-                               VehicleTrial, candidate_positions,
+                               VehiclePath, VehicleTrial, candidate_positions,
                                classify_case, enumerate_all, splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import Edge, NoPathError, RoadNetwork, gen_grid
@@ -654,7 +654,15 @@ class TestScreenedEvaluate:
             summed.append((i, j))
             return full_prefix(trial, i, j)
 
+        tables = []
+        full_table = VehiclePath.riders
+
+        def counting_table(path):
+            tables.append(path.v.id)
+            return full_table(path)
+
         monkeypatch.setattr(VehicleTrial, "prefix", counting_prefix)
+        monkeypatch.setattr(VehiclePath, "riders", counting_table)
         net = gen_grid(8, 2, 0.5)
         rider = Request(id=1, t=0, n=1, o=7, d=0, direct_dist=3.5,
                         state=RequestState.ONBOARD, traveled_at_pickup=3.0)
@@ -669,12 +677,12 @@ class TestScreenedEvaluate:
         trial = trial_for(net, v, {1: rider}, new, cfg, True)
         assert trial.evaluate(0, 1).cost == INFEASIBLE  # pickup past 0.25 km
         assert summed == []
-        # the committed riders' table is built only by the full check
-        assert trial.riders is None
+        # the committed riders' table is read only by the full check
+        assert tables == []
         trial = trial_for(net, v, {1: rider}, new, cfg, False)
         assert trial.evaluate(0, 1).cost == 0.0
         assert summed == [(0, 1)]
-        assert trial.riders is not None
+        assert tables == [0]
 
     def test_unreachable_leg_is_infeasible_without_raising(self):
         # the committed stop sits on the island: no leg leads back out

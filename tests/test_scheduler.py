@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
                               Point, VehiclePsa, make_psa_rect, psa_contains)
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, PathLegs,
-                               RequestRows, SpliceLegs, VehicleTrial,
-                               candidate_positions, enumerate_all)
+                               RequestRows, SpliceLegs, VehiclePath,
+                               VehicleTrial, candidate_positions,
+                               enumerate_all)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, WorldState, passengers_committed,
                            waiting_time)
@@ -833,3 +834,82 @@ class TestScreenedEvaluation:
         for a, b in zip(ours, theirs):
             with open(a, "rb") as fa, open(b, "rb") as fb:
                 assert fa.read() == fb.read(), a
+
+
+class FreshPath:
+    """Stands in for the epoch's shared vehicle part: every read rebuilds it.
+
+    So seats, gate points and every trial's rows, legs and rider table are
+    read off the vehicle as it is at that moment, as if nothing were kept
+    between requests.
+    """
+
+    def __init__(self, net, v, requests):
+        self.parts = (net, v, requests)
+
+    def __getattr__(self, name):
+        return getattr(VehiclePath(*self.parts), name)
+
+
+def fresh_trial(path, ends, new_request, config, check_buffer):
+    net, v, requests = path.parts
+    return VehicleTrial.for_vehicle(net, v, requests, new_request, config,
+                                    check_buffer)
+
+
+class TestSharedVehicleParts:
+    """Sharing one vehicle part per epoch changes no output."""
+
+    @pytest.fixture(scope="class")
+    def oracle_net(self):
+        return gen_grid(*ORACLE_GRID)
+
+    @pytest.mark.parametrize("planner,gating", [
+        ("es", "literal"), ("psap", "inclusive"), ("psap", "literal")])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_reports_byte_identical_to_fresh_parts(self, oracle_net,
+                                                   tmp_path, monkeypatch,
+                                                   seed, planner, gating):
+        n_veh, reqs = oracle_instance(oracle_net, seed)
+        cfg = SimConfig(n_vehicles=n_veh, seed=seed, gating=gating)
+        shipped = run(oracle_net, reqs, cfg, scheduler=planner)
+        with monkeypatch.context() as m:
+            m.setattr(scheduler, "VehiclePath", FreshPath)
+            m.setattr(scheduler, "VehicleTrial", fresh_trial)
+            reference = run(oracle_net, reqs, cfg, scheduler=planner)
+        assert shipped.counters == reference.counters
+        ours = write_report_files(shipped, tmp_path / "shipped")
+        theirs = write_report_files(reference, tmp_path / "reference")
+        assert len(ours) == 4
+        for a, b in zip(ours, theirs):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read(), a
+
+    def test_second_request_sees_the_first_splice(self):
+        # one vehicle, two requests in one epoch: the second is tried
+        # against the path the first was just spliced into
+        net = gen_grid(21, 2, 0.5)
+        first = Request(id=1, t=0.0, n=1, o=2, d=10,
+                        direct_dist=net.shortest_dist(2, 10))
+        second = Request(id=2, t=5.0, n=1, o=4, d=8,
+                         direct_dist=net.shortest_dist(4, 8))
+        v = Vehicle(id=0, capacity=5, node=0)
+        state = WorldState(clock=0.0, vehicles={0: v},
+                           requests={1: first, 2: second})
+        cfg = SimConfig()
+        seen = []
+
+        def observer(now, r, v, evaluated, requests):
+            fresh = enumerate_all(net, v, requests, r, cfg, True)
+            seen.append((r.id, len(v.path), evaluated, fresh))
+
+        assignments, counters = run_epoch(net, state, cfg, 10.0, "es",
+                                          observer)
+        assert [a.request_id for a in assignments] == [1, 2]
+        assert [(rid, k) for rid, k, _, _ in seen] == [(1, 0), (2, 2)]
+        for _, _, evaluated, fresh in seen:
+            assert evaluated == fresh
+        # the second rides inside the first's trip: o after o1, d before d1
+        assert (assignments[1].i, assignments[1].j) == (1, 2)
+        assert [s.request_id for s in v.path] == [1, 2, 2, 1]
+        assert counters.n_total == 1 + sum(counts_for_path(2))

@@ -5,12 +5,14 @@ import os
 
 import pytest
 
+from poolsim import simulator
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle)
 from poolsim.roadnet import gen_grid
 from poolsim.simulator import (METRICS_HEADER, PoevBaseline, SimEvent,
                                advance_vehicle, poev_baseline,
                                poev_fleet_size, run, write_report_files)
+from test_acceptance import ORACLE_GRID, oracle_instance
 
 SPEED_KM_S = 30.0 / 3600.0
 
@@ -305,3 +307,37 @@ class TestReportFiles:
                      "events.jsonl"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+
+class TestRunningTotals:
+    @pytest.mark.parametrize("planner,gating", [
+        ("es", "literal"), ("psap", "literal")])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_tally_equals_a_rescan_every_epoch(self, monkeypatch, seed,
+                                               planner, gating):
+        net = gen_grid(*ORACLE_GRID)
+        n_veh, reqs = oracle_instance(net, seed)
+        shipped = simulator.traffic_metrics
+        epochs = []
+
+        def rescanned(state):
+            tm = shipped(state)
+            everyone = list(state.requests.values())
+            done = [r for r in everyone
+                    if r.state == RequestState.COMPLETED]
+            assert tm.onboard_riders == sum(
+                r.n for r in everyone if r.state == RequestState.ONBOARD)
+            assert tm.completed == len(done)
+            assert tm.unserved == sum(
+                1 for r in everyone if r.state == RequestState.UNSCHEDULED
+                and r.t <= state.clock)
+            travel = sum(v.odometer for v in state.vehicles.values())
+            assert tm.saved_km == sum(r.direct_dist for r in done) - travel
+            epochs.append(state.clock)
+            return tm
+
+        monkeypatch.setattr(simulator, "traffic_metrics", rescanned)
+        report = run(net, reqs, SimConfig(n_vehicles=n_veh, seed=seed,
+                                          gating=gating), scheduler=planner)
+        assert len(epochs) == len(report.epochs) > 1
+        assert report.completed > 0
