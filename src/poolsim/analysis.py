@@ -356,7 +356,10 @@ def traffic_metrics(state: WorldState) -> TrafficMetrics:
     (None) when nothing moves.  Saved distance is the direct-route total of
     completed requests minus all fleet travel so far; negative while pickup
     legs dominate.  The request counts come from the state's running
-    ``tally``, so only the vehicles are scanned.
+    ``tally``, so only the vehicles are scanned.  The tally is counted when
+    the state is built and kept current by ``run_epoch``, which moves the
+    clock and commits, and by the simulator's pickup and drop-off events;
+    a request changed any other way needs a freshly built state.
     """
     vehicles = state.vehicles.values()
     moving = sum(1 for v in vehicles if v.path)

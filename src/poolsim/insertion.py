@@ -14,9 +14,9 @@ shortest-path lookups, so cost never re-sums the whole path.  Costing and the
 quality-of-service check share one ``VehicleTrial`` per (vehicle, request).
 It joins two parts that it reads without copying: the vehicle's
 ``VehiclePath`` (the rows and legs of its committed path, its seats, rider
-table and gate points), built once per vehicle per scheduling epoch, and the
-request's ``RequestRows`` (the rows of the new origin and destination),
-built once per request.
+table and gate points, each built on first use), built once per vehicle per
+scheduling epoch, and the request's ``RequestRows`` (the rows of the new
+origin and destination), built once per request.
 
 Most candidates fail on the new rider's own bounds, and those two bounds
 read only the km to the new origin and to the new destination.  The km to
@@ -117,27 +117,36 @@ class PathLegs:
         self.at = list(accumulate(self.leg, initial=offset_km))
 
 
-class VehiclePath(PathLegs):
-    """A vehicle's ``PathLegs`` and everything else its trials read off it.
+class VehiclePath:
+    """One vehicle's committed path as its trials and its gate read it.
 
-    Adds the seats its committed riders hold, and, each built on first
-    use, the committed riders' table the full QoS check walks and the
-    position and stop points the gate tests.  All of it is fixed while the
-    vehicle stands between two moves and keeps its path, so ``run_epoch``
-    builds one per vehicle on the vehicle's first visit of an epoch, shares
-    it among that epoch's requests, and drops it when a commit splices a
-    new rider into the path.
+    Holds the seats its committed riders hold and, each built on first use,
+    the path's ``PathLegs``, the committed riders' table the full QoS check
+    walks, and the position and stop points the gate tests.  A vehicle that
+    is full or gated out never builds the legs, so no distance row is
+    fetched for its stops.  All of it is fixed while the vehicle stands
+    between two moves and keeps its path, so ``run_epoch`` builds one per
+    vehicle on the vehicle's first visit of an epoch, shares it among that
+    epoch's requests, and drops it when a commit splices a new rider into
+    the path.
     """
 
     def __init__(self, net: RoadNetwork, v: Vehicle,
                  requests: dict[int, Request]) -> None:
-        super().__init__(net, v.node, v.path, v.offset_km)
         self.net = net
         self.v = v
         self.requests = requests
+        self.k = len(v.path)
         self.seats = passengers_committed(v, requests)
+        self._legs: PathLegs | None = None
         self._riders: list[_Rider] | None = None
         self._gate_points: tuple[Point, list[Point]] | None = None
+
+    def legs(self) -> PathLegs:
+        if self._legs is None:
+            v = self.v
+            self._legs = PathLegs(self.net, v.node, v.path, v.offset_km)
+        return self._legs
 
     def gate_points(self) -> tuple[Point, list[Point]]:
         """The vehicle's position point and the points of its stops."""
@@ -278,7 +287,7 @@ class VehicleTrial(SpliceLegs):
     def __init__(self, path: VehiclePath, new: RequestRows,
                  new_request: Request, config: SimConfig,
                  check_buffer: bool) -> None:
-        super().__init__(path, new)
+        super().__init__(path.legs(), new)
         self.path = path
         self.new_request = new_request
         self.check_buffer = check_buffer

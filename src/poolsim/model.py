@@ -201,13 +201,13 @@ class RequestTally:
 class WorldState:
     """Fleet and requests at ``clock``, with their running totals.
 
-    Move ``clock`` with ``advance_clock`` so that ``tally`` counts the
-    requests released by then.
+    Move ``clock`` with ``advance_clock``, as ``run_epoch`` does, so that
+    ``tally`` counts the requests released by then.
     """
     clock: float
     vehicles: dict[int, Vehicle]
     requests: dict[int, Request]
-    tally: RequestTally = field(init=False, repr=False)
+    tally: RequestTally = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.tally = RequestTally(self.requests, self.clock)

@@ -189,9 +189,10 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
               ) -> tuple[list[Assignment], EpochCounters]:
     """One scheduling pass over the released unassigned requests.
 
-    Mutates ``state`` in place: winning insertions are committed (path,
-    request bookkeeping and the state's running tally); gated vehicles read
-    their search area through ``search_area``.  Requests with no feasible
+    Mutates ``state`` in place: its clock moves to ``now``, winning
+    insertions are committed (path, request bookkeeping and the state's
+    running tally), and gated vehicles read their search area through
+    ``search_area``.  Requests with no feasible
     insertion stay unassigned and are retried next epoch.  Returns the
     committed assignments, stamped with ``now``, and the per-case candidate
     counters.
@@ -205,6 +206,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
         raise ValueError(f"unknown scheduler mode {mode!r}")
     counters = EpochCounters()
     assignments: list[Assignment] = []
+    state.advance_clock(now)
 
     pool = [r for r in state.requests.values()
             if r.state == RequestState.UNSCHEDULED and r.t <= now]

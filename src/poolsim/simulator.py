@@ -228,9 +228,9 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
 
     ``scheduler`` is "psap" (search-area pruned; gating per config) or "es"
     (exhaustive).  Input request objects are never mutated.  The epoch's
-    ``traffic_metrics`` read the state's running tally, which the clock,
-    the scheduler's commits and each step's pickup and drop-off events
-    keep current.
+    ``traffic_metrics`` read the state's running tally, which the
+    scheduling pass (it moves the clock and commits) and each step's
+    pickup and drop-off events keep current.
     """
     if scheduler == "psap":
         sched_fn = psap_epoch
@@ -256,7 +256,6 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     now = 0.0
     epoch_idx = 0
     while True:
-        state.advance_clock(now)
         while (release_ptr < len(release_order)
                and release_order[release_ptr].t <= now):
             r = release_order[release_ptr]

@@ -22,6 +22,7 @@ from poolsim import scheduler
 from poolsim.scheduler import (Assignment, EpochCounters, counts_for_path,
                                es_epoch, furthest_psa, gate, psap_epoch,
                                run_epoch, search_area)
+from poolsim.analysis import traffic_metrics
 from poolsim.simulator import run, write_report_files
 from test_acceptance import ORACLE_GRID, oracle_instance
 from test_insertion import full_check_candidate
@@ -647,6 +648,22 @@ class TestRunEpochBasics:
         assignments, _ = psap_epoch(net, state, SimConfig(capacity=1),
                                     now=60.0)
         assert [a.request_id for a in assignments] == [5]
+
+    def test_pass_moves_the_clock_and_the_running_totals(self):
+        net = self.line()
+        early = Request(id=1, t=0.0, n=1, o=2, d=6,
+                        direct_dist=net.shortest_dist(2, 6))
+        late = Request(id=2, t=30.0, n=1, o=4, d=8,
+                       direct_dist=net.shortest_dist(4, 8))
+        state = WorldState(clock=0.0,
+                           vehicles={0: Vehicle(id=0, capacity=1, node=0)},
+                           requests={1: early, 2: late})
+        assert traffic_metrics(state).unserved == 1
+        assignments, _ = psap_epoch(net, state, SimConfig(capacity=1),
+                                    now=60.0)
+        assert [a.request_id for a in assignments] == [1]
+        assert state.clock == 60.0
+        assert traffic_metrics(state).unserved == 1  # request 2, now out
 
     def test_unknown_mode_raises(self):
         net = self.line()
