@@ -13,10 +13,17 @@ The added driving distance has a closed form per case built from at most six
 shortest-path lookups, so cost never re-sums the whole path.  Costing and the
 quality-of-service check share one ``VehicleTrial`` per (vehicle, request).
 It joins two parts that it reads without copying: the vehicle's
-``VehiclePath`` (the rows and legs of its committed path, its seats, rider
-table and gate points, each built on first use), built once per vehicle per
-scheduling epoch, and the request's ``RequestRows`` (the rows of the new
-origin and destination), built once per request.
+``VehiclePath`` (the legs of its committed path, its seats, rider table and
+gate points, each built on first use), built once per vehicle per
+scheduling epoch, and the request's ``RequestRows`` (the forward and reverse
+rows of the new origin and destination), built once per request.
+
+Every distance a trial reads comes from a row of a request endpoint: the km
+from a path node to the new origin or destination from that endpoint's
+reverse row, the km from it onwards from its forward row, a committed leg
+from the forward row of the stop it leaves, and the head leg from the first
+stop's reverse row.  No row is built from a vehicle's head node, which
+changes every epoch.
 
 Most candidates fail on the new rider's own bounds, and those two bounds
 read only the km to the new origin and to the new destination.  The km to
@@ -86,35 +93,37 @@ def classify_case(i: int, j: int, k: int) -> str:
     return CASE_A
 
 
-def candidate_positions(k: int) -> list[tuple[int, int]]:
-    """All (i, j) insertion positions for a path of K stops, lexicographic."""
+def candidate_positions(k: int) -> list[tuple[int, int, str]]:
+    """All (i, j, case) insertion positions for K stops, lexicographic."""
     if k == 0:
-        return [(0, 1)]
-    return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 2)]
+        return [(0, 1, CASE_C)]
+    return [(i, j, classify_case(i, j, k))
+            for i in range(1, k + 1) for j in range(i + 1, k + 2)]
 
 
 class PathLegs:
     """Distances along one committed stop path: the vehicle part of a splice.
 
     ``theta(m)`` is the head node for m = 0, else the node of stop m - 1.
-    Holds the distance row and index of every theta(m), read straight from
-    the network's cache, the path's legs and the prefix distances.  It
-    depends on the head node, the in-progress edge remainder and the stops
-    alone, so it is valid until the vehicle moves or its path changes.
+    Holds the row index of every theta(m), the path's legs and the prefix
+    distances.  Every stop is a request endpoint, so every leg is read from
+    an endpoint's row: the head leg from the first stop's reverse row, every
+    other leg from the forward row of the stop it leaves.  It depends on the
+    head node, the in-progress edge remainder and the stops alone, so it is
+    valid until the vehicle moves or its path changes.
     """
 
     def __init__(self, net: RoadNetwork, head: int, stops: list[Stop],
                  offset_km: float = 0.0) -> None:
         dists_from = net.dists_from
         index_of = net.index_of
-        theta = [head] + [s.node for s in stops]
         self.k = len(stops)
-        self.rows = rows = [dists_from(t) for t in theta]
-        self.ix = ix = [index_of(t) for t in theta]
+        self.ix = ix = [index_of(head)] + [index_of(s.node) for s in stops]
         # leg[m] = D(theta(m), theta(m+1)); at[m] = km to theta(m) with at[0]
         # the remainder of the in-progress edge
-        self.leg = [r[x] for r, x in zip(rows, ix[1:])]
-        self.at = list(accumulate(self.leg, initial=offset_km))
+        self.leg = leg = [net.dists_to(stops[0].node)[ix[0]]] if stops else []
+        leg.extend(dists_from(s.node)[x] for s, x in zip(stops, ix[2:]))
+        self.at = list(accumulate(leg, initial=offset_km))
 
 
 class VehiclePath:
@@ -188,106 +197,57 @@ class VehiclePath:
 
 
 class RequestRows:
-    """The new origin's and destination's distance rows and indices.
+    """The new origin's and destination's distance rows.
 
     The request part of a splice: built once per request, before any
-    vehicle is tried.
+    vehicle is tried.  ``row_o`` and ``row_d`` are the endpoints' forward
+    rows (km from o and from d), ``to_o`` and ``to_d`` their reverse rows
+    (km to o and to d), all indexed by ``RoadNetwork.index_of``.
     """
 
     def __init__(self, net: RoadNetwork, o: int, d: int) -> None:
-        self.o_ix = net.index_of(o)
         self.d_ix = net.index_of(d)
         self.row_o = net.dists_from(o)
         self.row_d = net.dists_from(d)
+        self.to_o = net.dists_to(o)
+        self.to_d = net.dists_to(d)
 
 
-class SpliceLegs:
-    """Distances around one stop path and one new origin-destination pair.
-
-    Joins a path's ``PathLegs`` and a request's ``RequestRows`` without
-    copying either, so costing or prefix-summing an (i, j) splice touches
-    only what the splice changes.  An unreachable leg shows up as an
-    infinite (or NaN) result rather than an exception.
-    """
-
-    def __init__(self, path: PathLegs, new: RequestRows) -> None:
-        self.k = path.k
-        self.rows = path.rows
-        self.ix = path.ix
-        self.leg = path.leg
-        self.at = path.at
-        self.o_ix = new.o_ix
-        self.d_ix = new.d_ix
-        self.row_o = new.row_o
-        self.row_d = new.row_d
-
-    def cost(self, i: int, j: int) -> float:
-        """Added driving distance of splicing o at i and d at j."""
-        k = self.k
-        rows, ix, leg = self.rows, self.ix, self.leg
-        to_o = rows[i][self.o_ix]
-        if i == k and j == k + 1:
-            # both appended after the last stop
-            return to_o + self.row_o[self.d_ix]
-        if j == i + 1:
-            # o and d adjacent inside the path
-            return (to_o + self.row_o[self.d_ix] + self.row_d[ix[i + 1]]
-                    - leg[i])
-        if j == k + 1:
-            # o interior, d appended
-            return (to_o + self.row_o[ix[i + 1]] - leg[i]
-                    + rows[k][self.d_ix])
-        # o and d both interior, non-adjacent; d lands between the stops at
-        # positions j-1 and j of the o-augmented path
-        return (to_o + self.row_o[ix[i + 1]] - leg[i]
-                + rows[j - 1][self.d_ix] + self.row_d[ix[j]] - leg[j - 1])
-
-    def prefix(self, i: int, j: int) -> list[float]:
-        """q[t + 1] = km from the current position to stop t of the splice.
-
-        q[0] is the in-progress edge remainder.  Sums run stop by stop from
-        the front exactly as re-summing the spliced path would, and the
-        entries before the origin are the committed path's own, bit for bit.
-        """
-        rows, ix, leg = self.rows, self.ix, self.leg
-        if j == i + 1:
-            legs = [rows[i][self.o_ix], self.row_o[self.d_ix]]
-        else:
-            legs = [rows[i][self.o_ix], self.row_o[ix[i + 1]]]
-            legs.extend(leg[i + 1:j - 1])
-            legs.append(rows[j - 1][self.d_ix])
-        if j <= self.k:
-            legs.append(self.row_d[ix[j]])
-            legs.extend(leg[j:])
-        q = self.at[:i]
-        q.extend(accumulate(legs, initial=self.at[i]))
-        return q
-
-
-class VehicleTrial(SpliceLegs):
+class VehicleTrial:
     """One request tried against one vehicle: the (i, j)-independent work.
 
     Built once per (vehicle, request) from the vehicle's ``VehiclePath``
-    and the request's ``RequestRows``, which it reads without copying.
-    ``evaluate`` first decides the new rider's pickup buffer and detour
-    from the km to its two stops, which it sums exactly as ``prefix``
-    does: the km to the origin from the committed prefix, and the km to
-    the destination from one running sum per origin position i, built on
-    the first candidate with that i.  A candidate that fails either bound
-    is infeasible without an O(K) step.  A survivor gets its cost and the
-    full check: the re-summed prefix and every bound, committed riders
-    included.  Only the full check reads the committed-rider table, which
-    the vehicle part builds on first use, so a vehicle whose every
-    candidate fails on the new rider never builds it.  ``violation`` is
-    always the full check.  Both decide with the same float operations in
-    the same order as re-summing the whole spliced path, so every verdict
-    is bit-identical to that.
+    and the request's ``RequestRows``, which it reads without copying, so
+    costing or prefix-summing an (i, j) splice touches only what the splice
+    changes.  An unreachable leg shows up as an infinite (or NaN) cost or
+    prefix rather than an exception.  ``evaluate`` first decides the new
+    rider's pickup buffer and detour from the km to its two stops, which it
+    sums exactly as ``prefix`` does: the km to the origin from the
+    committed prefix, and the km to the destination from one running sum
+    per origin position i, built on the first candidate with that i.  A
+    candidate that fails either bound is infeasible without an O(K) step.
+    A survivor gets its cost and the full check: the re-summed prefix and
+    every bound, committed riders included.  Only the full check reads the
+    committed-rider table, which the vehicle part builds on first use, so a
+    vehicle whose every candidate fails on the new rider never builds it.
+    ``violation`` is always the full check.  Both decide with the same float
+    operations in the same order as re-summing the whole spliced path, so
+    every verdict is bit-identical to that.
     """
 
     def __init__(self, path: VehiclePath, new: RequestRows,
                  new_request: Request, config: SimConfig,
                  check_buffer: bool) -> None:
-        super().__init__(path.legs(), new)
+        legs = path.legs()
+        self.k = legs.k
+        self.ix = legs.ix
+        self.leg = legs.leg
+        self.at = legs.at
+        self.d_ix = new.d_ix
+        self.row_o = new.row_o
+        self.row_d = new.row_d
+        self.to_o = new.to_o
+        self.to_d = new.to_d
         self.path = path
         self.new_request = new_request
         self.check_buffer = check_buffer
@@ -307,6 +267,48 @@ class VehicleTrial(SpliceLegs):
         return cls(VehiclePath(net, v, requests),
                    RequestRows(net, new_request.o, new_request.d),
                    new_request, config, check_buffer)
+
+    def cost(self, i: int, j: int) -> float:
+        """Added driving distance of splicing o at i and d at j."""
+        k = self.k
+        ix, leg = self.ix, self.leg
+        to_o = self.to_o[ix[i]]
+        if i == k and j == k + 1:
+            # both appended after the last stop
+            return to_o + self.row_o[self.d_ix]
+        if j == i + 1:
+            # o and d adjacent inside the path
+            return (to_o + self.row_o[self.d_ix] + self.row_d[ix[i + 1]]
+                    - leg[i])
+        if j == k + 1:
+            # o interior, d appended
+            return (to_o + self.row_o[ix[i + 1]] - leg[i]
+                    + self.to_d[ix[k]])
+        # o and d both interior, non-adjacent; d lands between the stops at
+        # positions j-1 and j of the o-augmented path
+        return (to_o + self.row_o[ix[i + 1]] - leg[i]
+                + self.to_d[ix[j - 1]] + self.row_d[ix[j]] - leg[j - 1])
+
+    def prefix(self, i: int, j: int) -> list[float]:
+        """q[t + 1] = km from the current position to stop t of the splice.
+
+        q[0] is the in-progress edge remainder.  Sums run stop by stop from
+        the front exactly as re-summing the spliced path would, and the
+        entries before the origin are the committed path's own, bit for bit.
+        """
+        ix, leg = self.ix, self.leg
+        if j == i + 1:
+            legs = [self.to_o[ix[i]], self.row_o[self.d_ix]]
+        else:
+            legs = [self.to_o[ix[i]], self.row_o[ix[i + 1]]]
+            legs.extend(leg[i + 1:j - 1])
+            legs.append(self.to_d[ix[j - 1]])
+        if j <= self.k:
+            legs.append(self.row_d[ix[j]])
+            legs.extend(leg[j:])
+        q = self.at[:i]
+        q.extend(accumulate(legs, initial=self.at[i]))
+        return q
 
     def violation(self, i: int, j: int) -> QosViolation | None:
         """First quality-of-service violation of the (i, j) splice, or None.
@@ -353,12 +355,17 @@ class VehicleTrial(SpliceLegs):
                 return QosViolation(rid, "buffer")
         return None
 
-    def evaluate(self, i: int, j: int) -> Candidate:
-        """Cost one (i, j) splice and QoS-check it; infeasible carries inf."""
-        case = classify_case(i, j, self.k)
-        rows = self.rows
+    def evaluate(self, i: int, j: int, case: str | None = None) -> Candidate:
+        """Cost one (i, j) splice and QoS-check it; infeasible carries inf.
+
+        ``case`` is the position's case as ``candidate_positions`` hands it
+        out; without it the position is checked and classified here.
+        """
+        if case is None:
+            case = classify_case(i, j, self.k)
+        ix = self.ix
         # the new rider's own bounds, from q[i + 1] and q[j + 1] of prefix()
-        at_o = self.at[i] + rows[i][self.o_ix]
+        at_o = self.at[i] + self.to_o[ix[i]]
         if self.check_buffer and 0.0 + at_o > self.max_buffer:
             return Candidate(i, j, case, INFEASIBLE)
         if j == i + 1:
@@ -367,8 +374,8 @@ class VehicleTrial(SpliceLegs):
             if self._chain_i != i:
                 self._chain_i = i
                 self._chain = list(accumulate(
-                    [at_o, self.row_o[self.ix[i + 1]], *self.leg[i + 1:]]))
-            at_d = self._chain[j - i - 1] + rows[j - 1][self.d_ix]
+                    [at_o, self.row_o[ix[i + 1]], *self.leg[i + 1:]]))
+            at_d = self._chain[j - i - 1] + self.to_d[ix[j - 1]]
         if ((at_d - at_o) / self.new_request.direct_dist - 1.0
                 > self.max_detour):
             return Candidate(i, j, case, INFEASIBLE)
@@ -402,4 +409,5 @@ def enumerate_all(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
     """
     trial = VehicleTrial.for_vehicle(net, v, requests, new_request, config,
                                      check_buffer)
-    return [trial.evaluate(i, j) for i, j in candidate_positions(len(v.path))]
+    return [trial.evaluate(i, j, case)
+            for i, j, case in candidate_positions(len(v.path))]

@@ -138,21 +138,23 @@ class RequestTally:
     the code that changes a request's state: ``release`` as the clock
     passes release times, ``schedule`` at commit, ``pickup`` and
     ``dropoff`` from the vehicles' stop events, so no epoch rescans every
-    request.  The direct km of the completed requests is kept as prefix
-    sums over them in ``requests`` order, so ``direct_done_km`` is
-    bit-identical to summing them in that order; a drop-off re-sums only
-    the entries after its own, which are few when requests complete about
-    in the order they were listed.
+    request.  ``pool`` holds the ids of the released requests still
+    unscheduled, the requests an epoch tries to place.  The direct km of
+    the completed requests is kept as prefix sums over them in ``requests``
+    order, so ``direct_done_km`` is bit-identical to summing them in that
+    order; a drop-off re-sums only the entries after its own, which are few
+    when requests complete about in the order they were listed.
     """
 
     def __init__(self, requests: dict[int, Request], clock: float) -> None:
         self._in_order = list(requests.values())
         self._order = {r.id: m for m, r in enumerate(self._in_order)}
-        self._release_t = sorted(r.t for r in self._in_order)
-        self._released = bisect_right(self._release_t, clock)
-        self.unserved = sum(1 for r in self._in_order
-                            if r.state == RequestState.UNSCHEDULED
-                            and r.t <= clock)
+        self._release_order = sorted(self._in_order,
+                                     key=lambda r: (r.t, r.id))
+        self._release_t = [r.t for r in self._release_order]
+        self._released = 0
+        self.pool: set[int] = set()
+        self.release(clock)
         self.onboard_riders = sum(r.n for r in self._in_order
                                   if r.state == RequestState.ONBOARD)
         # _done holds the completed requests' positions in ``requests``,
@@ -161,6 +163,10 @@ class RequestTally:
                       if r.state == RequestState.COMPLETED]
         self._done_km: list[float] = [0]
         self._resum(0)
+
+    @property
+    def unserved(self) -> int:
+        return len(self.pool)
 
     @property
     def completed(self) -> int:
@@ -178,13 +184,22 @@ class RequestTally:
             km.append(km[-1] + self._in_order[pos].direct_dist)
 
     def release(self, clock: float) -> None:
-        """Count the requests released up to ``clock`` as unserved."""
+        """Pool the unscheduled requests released up to ``clock``.
+
+        A clock moved back unpools the requests it no longer releases.
+        """
         released = bisect_right(self._release_t, clock)
-        self.unserved += released - self._released
+        was = self._released
+        if released >= was:
+            self.pool.update(r.id for r in self._release_order[was:released]
+                             if r.state is RequestState.UNSCHEDULED)
+        else:
+            self.pool.difference_update(
+                r.id for r in self._release_order[released:was])
         self._released = released
 
-    def schedule(self) -> None:
-        self.unserved -= 1
+    def schedule(self, r: Request) -> None:
+        self.pool.remove(r.id)
 
     def pickup(self, r: Request) -> None:
         self.onboard_riders += r.n

@@ -5,9 +5,14 @@ come from :mod:`poolsim.geometry`.  Every edge must satisfy length >= E of its
 endpoints (up to 1e-6 slack), which makes D >= E hold network-wide and is what
 lets rectangle membership act as a sound lower-bound filter.
 
-Shortest paths are single-source Dijkstra (scipy csgraph) memoized per source
-as one row of Python floats per source node (the same values scipy returns);
-the cache is transparent, results never depend on query order.
+Shortest paths are single-source Dijkstra (scipy csgraph) rows memoized per
+node as lists of Python floats (the same values scipy returns).  A forward row
+(``dists_from``) holds the km from its node, a reverse row (``dists_to``) the
+km to it.  The trials read rows of request endpoints alone, so rows are built
+per endpoint, not per vehicle position.  When every edge is two-way a node's
+reverse row is its forward row; otherwise it is a Dijkstra row on the
+transposed graph, which is built on first use.  The caches are transparent,
+results never depend on query order.
 """
 
 from __future__ import annotations
@@ -52,7 +57,10 @@ class RoadNetwork:
     _ids: list[int] = field(init=False, repr=False)
     _adj: list[dict[int, float]] = field(init=False, repr=False)
     _csr: csr_matrix = field(init=False, repr=False)
+    _two_way: bool = field(init=False, repr=False)
+    _csr_t: csr_matrix | None = field(init=False, repr=False)
     _dist_cache: dict[int, list[float]] = field(init=False, repr=False)
+    _to_cache: dict[int, list[float]] = field(init=False, repr=False)
     _pred_cache: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -62,8 +70,10 @@ class RoadNetwork:
         # parallel edges collapse to the shortest one; scipy would otherwise
         # sum duplicate COO entries
         adj: list[dict[int, float]] = [dict() for _ in range(n)]
+        two_way = True
         for e in self.edges:
             self._validate_edge(e)
+            two_way = two_way and e.bidirectional
             iu, iv = self._index[e.u], self._index[e.v]
             pairs = [(iu, iv), (iv, iu)] if e.bidirectional else [(iu, iv)]
             for a, b in pairs:
@@ -78,7 +88,10 @@ class RoadNetwork:
                 cols.append(b)
                 data.append(w)
         self._csr = csr_matrix((data, (rows, cols)), shape=(n, n))
+        self._two_way = two_way
+        self._csr_t = None
         self._dist_cache = {}
+        self._to_cache = {}
         self._pred_cache = {}
 
     def _validate_edge(self, e: Edge) -> None:
@@ -129,6 +142,23 @@ class RoadNetwork:
         dist = self._dist_cache.get(a)
         if dist is None:
             dist = self._source_row(a)[0]
+        return dist
+
+    def dists_to(self, b: int) -> list[float]:
+        """Shortest-path km from every node to b, ordered by ``index_of``.
+
+        On a network whose every edge is two-way this is b's forward row
+        itself.  Read it, never modify it.
+        """
+        if self._two_way:
+            return self.dists_from(b)
+        dist = self._to_cache.get(b)
+        if dist is None:
+            if self._csr_t is None:
+                self._csr_t = self._csr.transpose().tocsr()
+            dist = dijkstra(self._csr_t, directed=True,
+                            indices=self.index_of(b)).tolist()
+            self._to_cache[b] = dist
         return dist
 
     def shortest_dist(self, a: int, b: int) -> float:

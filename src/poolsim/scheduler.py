@@ -28,7 +28,7 @@ from typing import Callable
 from .geometry import (PSA_OPEN, PSA_SINGLE, Point, VehiclePsa, make_psa_rect,
                        psa_contains, rect_contains)
 from .insertion import (CASE_A, CASE_B, CASE_C, QOS_EPS, Candidate,
-                        RequestRows, VehiclePath, VehicleTrial, classify_case,
+                        RequestRows, VehiclePath, VehicleTrial,
                         candidate_positions, splice)
 from .model import (Request, RequestState, SimConfig, StopKind, Vehicle,
                     WorldState, waiting_time)
@@ -51,11 +51,10 @@ def counts_for_path(k: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=512)
 def admitted_positions(k: int, admit: tuple[bool, bool, bool],
-                       ) -> tuple[tuple[int, int], ...]:
-    """Positions of the admitted cases (A, B, C) for path length K, in order."""
+                       ) -> tuple[tuple[int, int, str], ...]:
+    """(i, j, case) of the admitted cases (A, B, C) for K stops, in order."""
     keep = dict(zip((CASE_A, CASE_B, CASE_C), admit))
-    return tuple((i, j) for i, j in candidate_positions(k)
-                 if keep[classify_case(i, j, k)])
+    return tuple(p for p in candidate_positions(k) if keep[p[2]])
 
 
 _ADMIT_ALL = (True, True, True)
@@ -189,11 +188,12 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
               ) -> tuple[list[Assignment], EpochCounters]:
     """One scheduling pass over the released unassigned requests.
 
-    Mutates ``state`` in place: its clock moves to ``now``, winning
-    insertions are committed (path, request bookkeeping and the state's
-    running tally), and gated vehicles read their search area through
-    ``search_area``.  Requests with no feasible
-    insertion stay unassigned and are retried next epoch.  Returns the
+    The requests are the state's running ``tally.pool``.  Mutates
+    ``state`` in place: its clock moves to ``now``, winning insertions are
+    committed (path, request bookkeeping and the state's running tally),
+    and gated vehicles read their search area through ``search_area``.
+    Requests with no feasible insertion stay unassigned and are retried
+    next epoch.  Returns the
     committed assignments, stamped with ``now``, and the per-case candidate
     counters.
 
@@ -208,13 +208,12 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     assignments: list[Assignment] = []
     state.advance_clock(now)
 
-    pool = [r for r in state.requests.values()
-            if r.state == RequestState.UNSCHEDULED and r.t <= now]
+    requests = state.requests
     # longest-waiting first; release time rises as waiting falls
-    pool.sort(key=lambda r: (r.t, r.id))
+    pool = sorted((requests[rid] for rid in state.tally.pool),
+                  key=lambda r: (r.t, r.id))
 
     vehicle_ids = sorted(state.vehicles)
-    requests = state.requests
     # the vehicle part of every trial, built on the vehicle's first visit
     # and dropped when a commit changes its path
     paths: dict[int, VehiclePath] = {}
@@ -256,8 +255,8 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             if positions:
                 evaluate = VehicleTrial(path, ends, r, config,
                                         check_buffer).evaluate
-                for i, j in positions:
-                    cand = evaluate(i, j)
+                for i, j, case in positions:
+                    cand = evaluate(i, j, case)
                     if observing:
                         evaluated.append(cand)
                     if cand.cost != math.inf:
@@ -280,7 +279,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             r.p_s = v.position_point(net)
             r.odometer_at_schedule = v.odometer
             r.scheduled_under_wait = check_buffer
-            state.tally.schedule()
+            state.tally.schedule(r)
             assignments.append(Assignment(now, r.id, vid, i, j, best_case,
                                           cost))
     return assignments, counters

@@ -290,10 +290,10 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             break
         if (release_ptr == len(release_order) and tm.moving == 0
                 and not assignments):
-            leftovers = [r for r in reqs.values()
-                         if r.state == RequestState.UNSCHEDULED]
-            if all(waiting_time(r, now) > config.wait_threshold_s
-                   for r in leftovers):
+            # everything is released, so the pool holds every unscheduled
+            # request
+            if all(waiting_time(reqs[rid], now) > config.wait_threshold_s
+                   for rid in state.tally.pool):
                 # frozen state: no motion, no future releases, and the
                 # past-threshold pass just failed; later epochs are identical
                 break

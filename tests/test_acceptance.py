@@ -85,7 +85,7 @@ class SubsetObserver:
         self.full += len(positions)
         if not check_buffer or not evaluated:
             return
-        legal = set(positions)
+        legal = {(i, j) for i, j, _ in positions}
         trial = VehicleTrial.for_vehicle(self.net, v, requests, r,
                                          self.config, check_buffer)
         for c in evaluated:

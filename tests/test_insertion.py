@@ -9,23 +9,33 @@ from hypothesis import strategies as st
 
 from poolsim.geometry import Point
 from poolsim.insertion import (QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
-                               Candidate, PathLegs, RequestRows, SpliceLegs,
-                               VehiclePath, VehicleTrial, candidate_positions,
-                               classify_case, enumerate_all, splice)
+                               Candidate, PathLegs, VehiclePath, VehicleTrial,
+                               candidate_positions, classify_case,
+                               enumerate_all, splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import Edge, NoPathError, RoadNetwork, gen_grid
+from test_roadnet import one_way_grid
 
 
 def line_net(n=61, spacing=0.1):
     return gen_grid(n, 2, spacing)
 
 
-def splice_legs(net, head, path, o, d, offset_km=0.0) -> SpliceLegs:
-    return SpliceLegs(PathLegs(net, head, path, offset_km),
-                      RequestRows(net, o, d))
-
-
 trial_for = VehicleTrial.for_vehicle
+
+
+def splice_legs(net, head, path, o, d, offset_km=0.0) -> VehicleTrial:
+    """A trial of o and d against a bare stop path, for cost and prefix.
+
+    Each stop's rider is a one-seat placeholder; cost and prefix read
+    distances only.
+    """
+    riders = {s.request_id: Request(id=s.request_id, t=0, n=1, o=s.node,
+                                    d=s.node) for s in path}
+    v = Vehicle(id=0, capacity=len(path) + 1, node=head, path=path,
+                offset_km=offset_km)
+    new = Request(id=-1, t=0, n=1, o=o, d=d)
+    return trial_for(net, v, riders, new, SimConfig(), True)
 
 
 def stops(*pairs) -> list[Stop]:
@@ -74,7 +84,7 @@ class TestClassifyCase:
 
 class TestCandidatePositions:
     def test_empty_path_single_append(self):
-        assert candidate_positions(0) == [(0, 1)]
+        assert candidate_positions(0) == [(0, 1, CASE_C)]
 
     @pytest.mark.parametrize("k,total", [(1, 1), (2, 3), (3, 6), (5, 15)])
     def test_totals(self, k, total):
@@ -84,7 +94,7 @@ class TestCandidatePositions:
         for k in range(1, 13):
             brute = {(i, j) for i in range(1, k + 1)
                      for j in range(i + 1, k + 2)}
-            assert set(candidate_positions(k)) == brute
+            assert {(i, j) for i, j, _ in candidate_positions(k)} == brute
 
     def test_lexicographic_order(self):
         pos = candidate_positions(4)
@@ -92,7 +102,9 @@ class TestCandidatePositions:
 
     def test_per_case_tallies(self):
         for k in range(1, 20):
-            cases = [classify_case(i, j, k) for i, j in candidate_positions(k)]
+            cases = [case for _, _, case in candidate_positions(k)]
+            assert cases == [classify_case(i, j, k)
+                             for i, j, _ in candidate_positions(k)]
             assert cases.count(CASE_A) == k * (k - 1) // 2
             assert cases.count(CASE_B) == k - 1
             assert cases.count(CASE_C) == 1
@@ -345,34 +357,65 @@ class TestQosCheck:
         # exact in any order and plans land exactly on the detour bound
         net = gen_grid(6, 6, 0.5)
         cfg = self.config(max_detour=0.25, buffer_km=2.5)
-        rng = np.random.default_rng(2024)
-        ids = sorted(net.nodes)
-        checked = on_bound = mid_edge = same_node = 0
-        for _ in range(60):
-            v, reqs = random_committed_vehicle(net, rng, ids)
-            mid_edge += v.offset_km > 0.0
-            o, d = (int(x) for x in rng.choice(ids, 2, replace=False))
-            new = Request(id=99, t=0, n=1, o=o, d=d,
-                          direct_dist=net.shortest_dist(o, d))
-            k = len(v.path)
-            trials = {check_buffer: trial_for(net, v, reqs, new, cfg,
-                                              check_buffer)
-                      for check_buffer in (True, False)}
-            for i in range(k + 1):
-                for j in range(i + 1, k + 2):
-                    path = splice(v.path, o, d, i, j, new.id)
-                    same_node += any(a.node == b.node
-                                     for a, b in zip(path, path[1:]))
-                    for check_buffer, trial in trials.items():
-                        want, bound = brute_force_qos(net, v, reqs, path,
-                                                      new, cfg, check_buffer)
-                        got = trial.violation(i, j)
-                        assert ((got.request_id, got.kind) if got else None
-                                ) == want, (v, path, check_buffer)
-                        checked += 1
-                        on_bound += bound
+        checked, on_bound, mid_edge, same_node = check_against_brute_force(
+            net, cfg, np.random.default_rng(2024), 60)
         assert checked > 1000
         assert on_bound > 0 and mid_edge > 0 and same_node > 0
+
+    def test_matches_brute_force_on_one_way_streets(self):
+        # D(a, b) and D(b, a) differ, so reading a forward row where a
+        # reverse row belongs changes costs and verdicts; the blocks are
+        # 0.25 x 0.5 km, so sums are exact in any order here too
+        net = one_way_grid(6, 6, 0.25, 0.5)
+        cfg = self.config(max_detour=0.25, buffer_km=2.5)
+        checked, on_bound, mid_edge, same_node = check_against_brute_force(
+            net, cfg, np.random.default_rng(2025), 60)
+        assert checked > 1000
+        assert on_bound > 0 and mid_edge > 0 and same_node > 0
+
+
+def check_against_brute_force(net, cfg, rng, vehicles):
+    """Trials of random vehicles against re-summing every spliced path.
+
+    For every (i, j) of each vehicle's trials, with and without the new
+    rider's buffer check, ``cost`` must equal the growth of the re-summed
+    path, and ``violation`` and ``evaluate`` must give ``brute_force_qos``'s
+    verdict.  Returns the number of verdicts checked, of plans on the
+    detour bound, of vehicles mid-edge and of splices with back-to-back
+    stops at one node.
+    """
+    ids = sorted(net.nodes)
+    checked = on_bound = mid_edge = same_node = 0
+    for _ in range(vehicles):
+        v, reqs = random_committed_vehicle(net, rng, ids)
+        mid_edge += v.offset_km > 0.0
+        o, d = (int(x) for x in rng.choice(ids, 2, replace=False))
+        new = Request(id=99, t=0, n=1, o=o, d=d,
+                      direct_dist=net.shortest_dist(o, d))
+        k = len(v.path)
+        base = seq_length(net, v.node, v.path)
+        trials = {check_buffer: trial_for(net, v, reqs, new, cfg,
+                                          check_buffer)
+                  for check_buffer in (True, False)}
+        for i in range(k + 1):
+            for j in range(i + 1, k + 2):
+                path = splice(v.path, o, d, i, j, new.id)
+                same_node += any(a.node == b.node
+                                 for a, b in zip(path, path[1:]))
+                added = seq_length(net, v.node, path) - base
+                for check_buffer, trial in trials.items():
+                    want, bound = brute_force_qos(net, v, reqs, path,
+                                                  new, cfg, check_buffer)
+                    got = trial.violation(i, j)
+                    assert ((got.request_id, got.kind) if got else None
+                            ) == want, (v, path, check_buffer)
+                    assert trial.cost(i, j) == added, (v, path)
+                    cand = trial.evaluate(i, j)
+                    assert cand.cost == (added if want is None
+                                         else INFEASIBLE), (v, path)
+                    checked += 1
+                    on_bound += bound
+    return checked, on_bound, mid_edge, same_node
 
 
 def random_committed_vehicle(net, rng, ids):
@@ -509,11 +552,13 @@ class TestEnumerateAll:
         assert any(c.cost == INFEASIBLE for c in cands)
 
 
-def full_check_candidate(trial: VehicleTrial, i: int, j: int) -> Candidate:
+def full_check_candidate(trial: VehicleTrial, i: int, j: int,
+                         _case: str | None = None) -> Candidate:
     """``VehicleTrial.evaluate`` without its new-rider screen.
 
     Costs the splice and runs the full ``violation`` check; a splice with an
-    unreachable leg is infeasible.
+    unreachable leg is infeasible.  The case is classified here, whatever
+    case the caller hands in.
     """
     cost = trial.cost(i, j)
     try:

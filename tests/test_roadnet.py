@@ -67,6 +67,34 @@ def oracle_all_paths_min(adj: dict[int, dict[int, float]], src: int,
     return best
 
 
+def one_way_grid(nx: int, ny: int, dx: float, dy: float) -> RoadNetwork:
+    """A lattice of alternating one-way streets, two-way on its border.
+
+    Node (row r, col c) has id r*nx + c at (c*dx, r*dy).  Inner rows run
+    east on even r and west on odd r; inner columns run north on even c and
+    south on odd c.  The two-way border keeps every node reachable from
+    every other, while D(a, b) and D(b, a) differ inside.
+    """
+    nodes = {r * nx + c: Point(c * dx, r * dy)
+             for r in range(ny) for c in range(nx)}
+    edges: list[Edge] = []
+    for r in range(ny):
+        for c in range(nx - 1):
+            a, b = r * nx + c, r * nx + c + 1
+            border = r in (0, ny - 1)
+            if r % 2:
+                a, b = b, a
+            edges.append(Edge(len(edges), a, b, dx, bidirectional=border))
+    for c in range(nx):
+        for r in range(ny - 1):
+            a, b = r * nx + c, (r + 1) * nx + c
+            border = c in (0, nx - 1)
+            if c % 2:
+                a, b = b, a
+            edges.append(Edge(len(edges), a, b, dy, bidirectional=border))
+    return RoadNetwork(nodes=nodes, edges=edges)
+
+
 class TestGenGrid:
     @pytest.mark.parametrize("nx,ny,n_nodes,n_edges", [
         (2, 2, 4, 4),
@@ -237,6 +265,55 @@ class TestShortestPaths:
             net.shortest_dist(0, 99)
         with pytest.raises(NetworkError):
             net.point(-1)
+
+
+class TestReverseRows:
+    def test_one_way_lattice_against_heap_dijkstra(self):
+        # block lengths are multiples of 0.25 km, so sums are exact in any
+        # order and the reverse rows must match the forward search exactly
+        net = one_way_grid(5, 4, 0.25, 0.5)
+        adj = adjacency_of(net)
+        asymmetric = 0
+        for t in net.nodes:
+            row = net.dists_to(t)
+            for s in net.nodes:
+                want = oracle_dijkstra(adj, s, t)
+                assert math.isfinite(want)
+                assert row[net.index_of(s)] == want, (s, t)
+                asymmetric += want != oracle_dijkstra(adj, t, s)
+        assert asymmetric > 0
+
+    def test_random_directed_graph_against_heap_dijkstra(self):
+        # random lengths and some one-way edges, one node reachable from
+        # nowhere: its column of every reverse row is inf
+        rng = np.random.default_rng(13)
+        base = gen_grid(5, 4, 0.4)
+        edges = [Edge(e.id, e.u, e.v, e.length_km * float(rng.uniform(1, 2)),
+                      bidirectional=bool(rng.random() < 0.6))
+                 for e in base.edges]
+        nodes = dict(base.nodes)
+        nodes[99] = Point(9.0, 9.0)
+        edges.append(Edge(len(edges), 99, 0, 20.0, bidirectional=False))
+        net = RoadNetwork(nodes=nodes, edges=edges)
+        adj = adjacency_of(net)
+        for t in net.nodes:
+            row = net.dists_to(t)
+            for s in net.nodes:
+                want = oracle_dijkstra(adj, s, t)
+                got = row[net.index_of(s)]
+                if math.isinf(want):
+                    assert got == math.inf, (s, t)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12), (s, t)
+        assert net.dists_to(0)[net.index_of(99)] == 20.0
+        assert net.dists_to(99)[net.index_of(0)] == math.inf
+
+    def test_two_way_network_shares_the_forward_row(self):
+        net = gen_grid(4, 3, 0.5)
+        assert net.dists_to(5) is net.dists_from(5)
+        one_way = one_way_grid(4, 4, 0.5, 0.5)
+        assert one_way.dists_to(5) is not one_way.dists_from(5)
+        assert one_way.dists_to(5) is one_way.dists_to(5)
 
 
 class TestValidation:

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
                               Point, VehiclePsa, make_psa_rect, psa_contains)
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, PathLegs,
-                               RequestRows, SpliceLegs, VehiclePath,
-                               VehicleTrial, candidate_positions,
+                               VehiclePath, VehicleTrial, candidate_positions,
                                enumerate_all)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, WorldState, passengers_committed,
@@ -407,8 +406,8 @@ def bound_states(draw):
     new = Request(id=99, t=0.0, n=1, o=o, d=d,
                   direct_dist=net.shortest_dist(o, d))
     k = len(path)
-    i, j = draw(st.sampled_from(candidate_positions(k)))
-    legs = SpliceLegs(PathLegs(net, head, path), RequestRows(net, o, d))
+    i, j, _ = draw(st.sampled_from(candidate_positions(k)))
+    legs = VehicleTrial.for_vehicle(net, v, requests, new, SimConfig(), True)
     q = legs.prefix(i, j)
     max_detour = draw(st.sampled_from(
         [0.0, 0.2, (q[j + 1] - q[i + 1]) / new.direct_dist - 1.0]))
@@ -665,6 +664,27 @@ class TestRunEpochBasics:
         assert state.clock == 60.0
         assert traffic_metrics(state).unserved == 1  # request 2, now out
 
+    def test_pool_holds_the_released_unscheduled_requests(self):
+        # a hand-built state: one rider already committed, one released,
+        # one still to come
+        net = self.line()
+        waiting = Request(id=3, t=0.0, n=1, o=2, d=6, direct_dist=2.0,
+                          state=RequestState.WAITING, vehicle_id=0)
+        out = Request(id=1, t=10.0, n=1, o=4, d=8, direct_dist=2.0)
+        later = Request(id=2, t=90.0, n=1, o=4, d=8, direct_dist=2.0)
+        state = WorldState(clock=20.0,
+                           vehicles={0: Vehicle(id=0, capacity=3, node=0)},
+                           requests={3: waiting, 1: out, 2: later})
+        tally = state.tally
+        assert tally.pool == {1}
+        state.advance_clock(100.0)
+        assert tally.pool == {1, 2}
+        state.advance_clock(50.0)
+        assert tally.pool == {1}
+        assignments, _ = es_epoch(net, state, SimConfig(), now=100.0)
+        assert sorted(a.request_id for a in assignments) == [1, 2]
+        assert tally.pool == set() and tally.unserved == 0
+
     def test_unknown_mode_raises(self):
         net = self.line()
         state = self.one_request_world(net, o=2, d=6)
@@ -856,7 +876,7 @@ class TestScreenedEvaluation:
 class FreshPath:
     """Stands in for the epoch's shared vehicle part: every read rebuilds it.
 
-    So seats, gate points and every trial's rows, legs and rider table are
+    So seats, gate points and every trial's legs and rider table are
     read off the vehicle as it is at that moment, as if nothing were kept
     between requests.
     """
@@ -930,3 +950,51 @@ class TestSharedVehicleParts:
         assert (assignments[1].i, assignments[1].j) == (1, 2)
         assert [s.request_id for s in v.path] == [1, 2, 2, 1]
         assert counters.n_total == 1 + sum(counts_for_path(2))
+
+
+class TestEndpointRows:
+    """Trials read rows of request endpoints only, never of a vehicle head."""
+
+    @pytest.mark.parametrize("planner,gating", [
+        ("es", "literal"), ("psap", "inclusive"), ("psap", "literal")])
+    def test_trials_fetch_rows_of_endpoints_only(self, monkeypatch, planner,
+                                                 gating):
+        net = gen_grid(*ORACLE_GRID)
+        n_veh, reqs = oracle_instance(net, 1)
+        endpoints = {x for r in reqs for x in (r.o, r.d)}
+        fetched: set[int] = set()
+        heads: set[int] = set()
+        in_trial = []
+
+        def recording(fetch):
+            def row(net, node):
+                if in_trial:
+                    fetched.add(node)
+                return fetch(net, node)
+            return row
+
+        def inside(fn):
+            def call(*args):
+                in_trial.append(fn)
+                try:
+                    return fn(*args)
+                finally:
+                    in_trial.pop()
+            return call
+
+        def trial(path, *args):
+            heads.add(path.v.node)
+            return inside(VehicleTrial)(path, *args)
+
+        monkeypatch.setattr(RoadNetwork, "dists_from",
+                            recording(RoadNetwork.dists_from))
+        monkeypatch.setattr(RoadNetwork, "dists_to",
+                            recording(RoadNetwork.dists_to))
+        monkeypatch.setattr(VehicleTrial, "evaluate",
+                            inside(VehicleTrial.evaluate))
+        monkeypatch.setattr(scheduler, "VehicleTrial", trial)
+        run(net, reqs, SimConfig(n_vehicles=n_veh, seed=1, gating=gating),
+            scheduler=planner)
+        assert fetched and fetched <= endpoints
+        # trials did start from heads that are no endpoint
+        assert heads - endpoints

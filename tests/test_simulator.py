@@ -331,6 +331,9 @@ class TestRunningTotals:
             assert tm.unserved == sum(
                 1 for r in everyone if r.state == RequestState.UNSCHEDULED
                 and r.t <= state.clock)
+            assert state.tally.pool == {
+                r.id for r in everyone if r.state == RequestState.UNSCHEDULED
+                and r.t <= state.clock}
             travel = sum(v.odometer for v in state.vehicles.values())
             assert tm.saved_km == sum(r.direct_dist for r in done) - travel
             epochs.append(state.clock)
