@@ -8,8 +8,9 @@ lets rectangle membership act as a sound lower-bound filter.
 Shortest paths are single-source Dijkstra (scipy csgraph) rows memoized per
 node as lists of Python floats (the same values scipy returns).  A forward row
 (``dists_from``) holds the km from its node, a reverse row (``dists_to``) the
-km to it.  The trials read rows of request endpoints alone, so rows are built
-per endpoint, not per vehicle position.  When every edge is two-way a node's
+km to it.  Insertion trials read rows of request endpoints alone, so their
+rows are built per endpoint, not per vehicle position; a route reads the
+forward row of the node it starts from.  When every edge is two-way a node's
 reverse row is its forward row; otherwise it is a Dijkstra row on the
 transposed graph, which is built on first use.  The caches are transparent,
 results never depend on query order.
