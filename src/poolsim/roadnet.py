@@ -9,11 +9,12 @@ Shortest paths are single-source Dijkstra (scipy csgraph) rows memoized per
 node as lists of Python floats (the same values scipy returns).  A forward row
 (``dists_from``) holds the km from its node, a reverse row (``dists_to``) the
 km to it.  Insertion trials read rows of request endpoints alone, so their
-rows are built per endpoint, not per vehicle position; a route reads the
-forward row of the node it starts from.  When every edge is two-way a node's
-reverse row is its forward row; otherwise it is a Dijkstra row on the
-transposed graph, which is built on first use.  The caches are transparent,
-results never depend on query order.
+rows are built per endpoint, not per vehicle position; a route walks the
+reverse row of the node it heads for, so routing reads the same rows.  When
+every edge is two-way a node's reverse row is its forward row; otherwise it
+is a Dijkstra row on the transposed graph, which is built on first use.  The
+caches are transparent: results depend neither on query order nor on the
+order of the network's node and edge rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -62,7 +62,6 @@ class RoadNetwork:
     _csr_t: csr_matrix | None = field(init=False, repr=False)
     _dist_cache: dict[int, list[float]] = field(init=False, repr=False)
     _to_cache: dict[int, list[float]] = field(init=False, repr=False)
-    _pred_cache: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._ids = list(self.nodes.keys())
@@ -93,7 +92,6 @@ class RoadNetwork:
         self._csr_t = None
         self._dist_cache = {}
         self._to_cache = {}
-        self._pred_cache = {}
 
     def _validate_edge(self, e: Edge) -> None:
         if e.u not in self.nodes or e.v not in self.nodes:
@@ -123,16 +121,14 @@ class RoadNetwork:
         except KeyError:
             raise NetworkError(f"unknown node id {node_id}") from None
 
-    def _source_row(self, a: int) -> tuple[list[float], np.ndarray]:
-        dist = self._dist_cache.get(a)
+    def _row(self, cache: dict[int, list[float]], csr: csr_matrix,
+             node: int) -> list[float]:
+        dist = cache.get(node)
         if dist is None:
-            row, pred = dijkstra(self._csr, directed=True,
-                                 indices=self.index_of(a),
-                                 return_predecessors=True)
-            dist = row.tolist()
-            self._dist_cache[a] = dist
-            self._pred_cache[a] = pred
-        return dist, self._pred_cache[a]
+            dist = dijkstra(csr, directed=True,
+                            indices=self.index_of(node)).tolist()
+            cache[node] = dist
+        return dist
 
     def dists_from(self, a: int) -> list[float]:
         """Shortest-path km from a to every node, ordered by ``index_of``.
@@ -140,10 +136,7 @@ class RoadNetwork:
         Unreachable nodes hold ``math.inf``.  The list is the cache itself:
         read it, never modify it.
         """
-        dist = self._dist_cache.get(a)
-        if dist is None:
-            dist = self._source_row(a)[0]
-        return dist
+        return self._row(self._dist_cache, self._csr, a)
 
     def dists_to(self, b: int) -> list[float]:
         """Shortest-path km from every node to b, ordered by ``index_of``.
@@ -153,14 +146,9 @@ class RoadNetwork:
         """
         if self._two_way:
             return self.dists_from(b)
-        dist = self._to_cache.get(b)
-        if dist is None:
-            if self._csr_t is None:
-                self._csr_t = self._csr.transpose().tocsr()
-            dist = dijkstra(self._csr_t, directed=True,
-                            indices=self.index_of(b)).tolist()
-            self._to_cache[b] = dist
-        return dist
+        if self._csr_t is None:
+            self._csr_t = self._csr.transpose().tocsr()
+        return self._row(self._to_cache, self._csr_t, b)
 
     def shortest_dist(self, a: int, b: int) -> float:
         """Network shortest-path distance a -> b in km."""
@@ -171,27 +159,34 @@ class RoadNetwork:
             ib = self.index_of(b)
             if ia == ib:
                 return 0.0
-            dist = self._source_row(a)[0]
+            dist = self._row(self._dist_cache, self._csr, a)
         d = dist[ib]
         if d == math.inf:
             raise NoPathError(f"no path from node {a} to node {b}")
         return d
 
     def shortest_path_nodes(self, a: int, b: int) -> list[int]:
-        """Node sequence of a shortest path a -> b, inclusive of both ends."""
-        ia = self.index_of(a)
+        """Node sequence of a shortest path a -> b, inclusive of both ends.
+
+        The path walks b's reverse row from a.  At each node v it steps to
+        the out-neighbour u with ``w(v, u) + D(u, b) == D(v, b)``; Dijkstra
+        set ``D(v, b)`` from such a u, so one always exists.  Ties go to the
+        highest node id, so the route depends on the network's content, not
+        on the order of its rows.
+        """
         ib = self.index_of(b)
-        if ia == ib:
-            return [a]
-        dist, pred = self._source_row(a)
-        if math.isinf(dist[ib]):
+        to = self.dists_to(b)
+        v = self.index_of(a)
+        if to[v] == math.inf:
             raise NoPathError(f"no path from node {a} to node {b}")
-        rev = [ib]
-        cur = ib
-        while cur != ia:
-            cur = int(pred[cur])
-            rev.append(cur)
-        return [self._ids[i] for i in reversed(rev)]
+        ids, adj = self._ids, self._adj
+        path = [a]
+        while v != ib:
+            here = to[v]
+            v = max((u for u, w in adj[v].items() if w + to[u] == here),
+                    key=ids.__getitem__)
+            path.append(ids[v])
+        return path
 
     def hop_length(self, a: int, b: int) -> float:
         """Length of the direct edge a -> b (shortest parallel edge)."""

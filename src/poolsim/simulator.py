@@ -59,7 +59,6 @@ class EpochRow:
     psi_c: float | None
     sharing_rate: float | None
     utilization: float
-    busy_rate: float
     saved_km: float
     assigned: int
     unserved: int
@@ -278,7 +277,6 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             psi_c=counters.psi("C"),
             sharing_rate=tm.sharing_rate,
             utilization=tm.utilization,
-            busy_rate=tm.utilization,
             saved_km=tm.saved_km,
             assigned=len(assignments), unserved=tm.unserved,
             onboard_riders=tm.onboard_riders, moving=tm.moving,

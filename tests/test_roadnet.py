@@ -95,6 +95,20 @@ def one_way_grid(nx: int, ny: int, dx: float, dy: float) -> RoadNetwork:
     return RoadNetwork(nodes=nodes, edges=edges)
 
 
+def random_directed_grid() -> RoadNetwork:
+    """A 5x4 lattice with random lengths and some one-way edges, plus node
+    99, which has one edge out (to node 0) and none in."""
+    rng = np.random.default_rng(13)
+    base = gen_grid(5, 4, 0.4)
+    edges = [Edge(e.id, e.u, e.v, e.length_km * float(rng.uniform(1, 2)),
+                  bidirectional=bool(rng.random() < 0.6))
+             for e in base.edges]
+    nodes = dict(base.nodes)
+    nodes[99] = Point(9.0, 9.0)
+    edges.append(Edge(len(edges), 99, 0, 20.0, bidirectional=False))
+    return RoadNetwork(nodes=nodes, edges=edges)
+
+
 class TestGenGrid:
     @pytest.mark.parametrize("nx,ny,n_nodes,n_edges", [
         (2, 2, 4, 4),
@@ -284,17 +298,9 @@ class TestReverseRows:
         assert asymmetric > 0
 
     def test_random_directed_graph_against_heap_dijkstra(self):
-        # random lengths and some one-way edges, one node reachable from
-        # nowhere: its column of every reverse row is inf
-        rng = np.random.default_rng(13)
-        base = gen_grid(5, 4, 0.4)
-        edges = [Edge(e.id, e.u, e.v, e.length_km * float(rng.uniform(1, 2)),
-                      bidirectional=bool(rng.random() < 0.6))
-                 for e in base.edges]
-        nodes = dict(base.nodes)
-        nodes[99] = Point(9.0, 9.0)
-        edges.append(Edge(len(edges), 99, 0, 20.0, bidirectional=False))
-        net = RoadNetwork(nodes=nodes, edges=edges)
+        # node 99 is reachable from nowhere: its column of every reverse row
+        # is inf
+        net = random_directed_grid()
         adj = adjacency_of(net)
         for t in net.nodes:
             row = net.dists_to(t)
@@ -314,6 +320,56 @@ class TestReverseRows:
         one_way = one_way_grid(4, 4, 0.5, 0.5)
         assert one_way.dists_to(5) is not one_way.dists_from(5)
         assert one_way.dists_to(5) is one_way.dists_to(5)
+
+
+class TestRoutes:
+    @staticmethod
+    def check_route(net: RoadNetwork, a: int, b: int, exact: bool) -> None:
+        """Out-edges only, summing to D(a, b), each hop the highest-id
+        neighbour on a shortest path, against a heapq Dijkstra."""
+        adj = adjacency_of(net)
+        path = net.shortest_path_nodes(a, b)
+        assert path[0] == a and path[-1] == b
+        for v, u in zip(path, path[1:]):
+            assert u in adj[v], (v, u)
+            here = oracle_dijkstra(adj, v, b)
+            tight = [x for x, w in adj[v].items()
+                     if math.isclose(w + oracle_dijkstra(adj, x, b), here,
+                                     rel_tol=0.0 if exact else 1e-12)]
+            assert u == max(tight), (a, b, v, tight)
+        total = sum(adj[v][u] for v, u in zip(path, path[1:]))
+        if exact:
+            assert total == net.shortest_dist(a, b)
+        else:
+            assert total == pytest.approx(net.shortest_dist(a, b), rel=1e-12)
+
+    def test_one_way_lattice(self):
+        # block lengths are multiples of 0.25 km: sums are exact
+        net = one_way_grid(5, 4, 0.25, 0.5)
+        for a in net.nodes:
+            for b in net.nodes:
+                self.check_route(net, a, b, exact=True)
+
+    def test_random_directed_graph(self):
+        net = random_directed_grid()
+        for a in net.nodes:
+            for b in net.nodes:
+                if b != 99:
+                    self.check_route(net, a, b, exact=False)
+
+    def test_unreachable_target_raises(self):
+        net = random_directed_grid()
+        assert net.shortest_path_nodes(99, 7)[:2] == [99, 0]
+        for a in (0, 7):
+            with pytest.raises(NoPathError):
+                net.shortest_path_nodes(a, 99)
+
+    def test_lattice_route_climbs_column_zero_first(self):
+        # ties go to the highest id: up column 0 (ids 0, 20, ..., 380), then
+        # east along the top row to 399
+        net = gen_grid(20, 20, 0.3)
+        want = list(range(0, 400, 20)) + list(range(381, 400))
+        assert net.shortest_path_nodes(0, 399) == want
 
 
 class TestValidation:
