@@ -7,8 +7,9 @@ from .geometry import (Point, PsaRect, VehiclePsa, euclid, ellipse_contains,
 from .roadnet import (Edge, NetworkError, NoPathError, RoadNetwork, gen_grid,
                       load_network, save_network)
 from .model import (Request, RequestError, RequestState, SimConfig, Stop,
-                    StopKind, Vehicle, WorldState, load_requests,
-                    sample_requests, save_requests, waiting_time)
+                    StopKind, Vehicle, WorldState, check_request,
+                    load_requests, sample_requests, save_requests,
+                    waiting_time)
 from .insertion import (Candidate, QosViolation, candidate_positions,
                         classify_case, enumerate_all, splice)
 from .scheduler import (Assignment, EpochCounters, counts_for_path, es_epoch,

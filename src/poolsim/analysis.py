@@ -284,6 +284,10 @@ def expected_reduction(k: int, area: float, s: float) -> float:
     return n_a * psi_a + n_b * psi_b
 
 
+# side of the square city the gate harness draws its points in
+HARNESS_SIDE_KM = 10.0
+
+
 @dataclass(frozen=True)
 class RrccRow:
     area: float
@@ -295,8 +299,8 @@ class RrccRow:
     expected_psi_b: float
 
 
-def rrcc_gate_harness(area_fraction: float, samples: int, seed: int,
-                      side_km: float = 10.0) -> RrccRow:
+def rrcc_gate_harness(area_fraction: float, samples: int,
+                      seed: int) -> RrccRow:
     """Measured gate rejection rates with a frozen square search area.
 
     Pins a vehicle search area of the given fractional size in a square city,
@@ -309,17 +313,17 @@ def rrcc_gate_harness(area_fraction: float, samples: int, seed: int,
         raise ValueError("area_fraction must be in (0, 1]")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    s = side_km * side_km
+    s = HARNESS_SIDE_KM * HARNESS_SIDE_KM
     area = area_fraction * s
     half = math.sqrt(area) / 2.0
-    c = side_km / 2.0
+    c = HARNESS_SIDE_KM / 2.0
     rect = PsaRect(center=Point(c, c), axis=(1.0, 0.0), half_len=half,
                    half_wid=half, area=area)
     psa = VehiclePsa.single(rect, request_id=0)
     pos = Point(c, c)
 
     rng = substream(seed, f"rrcc-{area_fraction:.6f}")
-    pts = rng.uniform(0.0, side_km, size=(samples, 4))
+    pts = rng.uniform(0.0, HARNESS_SIDE_KM, size=(samples, 4))
     pass_a = 0
     pass_b = 0
     for ox, oy, dx, dy in pts:

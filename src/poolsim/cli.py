@@ -50,9 +50,9 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest_file(path: str, command: str, settings: dict,
-                         inputs: dict[str, str], seed: int | None,
-                         outputs: list[str]) -> str:
+def _write_manifest(path: str, command: str, settings: dict,
+                    inputs: dict[str, str], seed: int | None,
+                    outputs: list[str]) -> None:
     manifest = {
         "tool": "poolsim",
         "version": __version__,
@@ -63,15 +63,8 @@ def _write_manifest_file(path: str, command: str, settings: dict,
         "seed": seed,
         "outputs": outputs,
     }
-    _atomic_write(path, json.dumps(manifest, indent=2) + "\n")
-    return path
-
-
-def _write_manifest(outdir: str, command: str, settings: dict,
-                    inputs: dict[str, str], seed: int | None,
-                    outputs: list[str]) -> str:
-    return _write_manifest_file(os.path.join(outdir, "manifest.json"),
-                                command, settings, inputs, seed, outputs)
+    _atomic_write(path, json.dumps(manifest, indent=2, allow_nan=False)
+                  + "\n")
 
 
 # -- commands --------------------------------------------------------------
@@ -89,7 +82,7 @@ def cmd_gen_grid(args) -> int:
     save_network(net, f"{nodes_path}.tmp", f"{edges_path}.tmp")
     os.replace(f"{nodes_path}.tmp", nodes_path)
     os.replace(f"{edges_path}.tmp", edges_path)
-    _write_manifest(args.out, "gen-grid",
+    _write_manifest(os.path.join(args.out, "manifest.json"), "gen-grid",
                     {"nx": args.nx, "ny": args.ny,
                      "spacing_km": args.spacing_km},
                     {}, None, [nodes_path, edges_path])
@@ -133,12 +126,12 @@ def cmd_gen_requests(args) -> int:
         os.makedirs(parent, exist_ok=True)
     save_requests(requests, f"{req_path}.tmp")
     os.replace(f"{req_path}.tmp", req_path)
-    _write_manifest_file(f"{req_path}.manifest.json", "gen-requests",
-                         {"count": args.count, "rate_per_h": args.rate_per_h,
-                          "duration_s": args.duration_s,
-                          "min_e_km": args.min_e_km, "party_n": args.party_n},
-                         {"nodes": args.nodes, "edges": args.edges},
-                         args.seed, [req_path])
+    _write_manifest(f"{req_path}.manifest.json", "gen-requests",
+                    {"count": args.count, "rate_per_h": args.rate_per_h,
+                     "duration_s": args.duration_s,
+                     "min_e_km": args.min_e_km, "party_n": args.party_n},
+                    {"nodes": args.nodes, "edges": args.edges},
+                    args.seed, [req_path])
     print(f"wrote {len(requests)} requests to {req_path}")
     return EXIT_OK
 
@@ -178,7 +171,8 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     planned = [os.path.join(args.out, name) for name in
                ("report.json", "metrics.csv", "requests.csv", "events.jsonl")]
-    _write_manifest(args.out, "simulate", config.to_dict(),
+    _write_manifest(os.path.join(args.out, "manifest.json"), "simulate",
+                    config.to_dict(),
                     {"nodes": args.nodes, "edges": args.edges,
                      "requests": args.requests},
                     args.seed, planned)
@@ -205,7 +199,8 @@ def cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     legs = {"psap": os.path.join(args.out, "psap"),
             "es": os.path.join(args.out, "es")}
-    _write_manifest(args.out, "compare", config.to_dict(),
+    _write_manifest(os.path.join(args.out, "manifest.json"), "compare",
+                    config.to_dict(),
                     {"nodes": args.nodes, "edges": args.edges,
                      "requests": args.requests},
                     args.seed,
@@ -235,8 +230,7 @@ def cmd_compare(args) -> int:
         rep = reports[name]
         c = rep.counters
         return {
-            "counters": {"n_a": c.n_a, "n_b": c.n_b, "n_c": c.n_c,
-                         "m_a": c.m_a, "m_b": c.m_b, "m_c": c.m_c},
+            "counters": vars(c),
             "psi": {"a": c.psi("A"), "b": c.psi("B"), "c": c.psi("C")},
             "total_travel_km": rep.total_travel_km,
             "saved_km": rep.saved_km,
@@ -256,7 +250,7 @@ def cmd_compare(args) -> int:
         "harness": harness,
     }
     _atomic_write(os.path.join(args.out, "compare.json"),
-                  json.dumps(summary, indent=2) + "\n")
+                  json.dumps(summary, indent=2, allow_nan=False) + "\n")
     _atomic_write(os.path.join(args.out, "timing.json"),
                   json.dumps({"wall_s": walls}) + "\n")
 

@@ -13,8 +13,8 @@ The added driving distance has a closed form per case built from at most six
 shortest-path lookups, so cost never re-sums the whole path.  Costing and the
 quality-of-service check share one ``VehicleTrial`` per (vehicle, request).
 It joins two parts that it reads without copying: the vehicle's
-``VehiclePath`` (the legs of its committed path, its seats, rider table and
-gate points, each built on first use), built once per vehicle per
+``VehiclePath`` (its seats and, each built on first use, the legs of its
+committed path, its rider table and gate points), built once per vehicle per
 scheduling epoch, and the request's ``RequestRows`` (the forward and reverse
 rows of the new origin and destination), built once per request.
 
@@ -101,43 +101,17 @@ def candidate_positions(k: int) -> list[tuple[int, int, str]]:
             for i in range(1, k + 1) for j in range(i + 1, k + 2)]
 
 
-class PathLegs:
-    """Distances along one committed stop path: the vehicle part of a splice.
-
-    ``theta(m)`` is the head node for m = 0, else the node of stop m - 1.
-    Holds the row index of every theta(m), the path's legs and the prefix
-    distances.  Every stop is a request endpoint, so every leg is read from
-    an endpoint's row: the head leg from the first stop's reverse row, every
-    other leg from the forward row of the stop it leaves.  It depends on the
-    head node, the in-progress edge remainder and the stops alone, so it is
-    valid until the vehicle moves or its path changes.
-    """
-
-    def __init__(self, net: RoadNetwork, head: int, stops: list[Stop],
-                 offset_km: float = 0.0) -> None:
-        dists_from = net.dists_from
-        index_of = net.index_of
-        self.k = len(stops)
-        self.ix = ix = [index_of(head)] + [index_of(s.node) for s in stops]
-        # leg[m] = D(theta(m), theta(m+1)); at[m] = km to theta(m) with at[0]
-        # the remainder of the in-progress edge
-        self.leg = leg = [net.dists_to(stops[0].node)[ix[0]]] if stops else []
-        leg.extend(dists_from(s.node)[x] for s, x in zip(stops, ix[2:]))
-        self.at = list(accumulate(leg, initial=offset_km))
-
-
 class VehiclePath:
     """One vehicle's committed path as its trials and its gate read it.
 
     Holds the seats its committed riders hold and, each built on first use,
-    the path's ``PathLegs``, the committed riders' table the full QoS check
-    walks, and the position and stop points the gate tests.  A vehicle that
-    is full or gated out never builds the legs, so no distance row is
-    fetched for its stops.  All of it is fixed while the vehicle stands
-    between two moves and keeps its path, so ``run_epoch`` builds one per
-    vehicle on the vehicle's first visit of an epoch, shares it among that
-    epoch's requests, and drops it when a commit splices a new rider into
-    the path.
+    the path's legs, the committed riders' table the full QoS check walks,
+    and the position and stop points the gate tests.  A vehicle that is full
+    or gated out never builds the legs, so no distance row is fetched for
+    its stops.  All of it is fixed while the vehicle stands between two
+    moves and keeps its path, so ``run_epoch`` builds one per vehicle on the
+    vehicle's first visit of an epoch, shares it among that epoch's
+    requests, and drops it when a commit splices a new rider into the path.
     """
 
     def __init__(self, net: RoadNetwork, v: Vehicle,
@@ -147,15 +121,31 @@ class VehiclePath:
         self.requests = requests
         self.k = len(v.path)
         self.seats = passengers_committed(v, requests)
-        self._legs: PathLegs | None = None
+        self.ix: list[int] | None = None
         self._riders: list[_Rider] | None = None
         self._gate_points: tuple[Point, list[Point]] | None = None
 
-    def legs(self) -> PathLegs:
-        if self._legs is None:
-            v = self.v
-            self._legs = PathLegs(self.net, v.node, v.path, v.offset_km)
-        return self._legs
+    def legs(self) -> None:
+        """Set ``ix``, ``leg`` and ``at`` on first use.
+
+        ``theta(m)`` is the head node for m = 0, else the node of stop
+        m - 1.  ``ix[m]`` is the row index of theta(m), ``leg[m]`` the km
+        from theta(m) to theta(m + 1) and ``at[m]`` the km to theta(m), with
+        ``at[0]`` the remainder of the in-progress edge.  Every stop is a
+        request endpoint, so every leg is read from an endpoint's row: the
+        head leg from the first stop's reverse row, every other leg from the
+        forward row of the stop it leaves.
+        """
+        if self.ix is not None:
+            return
+        net, v = self.net, self.v
+        dists_from = net.dists_from
+        index_of = net.index_of
+        stops = v.path
+        self.ix = ix = [index_of(v.node)] + [index_of(s.node) for s in stops]
+        self.leg = leg = [net.dists_to(stops[0].node)[ix[0]]] if stops else []
+        leg.extend(dists_from(s.node)[x] for s, x in zip(stops, ix[2:]))
+        self.at = list(accumulate(leg, initial=v.offset_km))
 
     def gate_points(self) -> tuple[Point, list[Point]]:
         """The vehicle's position point and the points of its stops."""
@@ -238,11 +228,11 @@ class VehicleTrial:
     def __init__(self, path: VehiclePath, new: RequestRows,
                  new_request: Request, config: SimConfig,
                  check_buffer: bool) -> None:
-        legs = path.legs()
-        self.k = legs.k
-        self.ix = legs.ix
-        self.leg = legs.leg
-        self.at = legs.at
+        path.legs()
+        self.k = path.k
+        self.ix = path.ix
+        self.leg = path.leg
+        self.at = path.at
         self.d_ix = new.d_ix
         self.row_o = new.row_o
         self.row_d = new.row_d

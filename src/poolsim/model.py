@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .geometry import Point, VehiclePsa, euclid
-from .roadnet import NetworkError, RoadNetwork
+from .roadnet import NetworkError, NoPathError, RoadNetwork, read_csv
 
 
 class RequestState(enum.Enum):
@@ -76,7 +76,7 @@ class Vehicle:
     path: list[Stop] = field(default_factory=list)
     # search area as last built; read it through scheduler.search_area
     psa: VehiclePsa = field(default_factory=VehiclePsa.empty)
-    route: list[int] | None = None  # expanded hops after `node`; None = stale
+    route: list[int] = field(default_factory=list)  # hops after `node`
 
     def position_point(self, net: RoadNetwork) -> Point:
         """Planar position, interpolated along the current edge if mid-edge."""
@@ -248,66 +248,63 @@ def passengers_committed(v: Vehicle, requests: dict[int, Request]) -> int:
 
 # -- request I/O -----------------------------------------------------------
 
-REQUEST_HEADER = ["id", "t_s", "n", "o_node", "d_node"]
+REQUEST_HEADER = "id,t_s,n,o_node,d_node"
 
 
 class RequestError(ValueError):
     """Malformed request input."""
 
 
+def check_request(net: RoadNetwork, r: Request) -> float:
+    """D(o, d) of a request the fleet can serve; ``RequestError`` if not.
+
+    The party size must be at least 1, the release time finite and at least
+    0, and o and d two different known nodes with a path from o to d.  A
+    ``direct_dist`` already set is returned as it is, without a row query.
+    """
+    if r.n < 1:
+        raise RequestError(f"request {r.id}: party size must be >= 1")
+    if not 0.0 <= r.t < math.inf:
+        raise RequestError(f"request {r.id}: release time must be finite "
+                           f"and >= 0, got {r.t!r}")
+    if r.o == r.d:
+        raise RequestError(f"request {r.id}: origin equals destination")
+    for nd in (r.o, r.d):
+        if nd not in net.nodes:
+            raise RequestError(f"request {r.id}: unknown node {nd}")
+    if r.direct_dist > 0:
+        return r.direct_dist
+    try:
+        return net.shortest_dist(r.o, r.d)
+    except NoPathError as exc:
+        raise RequestError(f"request {r.id}: {exc}") from None
+
+
 def load_requests(path: str | os.PathLike, net: RoadNetwork) -> list[Request]:
     """Read requests CSV (header ``id,t_s,n,o_node,d_node``) and resolve D(o,d).
 
-    Unknown nodes, origin == destination, nonpositive party size, and
-    unreachable o->d pairs are hard errors at ingestion.
+    A duplicate id, or a request ``check_request`` rejects, is a hard error
+    at ingestion.
     """
-    out: list[Request] = []
     seen: set[int] = set()
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise RequestError(f"{path}: empty requests file") from None
-        if [h.strip() for h in header] != REQUEST_HEADER:
-            raise RequestError(f"{path}: requests header must be "
-                               f"{','.join(REQUEST_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise RequestError(f"{path}:{lineno}: expected 5 fields")
-            try:
-                rid = int(row[0])
-                t = float(row[1])
-                n = int(row[2])
-                o, d = int(row[3]), int(row[4])
-            except ValueError as exc:
-                raise RequestError(f"{path}:{lineno}: {exc}") from None
-            if rid in seen:
-                raise RequestError(f"{path}:{lineno}: duplicate request id {rid}")
-            seen.add(rid)
-            if n < 1:
-                raise RequestError(f"{path}:{lineno}: party size must be >= 1")
-            if t < 0:
-                raise RequestError(f"{path}:{lineno}: release time must be >= 0")
-            if o == d:
-                raise RequestError(f"{path}:{lineno}: origin equals destination")
-            for nd in (o, d):
-                if nd not in net.nodes:
-                    raise RequestError(f"{path}:{lineno}: unknown node {nd}")
-            try:
-                direct = net.shortest_dist(o, d)
-            except Exception as exc:
-                raise RequestError(f"{path}:{lineno}: {exc}") from None
-            out.append(Request(id=rid, t=t, n=n, o=o, d=d, direct_dist=direct))
-    return out
+
+    def request_row(row: list[str]) -> Request:
+        r = Request(id=int(row[0]), t=float(row[1]), n=int(row[2]),
+                    o=int(row[3]), d=int(row[4]))
+        if r.id in seen:
+            raise RequestError(f"duplicate request id {r.id}")
+        seen.add(r.id)
+        r.direct_dist = check_request(net, r)
+        return r
+
+    return read_csv(path, "requests", (REQUEST_HEADER,), RequestError,
+                    request_row)[1]
 
 
 def save_requests(requests: list[Request], path: str | os.PathLike) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(REQUEST_HEADER)
+        w.writerow(REQUEST_HEADER.split(","))
         for r in requests:
             w.writerow([r.id, repr(r.t), r.n, r.o, r.d])
 

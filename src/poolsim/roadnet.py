@@ -23,6 +23,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -97,9 +98,9 @@ class RoadNetwork:
         if e.u not in self.nodes or e.v not in self.nodes:
             raise NetworkError(f"edge {e.id} references unknown node "
                                f"({e.u} -> {e.v})")
-        if not (e.length_km > 0):
-            raise NetworkError(f"edge {e.id} has nonpositive length "
-                               f"{e.length_km}")
+        if not 0.0 < e.length_km < math.inf:
+            raise NetworkError(f"edge {e.id} length must be positive and "
+                               f"finite, got {e.length_km}")
         straight = euclid(self.nodes[e.u], self.nodes[e.v])
         if e.length_km < straight - _LENGTH_SLACK:
             raise NetworkError(
@@ -235,13 +236,49 @@ def gen_grid(nx: int, ny: int, spacing_km: float) -> RoadNetwork:
     return RoadNetwork(nodes=nodes, edges=edges)
 
 
-def _parse_bool(s: str, where: str) -> bool:
+T = TypeVar("T")
+
+
+def read_csv(path: str | os.PathLike, kind: str, headers: tuple[str, ...],
+             error: type[ValueError],
+             parse: Callable[[list[str]], T]) -> tuple[str, list[T]]:
+    """The header and the parsed rows of one input CSV file.
+
+    ``headers`` are the header lines the file may have, and every row must
+    have as many fields as its header.  Blank lines are skipped.  An empty
+    file, another header, a row with another field count, or a ValueError
+    from ``parse`` raises ``error``, prefixed with ``path:line`` for a row.
+    """
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        first = next(reader, None)
+        if first is None:
+            raise error(f"{path}: empty {kind} file")
+        header = ",".join(h.strip() for h in first)
+        if header not in headers:
+            raise error(f"{path}: {kind} header must be "
+                        f"{' or '.join(headers)}, got {header}")
+        width = len(first)
+        rows: list[T] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields")
+                rows.append(parse(row))
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from None
+    return header, rows
+
+
+def _parse_bool(s: str) -> bool:
     t = s.strip().lower()
     if t in ("1", "true", "yes"):
         return True
     if t in ("0", "false", "no"):
         return False
-    raise NetworkError(f"{where}: bad boolean {s!r}")
+    raise ValueError(f"bad boolean {s!r}")
 
 
 def _project_latlon(rows: list[tuple[int, float, float]]) -> dict[int, Point]:
@@ -257,6 +294,10 @@ def _project_latlon(rows: list[tuple[int, float, float]]) -> dict[int, Point]:
     return out
 
 
+NODE_HEADERS = ("id,x_km,y_km", "id,lat,lon")
+EDGE_HEADER = "id,from,to,length_km,bidirectional"
+
+
 def load_network(nodes_path: str | os.PathLike,
                  edges_path: str | os.PathLike) -> RoadNetwork:
     """Load a network from two CSVs.
@@ -265,77 +306,30 @@ def load_network(nodes_path: str | os.PathLike,
     projected equirectangularly about the mean latitude).  Mixing is rejected.
     Edges: header ``id,from,to,length_km,bidirectional``.
     """
-    with open(nodes_path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise NetworkError(f"{nodes_path}: empty nodes file") from None
-        header = [h.strip() for h in header]
-        if header == ["id", "x_km", "y_km"]:
-            geographic = False
-        elif header == ["id", "lat", "lon"]:
-            geographic = True
-        else:
-            raise NetworkError(
-                f"{nodes_path}: nodes header must be id,x_km,y_km or "
-                f"id,lat,lon, got {','.join(header)}")
-        raw: list[tuple[int, float, float]] = []
-        seen: set[int] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise NetworkError(f"{nodes_path}:{lineno}: expected 3 fields")
-            try:
-                nid = int(row[0])
-                a, b = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise NetworkError(f"{nodes_path}:{lineno}: {exc}") from None
-            if nid in seen:
-                raise NetworkError(f"{nodes_path}:{lineno}: duplicate node id {nid}")
-            seen.add(nid)
-            raw.append((nid, a, b))
+    seen: set[int] = set()
+
+    def node_row(row: list[str]) -> tuple[int, float, float]:
+        nid, a, b = int(row[0]), float(row[1]), float(row[2])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"node {nid} has non-finite coordinates")
+        if nid in seen:
+            raise ValueError(f"duplicate node id {nid}")
+        seen.add(nid)
+        return nid, a, b
+
+    header, raw = read_csv(nodes_path, "nodes", NODE_HEADERS, NetworkError,
+                           node_row)
     if not raw:
         raise NetworkError(f"{nodes_path}: no nodes")
-    if geographic:
+    if header == NODE_HEADERS[1]:
         nodes = _project_latlon(raw)
     else:
         nodes = {nid: Point(a, b) for nid, a, b in raw}
-
-    edges: list[Edge] = []
-    with open(edges_path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise NetworkError(f"{edges_path}: empty edges file") from None
-        if [h.strip() for h in header] != ["id", "from", "to", "length_km",
-                                           "bidirectional"]:
-            raise NetworkError(f"{edges_path}: edges header must be "
-                               f"id,from,to,length_km,bidirectional")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise NetworkError(f"{edges_path}:{lineno}: expected 5 fields")
-            try:
-                eid, u, v = int(row[0]), int(row[1]), int(row[2])
-                length = float(row[3])
-            except ValueError as exc:
-                raise NetworkError(f"{edges_path}:{lineno}: {exc}") from None
-            bidi = _parse_bool(row[4], f"{edges_path}:{lineno}")
-            if u not in nodes or v not in nodes:
-                raise NetworkError(
-                    f"{edges_path}:{lineno}: edge {eid} references unknown "
-                    f"node ({u} -> {v})")
-            edges.append(Edge(eid, u, v, length, bidi))
-    try:
-        return RoadNetwork(nodes=nodes, edges=edges)
-    except NetworkError:
-        raise
-    except ValueError as exc:
-        raise NetworkError(str(exc)) from None
+    _, edges = read_csv(
+        edges_path, "edges", (EDGE_HEADER,), NetworkError,
+        lambda row: Edge(int(row[0]), int(row[1]), int(row[2]),
+                         float(row[3]), _parse_bool(row[4])))
+    return RoadNetwork(nodes=nodes, edges=edges)
 
 
 def save_network(net: RoadNetwork, nodes_path: str | os.PathLike,
@@ -343,12 +337,12 @@ def save_network(net: RoadNetwork, nodes_path: str | os.PathLike,
     """Write the planar CSV pair; full float precision, byte-stable order."""
     with open(nodes_path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["id", "x_km", "y_km"])
+        w.writerow(NODE_HEADERS[0].split(","))
         for nid, p in net.nodes.items():
             w.writerow([nid, repr(p.x), repr(p.y)])
     with open(edges_path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["id", "from", "to", "length_km", "bidirectional"])
+        w.writerow(EDGE_HEADER.split(","))
         for e in net.edges:
             w.writerow([e.id, e.u, e.v, repr(e.length_km),
                         "true" if e.bidirectional else "false"])

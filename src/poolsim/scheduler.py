@@ -70,12 +70,8 @@ class EpochCounters:
     m_c: int = 0
 
     def add(self, other: "EpochCounters") -> None:
-        self.n_a += other.n_a
-        self.n_b += other.n_b
-        self.n_c += other.n_c
-        self.m_a += other.m_a
-        self.m_b += other.m_b
-        self.m_c += other.m_c
+        for name, count in vars(other).items():
+            setattr(self, name, getattr(self, name) + count)
 
     @property
     def n_total(self) -> int:
@@ -271,7 +267,6 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             cost, vid, i, j = best
             v = state.vehicles[vid]
             v.path = splice(v.path, r.o, r.d, i, j, r.id)
-            v.route = None
             del paths[vid]
             r.state = RequestState.WAITING
             r.vehicle_id = vid

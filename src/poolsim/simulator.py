@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .analysis import traffic_metrics
-from .model import (Request, RequestState, SimConfig, StopKind, Vehicle,
-                    WorldState, waiting_time)
+from .model import (Request, RequestError, RequestState, SimConfig, StopKind,
+                    Vehicle, WorldState, check_request, waiting_time)
 from .roadnet import RoadNetwork
 from .scheduler import (Assignment, EpochCounters, es_epoch, psap_epoch,
                         TrialObserver)
@@ -114,7 +114,6 @@ class SimReport:
 
     def to_dict(self) -> dict:
         c = self.counters
-        psi = {case.lower(): c.psi(case) for case in ("A", "B", "C")}
         return {
             "scheduler": self.scheduler,
             "mode": self.mode,
@@ -130,16 +129,12 @@ class SimReport:
                 "completed": self.completed,
                 "unserved": self.unserved,
             },
-            "counters": {
-                "n_a": c.n_a, "n_b": c.n_b, "n_c": c.n_c,
-                "m_a": c.m_a, "m_b": c.m_b, "m_c": c.m_c,
-                "psi_a": psi["a"], "psi_b": psi["b"], "psi_c": psi["c"],
-            },
+            "counters": {**vars(c), **{f"psi_{case.lower()}": c.psi(case)
+                                       for case in "ABC"}},
             "epochs": [vars(row) for row in self.epochs],
             "assignments": [vars(a) for a in self.assignments],
             "requests": [vars(r) for r in self.requests],
-            "events": [{"t": e.t, "kind": e.kind, "req": e.req, "veh": e.veh}
-                       for e in self.events],
+            "events": [vars(e) for e in self.events],
         }
 
 
@@ -151,6 +146,11 @@ def advance_vehicle(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
     The vehicle finishes its in-progress edge before any rerouting takes
     effect; consecutive stops at the same node fire back to back in path
     order.  Mutates the vehicle and the touched requests.
+
+    This is the one place that decides when ``v.route`` is stale: it is
+    rebuilt unless it still ends at the first stop's node.  A route walks
+    its target's reverse row by a memoryless rule, so the hops still ahead
+    are the ones a fresh walk from the vehicle's node would take.
     """
     events: list[SimEvent] = []
     speed_km_s = config.speed_kmh / 3600.0
@@ -162,7 +162,6 @@ def advance_vehicle(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
             v.prev_node = None
             while v.path and v.path[0].node == v.node:
                 stop = v.path.pop(0)
-                v.route = None
                 t = t0 + moved / speed_km_s
                 r = requests[stop.request_id]
                 if stop.kind == StopKind.ORIGIN:
@@ -188,8 +187,9 @@ def advance_vehicle(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
             continue
         if not v.path:
             break
-        if v.route is None:
-            v.route = net.shortest_path_nodes(v.node, v.path[0].node)[1:]
+        target = v.path[0].node
+        if not v.route or v.route[-1] != target:
+            v.route = net.shortest_path_nodes(v.node, target)[1:]
         nxt = v.route.pop(0)
         v.prev_node = v.node
         v.node = nxt
@@ -202,12 +202,9 @@ def _fresh_requests(net: RoadNetwork,
     out: dict[int, Request] = {}
     for r in requests:
         if r.id in out:
-            raise ValueError(f"duplicate request id {r.id}")
-        if r.o == r.d:
-            raise ValueError(f"request {r.id}: origin equals destination")
-        direct = r.direct_dist if r.direct_dist > 0 else net.shortest_dist(r.o, r.d)
+            raise RequestError(f"duplicate request id {r.id}")
         out[r.id] = Request(id=r.id, t=r.t, n=r.n, o=r.o, d=r.d,
-                            direct_dist=direct)
+                            direct_dist=check_request(net, r))
     return out
 
 
@@ -270,9 +267,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
 
         tm = traffic_metrics(state)
         rows.append(EpochRow(
-            epoch=epoch_idx, t_s=now,
-            n_a=counters.n_a, n_b=counters.n_b, n_c=counters.n_c,
-            m_a=counters.m_a, m_b=counters.m_b, m_c=counters.m_c,
+            epoch=epoch_idx, t_s=now, **vars(counters),
             psi_a=counters.psi("A"), psi_b=counters.psi("B"),
             psi_c=counters.psi("C"),
             sharing_rate=tm.sharing_rate,
@@ -368,8 +363,7 @@ def poev_fleet_size(n_requests: int) -> int:
 def poev_baseline(net: RoadNetwork, requests: list[Request]) -> PoevBaseline:
     total = 0.0
     for r in requests:
-        d = r.direct_dist if r.direct_dist > 0 else net.shortest_dist(r.o, r.d)
-        total += d
+        total += check_request(net, r)
     return PoevBaseline(total_km=total, fleet_size=poev_fleet_size(len(requests)))
 
 
@@ -400,7 +394,8 @@ def write_report_files(report: SimReport, outdir: str | os.PathLike) -> list[str
     written: list[str] = []
 
     path = os.path.join(outdir, "report.json")
-    _atomic_write(path, json.dumps(report.to_dict(), indent=2) + "\n")
+    _atomic_write(path, json.dumps(report.to_dict(), indent=2,
+                                   allow_nan=False) + "\n")
     written.append(path)
 
     lines = [METRICS_HEADER]
@@ -413,24 +408,15 @@ def write_report_files(report: SimReport, outdir: str | os.PathLike) -> list[str
     _atomic_write(path, "\n".join(lines) + "\n")
     written.append(path)
 
-    req_header = ("id,state,vehicle_id,t_s,direct_km,schedule_s,pickup_s,"
-                  "dropoff_s,waiting_s,realized_detour,realized_buffer_km,"
-                  "under_wait_branch,assign_i,assign_j,assign_case,"
-                  "assign_cost_km")
-    lines = [req_header]
-    for rc in report.requests:
-        lines.append(",".join(_csv_cell(x) for x in (
-            rc.id, rc.state, rc.vehicle_id, rc.t_s, rc.direct_km,
-            rc.schedule_s, rc.pickup_s, rc.dropoff_s, rc.waiting_s,
-            rc.realized_detour, rc.realized_buffer_km, rc.under_wait_branch,
-            rc.assign_i, rc.assign_j, rc.assign_case, rc.assign_cost_km)))
+    lines = [",".join(f.name for f in fields(RequestOutcome))]
+    lines.extend(",".join(_csv_cell(x) for x in vars(rc).values())
+                 for rc in report.requests)
     path = os.path.join(outdir, "requests.csv")
     _atomic_write(path, "\n".join(lines) + "\n")
     written.append(path)
 
     path = os.path.join(outdir, "events.jsonl")
-    _atomic_write(path, "".join(
-        json.dumps({"t": e.t, "kind": e.kind, "req": e.req, "veh": e.veh})
-        + "\n" for e in report.events))
+    _atomic_write(path, "".join(json.dumps(vars(e)) + "\n"
+                                for e in report.events))
     written.append(path)
     return written

@@ -202,6 +202,31 @@ class TestSimulate:
         assert main(sim_args(net_dir, tmp_path / "absent.csv",
                              tmp_path / "sim")) == 2
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_release_time_is_input_error(self, net_dir, tmp_path,
+                                                    t):
+        req = tmp_path / "requests.csv"
+        req.write_text(f"id,t_s,n,o_node,d_node\n0,0.0,1,0,55\n1,{t},1,9,90\n")
+        # with a horizon, a request that slipped through would end the run
+        # with exit 0 rather than hang it (inf) or schedule it early (nan)
+        assert main(sim_args(net_dir, req, tmp_path / "sim",
+                             "--horizon-s", "600")) == 2
+        assert not (tmp_path / "sim" / "report.json").exists()
+
+    @pytest.mark.parametrize("name,line,row", [
+        ("nodes.csv", 28, "27,nan,nan"), ("nodes.csv", 28, "27,inf,1.5"),
+        ("edges.csv", 1, "0,0,1,inf,true"),
+    ])
+    def test_non_finite_network_is_input_error(self, net_dir, req_file,
+                                               tmp_path, name, line, row):
+        lines = (net_dir / name).read_text().splitlines()
+        assert lines[line].split(",")[0] == row.split(",")[0]
+        lines[line] = row
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        args = sim_args(net_dir, req_file, tmp_path / "sim")
+        args[args.index("--" + name[:-4]) + 1] = str(tmp_path / name)
+        assert main(args) == 2
+
     def test_invalid_delta_is_usage_error(self, net_dir, req_file, tmp_path):
         assert main(sim_args(net_dir, req_file, tmp_path / "sim",
                              "--delta", "-0.5")) == 1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from poolsim.geometry import Point
 from poolsim.insertion import (QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
-                               Candidate, PathLegs, VehiclePath, VehicleTrial,
+                               Candidate, VehiclePath, VehicleTrial,
                                candidate_positions, classify_case,
                                enumerate_all, splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
@@ -633,7 +633,9 @@ def screened_trials(draw):
             path.insert(b, Stop(StopKind.DESTINATION, rid, d))
         reqs[rid] = r
     v.path = path
-    at = PathLegs(net, v.node, path, v.offset_km).at
+    vehicle_path = VehiclePath(net, v, reqs)
+    vehicle_path.legs()
+    at = vehicle_path.at
     for r in reqs.values():
         di = next(m for m, s in enumerate(path)
                   if s.request_id == r.id and s.kind == StopKind.DESTINATION)

@@ -133,6 +133,9 @@ class TestRequestIO:
         ("0,0.0,1,0,99", "unknown node"),
         ("0,0.0,0,0,3", "party size"),
         ("0,-5.0,1,0,3", "release time"),
+        ("0,nan,1,0,3", r"requests\.csv:2: request 0: release time"),
+        ("0,inf,1,0,3", r"requests\.csv:2: request 0: release time"),
+        ("0,-inf,1,0,3", r"requests\.csv:2: request 0: release time"),
     ])
     def test_bad_rows(self, tmp_path, row, msg):
         net = gen_grid(2, 2, 1.0)

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from poolsim.geometry import Point, euclid
 from poolsim.roadnet import (Edge, NetworkError, NoPathError, RoadNetwork,
-                             gen_grid, load_network, save_network)
+                             gen_grid, load_network, read_csv, save_network)
 
 
 def oracle_dijkstra(adj: dict[int, dict[int, float]], src: int,
@@ -378,6 +378,12 @@ class TestValidation:
         with pytest.raises(NetworkError):
             RoadNetwork(nodes=nodes, edges=[Edge(0, 0, 1, 0.0)])
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_non_finite_length(self, length):
+        nodes = {0: Point(0, 0), 1: Point(1, 0)}
+        with pytest.raises(NetworkError, match="positive and finite"):
+            RoadNetwork(nodes=nodes, edges=[Edge(0, 0, 1, length)])
+
     def test_length_below_euclid(self):
         nodes = {0: Point(0, 0), 1: Point(3, 0)}
         with pytest.raises(NetworkError):
@@ -428,6 +434,35 @@ class TestFileIO:
         e.write_text("id,from,to,length_km,bidirectional\n0,0,5,1.0,true\n")
         with pytest.raises(NetworkError, match="unknown node"):
             load_network(p, e)
+
+    @pytest.mark.parametrize("header,row", [
+        ("id,x_km,y_km", "1,nan,0"), ("id,x_km,y_km", "1,1,inf"),
+        ("id,lat,lon", "1,nan,11.0"), ("id,lat,lon", "1,48.0,-inf"),
+    ])
+    def test_non_finite_coordinates(self, tmp_path, header, row):
+        p = tmp_path / "nodes.csv"
+        p.write_text(f"{header}\n0,48.0,11.0\n{row}\n")
+        e = tmp_path / "edges.csv"
+        e.write_text("id,from,to,length_km,bidirectional\n")
+        with pytest.raises(NetworkError,
+                           match=r"nodes\.csv:3: node 1 has non-finite"):
+            load_network(p, e)
+
+    def test_rows_are_checked_against_the_header(self, tmp_path):
+        p = tmp_path / "rows.csv"
+        p.write_text("a, b\n1,2\n\n3,4\n5\n")
+        with pytest.raises(NetworkError, match=r"rows\.csv:5: expected 2 "):
+            read_csv(p, "rows", ("a,b",), NetworkError, tuple)
+        p.write_text("a,b\n1,2\n\n3,x\n")
+        with pytest.raises(NetworkError, match=r"rows\.csv:4: .*'x'"):
+            read_csv(p, "rows", ("a,b",), NetworkError,
+                     lambda row: float(row[1]))
+        p.write_text("a,b\n1,2\n\n3,4\n")
+        assert read_csv(p, "rows", ("a,b",), NetworkError, tuple) == (
+            "a,b", [("1", "2"), ("3", "4")])
+        p.write_text("")
+        with pytest.raises(NetworkError, match="empty rows file"):
+            read_csv(p, "rows", ("a,b",), NetworkError, tuple)
 
     def test_latlon_projection(self, tmp_path):
         # two nodes on the same parallel, 0.02 deg of longitude apart at 48N

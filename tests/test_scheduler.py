@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
                               Point, VehiclePsa, make_psa_rect, psa_contains)
-from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, PathLegs,
+from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE,
                                VehiclePath, VehicleTrial, candidate_positions,
                                enumerate_all)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
@@ -386,7 +386,9 @@ def bound_states(draw):
         path.append(path.pop(next(m for m in range(len(path) - 1, -1, -1)
                                   if path[m].kind == StopKind.DESTINATION)))
     v.path = path
-    at = PathLegs(net, head, path).at
+    vehicle_path = VehiclePath(net, v, requests)
+    vehicle_path.legs()
+    at = vehicle_path.at
     pickups = []
     for r in requests.values():
         di = next(m for m, s in enumerate(path) if s.request_id == r.id

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import pytest
 
 from poolsim import simulator
-from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
-                           Vehicle)
+from poolsim.insertion import splice
+from poolsim.model import (Request, RequestError, RequestState, SimConfig,
+                           Stop, StopKind, Vehicle, WorldState)
 from poolsim.roadnet import gen_grid
+from poolsim.scheduler import run_epoch
 from poolsim.simulator import (METRICS_HEADER, PoevBaseline, SimEvent,
                                advance_vehicle, poev_baseline,
                                poev_fleet_size, run, write_report_files)
@@ -127,6 +130,55 @@ class TestAdvanceVehicle:
             (e.kind, e.req) for e in events_sub]
         for a, b in zip(events_one, events_sub):
             assert a.t == pytest.approx(b.t, abs=1e-6)
+
+
+def drive_to_next_stop(net, v, reqs) -> list[int]:
+    """The nodes a vehicle reaches, from the one it heads for, up to a stop."""
+    nodes = [v.node]
+    t = 0.0
+    while True:
+        events = advance_vehicle(net, v, reqs, 1.0, SimConfig(), t)
+        t += 1.0
+        if v.node != nodes[-1]:
+            nodes.append(v.node)
+        if events:
+            return nodes
+
+
+class TestRouteStaleness:
+    """Only ``advance_vehicle`` decides when a vehicle's route is stale."""
+
+    def mid_route(self):
+        # an onboard rider bound for the far corner; after 75 s the vehicle
+        # is mid-edge on its second hop
+        net = gen_grid(6, 6, 0.5)
+        reqs = {1: onboard(1, 0, 35, 5.0)}
+        v = Vehicle(id=0, capacity=5, node=0, path=stops(("d", 1, 35)))
+        advance_vehicle(net, v, reqs, 75.0, SimConfig(), 0.0)
+        assert v.offset_km > 0.0 and v.route
+        return net, v, reqs
+
+    def test_commit_keeping_the_first_stop_keeps_the_route(self):
+        net, v, reqs = self.mid_route()
+        route = v.route
+        reqs[2] = Request(id=2, t=0.0, n=1, o=34, d=28, direct_dist=0.5)
+        state = WorldState(clock=75.0, vehicles={0: v}, requests=reqs)
+        assignments, _ = run_epoch(net, state, SimConfig(), 75.0, "es")
+        assert [(a.request_id, a.i, a.j) for a in assignments] == [(2, 1, 2)]
+        assert v.route is route
+        stood = v.node
+        assert drive_to_next_stop(net, v, reqs) == net.shortest_path_nodes(
+            stood, 35)
+
+    def test_commit_changing_the_first_stop_reroutes(self):
+        net, v, reqs = self.mid_route()
+        # a pickup behind the vehicle, spliced in ahead of its first stop
+        reqs[2] = waiting(2, o=6, d=11, direct=2.5, p_s=net.point(0))
+        v.path = splice(v.path, 6, 11, 0, 1, 2)
+        stood = v.node
+        assert drive_to_next_stop(net, v, reqs) == net.shortest_path_nodes(
+            stood, 6)
+        assert reqs[2].state == RequestState.ONBOARD
 
 
 class TestRun:
@@ -248,6 +300,16 @@ class TestRun:
         assert psap.total_travel_km == pytest.approx(es.total_travel_km)
         assert psap.counters.m_total <= es.counters.m_total
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_release_time_rejected(self, t):
+        net = gen_grid(5, 5, 0.5)
+        reqs = [Request(id=1, t=0.0, n=1, o=0, d=24),
+                Request(id=2, t=t, n=1, o=4, d=20)]
+        # the horizon ends a run that lets the request through, which
+        # otherwise never ends (inf)
+        with pytest.raises(RequestError, match="request 2: release time"):
+            run(net, reqs, SimConfig(horizon_s=600.0))
+
     def test_release_events_logged_at_release_times(self):
         net = gen_grid(5, 5, 0.5)
         reqs = [Request(id=1, t=0.0, n=1, o=0, d=20),
@@ -273,6 +335,11 @@ class TestPoevBaseline:
         base = poev_baseline(net, reqs)
         assert base == PoevBaseline(total_km=6.0, fleet_size=1,
                                     sharing_rate=1.0)
+
+    def test_unservable_request_rejected(self):
+        net = gen_grid(13, 2, 0.5)
+        with pytest.raises(RequestError, match="origin equals destination"):
+            poev_baseline(net, [Request(id=1, t=0.0, n=1, o=6, d=6)])
 
 
 class TestReportFiles:
