@@ -23,11 +23,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .geometry import (Point, PsaRect, VehiclePsa, make_psa_rect, rect_bbox)
-from .model import WorldState
+from .model import Vehicle, WorldState
 from .scheduler import counts_for_path, gate
 from .seeds import substream
 
@@ -353,6 +354,18 @@ class TrafficMetrics:
     unserved: int
 
 
+def fleet_km(vehicles: Iterable[Vehicle]) -> float:
+    """Sum of the vehicles' odometers, added left to right.
+
+    The built-in ``sum()`` compensates float rounding from Python 3.12 on,
+    which would make the reported km depend on the interpreter.
+    """
+    km = 0
+    for v in vehicles:
+        km += v.odometer
+    return km
+
+
 def traffic_metrics(state: WorldState) -> TrafficMetrics:
     """Instantaneous fleet metrics for a world snapshot.
 
@@ -369,7 +382,7 @@ def traffic_metrics(state: WorldState) -> TrafficMetrics:
     moving = sum(1 for v in vehicles if v.path)
     tally = state.tally
     onboard_riders = tally.onboard_riders
-    travel = sum(v.odometer for v in vehicles)
+    travel = fleet_km(vehicles)
     fleet = len(state.vehicles)
     return TrafficMetrics(
         moving=moving, onboard_riders=onboard_riders,

@@ -71,11 +71,10 @@ def _write_manifest(path: str, command: str, settings: dict,
 
 
 def cmd_gen_grid(args) -> int:
-    if args.nx < 2 or args.ny < 2:
-        raise UsageError(f"--nx and --ny must be >= 2, got {args.nx}x{args.ny}")
-    if args.spacing_km <= 0:
-        raise UsageError(f"--spacing-km must be positive, got {args.spacing_km}")
-    net = gen_grid(args.nx, args.ny, args.spacing_km)
+    try:
+        net = gen_grid(args.nx, args.ny, args.spacing_km)
+    except NetworkError as exc:
+        raise UsageError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
     nodes_path = os.path.join(args.out, "nodes.csv")
     edges_path = os.path.join(args.out, "edges.csv")

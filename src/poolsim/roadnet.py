@@ -6,7 +6,8 @@ endpoints (up to 1e-6 slack), which makes D >= E hold network-wide and is what
 lets rectangle membership act as a sound lower-bound filter.
 
 Shortest paths are single-source Dijkstra (scipy csgraph) rows memoized per
-node as lists of Python floats (the same values scipy returns).  A forward row
+node as ``array("d")`` rows, one C double per node (8 bytes, where a list of
+Python floats takes 32), holding scipy's values bit for bit.  A forward row
 (``dists_from``) holds the km from its node, a reverse row (``dists_to``) the
 km to it.  Insertion trials read rows of request endpoints alone, so their
 rows are built per endpoint, not per vehicle position; a route walks the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
@@ -61,8 +63,8 @@ class RoadNetwork:
     _csr: csr_matrix = field(init=False, repr=False)
     _two_way: bool = field(init=False, repr=False)
     _csr_t: csr_matrix | None = field(init=False, repr=False)
-    _dist_cache: dict[int, list[float]] = field(init=False, repr=False)
-    _to_cache: dict[int, list[float]] = field(init=False, repr=False)
+    _dist_cache: dict[int, array] = field(init=False, repr=False)
+    _to_cache: dict[int, array] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._ids = list(self.nodes.keys())
@@ -122,24 +124,25 @@ class RoadNetwork:
         except KeyError:
             raise NetworkError(f"unknown node id {node_id}") from None
 
-    def _row(self, cache: dict[int, list[float]], csr: csr_matrix,
-             node: int) -> list[float]:
+    def _row(self, cache: dict[int, array], csr: csr_matrix,
+             node: int) -> array:
         dist = cache.get(node)
         if dist is None:
-            dist = dijkstra(csr, directed=True,
-                            indices=self.index_of(node)).tolist()
+            dist = array("d", dijkstra(csr, directed=True,
+                                       indices=self.index_of(node)).tobytes())
             cache[node] = dist
         return dist
 
-    def dists_from(self, a: int) -> list[float]:
+    def dists_from(self, a: int) -> array:
         """Shortest-path km from a to every node, ordered by ``index_of``.
 
-        Unreachable nodes hold ``math.inf``.  The list is the cache itself:
-        read it, never modify it.
+        Unreachable nodes hold ``math.inf``.  The row is an ``array("d")``
+        whose items read as Python floats; it is the cache itself: read it,
+        never modify it.
         """
         return self._row(self._dist_cache, self._csr, a)
 
-    def dists_to(self, b: int) -> list[float]:
+    def dists_to(self, b: int) -> array:
         """Shortest-path km from every node to b, ordered by ``index_of``.
 
         On a network whose every edge is two-way this is b's forward row
@@ -219,8 +222,9 @@ def gen_grid(nx: int, ny: int, spacing_km: float) -> RoadNetwork:
     """
     if nx < 2 or ny < 2:
         raise NetworkError(f"grid needs nx, ny >= 2, got {nx}x{ny}")
-    if not (spacing_km > 0):
-        raise NetworkError(f"grid spacing must be positive, got {spacing_km}")
+    if not 0.0 < spacing_km < math.inf:
+        raise NetworkError(f"grid spacing must be positive and finite, "
+                           f"got {spacing_km}")
     nodes = {r * nx + c: Point(c * spacing_km, r * spacing_km)
              for r in range(ny) for c in range(nx)}
     edges: list[Edge] = []

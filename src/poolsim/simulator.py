@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .analysis import traffic_metrics
+from .analysis import fleet_km, traffic_metrics
 from .model import (Request, RequestError, RequestState, SimConfig, StopKind,
                     Vehicle, WorldState, check_request, waiting_time)
 from .roadnet import RoadNetwork
@@ -330,7 +330,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             assign_case=a.case if a else None,
             assign_cost_km=a.cost if a else None))
 
-    travel = sum(v.odometer for v in vehicles.values())
+    travel = fleet_km(vehicles.values())
     direct_done = state.tally.direct_done_km
     return SimReport(
         scheduler=scheduler, mode=mode, config=config.to_dict(),

@@ -9,7 +9,7 @@ from poolsim.analysis import (_MC_CHUNK, FOUR_OVER_PI, EtaBounds,
                               EtaEstimate, RrccRow, eta_closed,
                               eta_monte_carlo,
                               expected_reduction, expected_rrcc,
-                              four_over_pi_monte_carlo, rrcc_gate_harness,
+                              fleet_km, four_over_pi_monte_carlo, rrcc_gate_harness,
                               traffic_metrics)
 from poolsim.geometry import Point, make_psa_rect, rect_bbox
 from poolsim.model import (Request, RequestState, Stop, StopKind, Vehicle,
@@ -333,6 +333,17 @@ class TestTrafficMetrics:
         assert tm.sharing_rate is None
         assert tm.moving == 0
         assert tm.utilization == 0.0
+
+    def test_odometers_add_left_to_right(self):
+        # compensated summation (the built-in sum() from Python 3.12 on)
+        # would give 1.0; the reports keep the plain left-to-right total
+        vehicles = {k: Vehicle(id=k, capacity=5, node=0, odometer=0.1)
+                    for k in range(10)}
+        requests = {1: _mk_request(1, RequestState.COMPLETED, direct=3.0)}
+        tm = traffic_metrics(WorldState(clock=0.0, vehicles=vehicles,
+                                        requests=requests))
+        assert fleet_km(vehicles.values()) == 0.9999999999999999
+        assert tm.saved_km == 3.0 - 0.9999999999999999
 
     def test_empty_world(self):
         tm = traffic_metrics(WorldState(clock=0.0, vehicles={}, requests={}))

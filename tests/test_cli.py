@@ -79,8 +79,11 @@ class TestGenGrid:
                      "--out", str(tmp_path / "x")]) == 1
 
     def test_bad_spacing_is_usage_error(self, tmp_path):
-        assert main(["gen-grid", "--nx", "3", "--ny", "3",
-                     "--spacing-km", "0", "--out", str(tmp_path / "x")]) == 1
+        for spacing in ("0", "-1", "inf", "nan"):
+            out = tmp_path / spacing
+            assert main(["gen-grid", "--nx", "3", "--ny", "3",
+                         "--spacing-km", spacing, "--out", str(out)]) == 1
+            assert not out.exists()
 
 
 class TestGenRequests:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -129,8 +131,9 @@ class TestGenGrid:
     def test_invalid_dimensions(self):
         with pytest.raises(NetworkError):
             gen_grid(1, 5, 1.0)
-        with pytest.raises(NetworkError):
-            gen_grid(3, 3, 0.0)
+        for spacing in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(NetworkError):
+                gen_grid(3, 3, spacing)
 
     def test_area(self):
         assert gen_grid(10, 10, 0.5).area_km2() == pytest.approx(4.5 * 4.5)
@@ -279,6 +282,60 @@ class TestShortestPaths:
             net.shortest_dist(0, 99)
         with pytest.raises(NetworkError):
             net.point(-1)
+
+
+def scipy_rows(net: RoadNetwork, reverse: bool) -> np.ndarray:
+    """Every node's Dijkstra row from scipy, on a graph built apart from
+    the packaged one (transposed for the reverse rows)."""
+    pos = {nid: k for k, nid in enumerate(net.nodes)}
+    pairs = [(pos[a], pos[b], w) for a, nbrs in adjacency_of(net).items()
+             for b, w in nbrs.items()]
+    rows, cols, data = zip(*pairs)
+    if reverse:
+        rows, cols = cols, rows
+    graph = csr_matrix((data, (rows, cols)), shape=(len(pos), len(pos)))
+    return dijkstra(graph, directed=True)
+
+
+class TestPackedRows:
+    NETWORKS = {
+        "two-way": lambda: gen_grid(6, 5, 0.37),
+        "one-way": lambda: one_way_grid(5, 4, 0.25, 0.5),
+        "directed": random_directed_grid,
+    }
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_rows_are_scipy_doubles_bit_for_bit(self, name):
+        net = self.NETWORKS[name]()
+        n = len(net.nodes)
+        forward = scipy_rows(net, reverse=False)
+        backward = scipy_rows(net, reverse=True)
+        for k, nid in enumerate(net.nodes):
+            for row, want in ((net.dists_from(nid), forward[k]),
+                              (net.dists_to(nid), backward[k])):
+                assert type(row) is array and row.typecode == "d"
+                assert len(row) == n
+                assert row.tobytes() == want.tobytes(), (name, nid)
+            got = net.shortest_dist(nid, 0)
+            assert type(got) is float
+            assert got == forward[k][net.index_of(0)]
+
+    def test_rows_take_about_eight_bytes_per_entry(self):
+        # a list of Python floats takes 32 bytes per entry (a pointer and
+        # a boxed float); a packed row takes 8 plus its object header
+        net = gen_grid(40, 40, 0.25)
+        net.dists_from(0)   # scipy's first-call allocations stay out
+        sources = list(net.nodes)[1:21]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for s in sources:
+                net.dists_from(s)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = len(sources) * len(net.nodes)
+        assert grown <= 10 * entries, grown / entries
 
 
 class TestReverseRows:
