@@ -96,10 +96,17 @@ def cmd_gen_requests(args) -> int:
         raise UsageError("--count and --rate-per-h are mutually exclusive")
     if args.count is not None and args.count < 1:
         raise UsageError("--count must be >= 1")
-    if args.duration_s <= 0:
-        raise UsageError("--duration-s must be positive")
-    if args.min_e_km < 0:
-        raise UsageError("--min-e-km must be >= 0")
+    # NaN fails every comparison, so each check is written to pass only
+    # finite values
+    if args.rate_per_h is not None and not 0 < args.rate_per_h < math.inf:
+        raise UsageError(f"--rate-per-h must be positive and finite, "
+                         f"got {args.rate_per_h}")
+    if not 0 < args.duration_s < math.inf:
+        raise UsageError(f"--duration-s must be positive and finite, "
+                         f"got {args.duration_s}")
+    if not 0 <= args.min_e_km < math.inf:
+        raise UsageError(f"--min-e-km must be finite and >= 0, "
+                         f"got {args.min_e_km}")
     if args.party_n < 1:
         raise UsageError("--party-n must be >= 1")
 
@@ -195,6 +202,11 @@ def cmd_compare(args) -> int:
     config = _config_from_args(args)
     net = load_network(args.nodes, args.edges)
     requests = load_requests(args.requests, net)
+    # the harness checks its own options; it runs before anything is
+    # written, so bad ones leave no manifest behind
+    fractions = [float(f) for f in args.harness_fractions.split(",") if f]
+    harness = [vars(rrcc_gate_harness(frac, args.harness_samples, args.seed))
+               for frac in fractions]
     os.makedirs(args.out, exist_ok=True)
     legs = {"psap": os.path.join(args.out, "psap"),
             "es": os.path.join(args.out, "es")}
@@ -205,11 +217,6 @@ def cmd_compare(args) -> int:
                     args.seed,
                     [os.path.join(d, "report.json") for d in legs.values()]
                     + [os.path.join(args.out, "compare.json")])
-
-    # the harness validates its options before any simulation runs
-    fractions = [float(f) for f in args.harness_fractions.split(",") if f]
-    harness = [vars(rrcc_gate_harness(frac, args.harness_samples, args.seed))
-               for frac in fractions]
 
     reports: dict[str, SimReport] = {}
     walls: dict[str, float] = {}

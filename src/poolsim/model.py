@@ -17,7 +17,6 @@ import csv
 import enum
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -134,82 +133,66 @@ class SimConfig:
 class RequestTally:
     """Running request totals that the per-epoch traffic metrics read.
 
-    Counted once from the requests' states at construction, then moved by
-    the code that changes a request's state: ``release`` as the clock
-    passes release times, ``schedule`` at commit, ``pickup`` and
-    ``dropoff`` from the vehicles' stop events, so no epoch rescans every
-    request.  ``pool`` holds the ids of the released requests still
-    unscheduled, the requests an epoch tries to place.  The direct km of
-    the completed requests is kept as prefix sums over them in ``requests``
-    order, so ``direct_done_km`` is bit-identical to summing them in that
-    order; a drop-off re-sums only the entries after its own, which are few
-    when requests complete about in the order they were listed.
+    The one owner of release order, ``(t, id)``.  Counted once from the
+    requests' states at construction, then moved by the code that changes
+    a request's state: ``release`` as the clock passes release times,
+    ``schedule`` at commit, ``pickup`` and ``dropoff`` from the vehicles'
+    stop events, so no epoch rescans every request.  ``pool`` holds the
+    released requests still unscheduled, the requests an epoch tries to
+    place, by id in release order.  ``direct_done_km`` adds the direct km
+    of the requests completed at construction, in ``requests`` order, then
+    of each drop-off as it is tallied.
     """
 
     def __init__(self, requests: dict[int, Request], clock: float) -> None:
-        self._in_order = list(requests.values())
-        self._order = {r.id: m for m, r in enumerate(self._in_order)}
-        self._release_order = sorted(self._in_order,
-                                     key=lambda r: (r.t, r.id))
-        self._release_t = [r.t for r in self._release_order]
-        self._released = 0
-        self.pool: set[int] = set()
+        # latest release last, so releasing pops from the end
+        self._unreleased = sorted(requests.values(),
+                                  key=lambda r: (r.t, r.id), reverse=True)
+        self.pool: dict[int, Request] = {}
         self.release(clock)
-        self.onboard_riders = sum(r.n for r in self._in_order
-                                  if r.state == RequestState.ONBOARD)
-        # _done holds the completed requests' positions in ``requests``,
-        # ascending, and _done_km[m] the direct km of the first m of them
-        self._done = [m for m, r in enumerate(self._in_order)
-                      if r.state == RequestState.COMPLETED]
-        self._done_km: list[float] = [0]
-        self._resum(0)
+        self.onboard_riders = 0
+        self.completed = 0
+        self.direct_done_km = 0
+        for r in requests.values():
+            if r.state is RequestState.ONBOARD:
+                self.onboard_riders += r.n
+            elif r.state is RequestState.COMPLETED:
+                self.completed += 1
+                self.direct_done_km += r.direct_dist
 
     @property
     def unserved(self) -> int:
         return len(self.pool)
 
     @property
-    def completed(self) -> int:
-        return len(self._done)
+    def all_released(self) -> bool:
+        return not self._unreleased
 
-    @property
-    def direct_done_km(self) -> float:
-        return self._done_km[-1]
-
-    def _resum(self, m: int) -> None:
-        """Re-sum the prefix sums past the m-th completed request."""
-        km = self._done_km
-        del km[m + 1:]
-        for pos in self._done[m:]:
-            km.append(km[-1] + self._in_order[pos].direct_dist)
-
-    def release(self, clock: float) -> None:
+    def release(self, clock: float) -> list[Request]:
         """Pool the unscheduled requests released up to ``clock``.
 
-        A clock moved back unpools the requests it no longer releases.
+        Returns every request this call released, in release order.  The
+        clock only moves forward: a request once released stays released.
         """
-        released = bisect_right(self._release_t, clock)
-        was = self._released
-        if released >= was:
-            self.pool.update(r.id for r in self._release_order[was:released]
-                             if r.state is RequestState.UNSCHEDULED)
-        else:
-            self.pool.difference_update(
-                r.id for r in self._release_order[released:was])
-        self._released = released
+        pending = self._unreleased
+        released = []
+        while pending and pending[-1].t <= clock:
+            r = pending.pop()
+            released.append(r)
+            if r.state is RequestState.UNSCHEDULED:
+                self.pool[r.id] = r
+        return released
 
     def schedule(self, r: Request) -> None:
-        self.pool.remove(r.id)
+        del self.pool[r.id]
 
     def pickup(self, r: Request) -> None:
         self.onboard_riders += r.n
 
     def dropoff(self, r: Request) -> None:
         self.onboard_riders -= r.n
-        pos = self._order[r.id]
-        m = bisect_right(self._done, pos)
-        self._done.insert(m, pos)
-        self._resum(m)
+        self.completed += 1
+        self.direct_done_km += r.direct_dist
 
 
 @dataclass
@@ -217,7 +200,8 @@ class WorldState:
     """Fleet and requests at ``clock``, with their running totals.
 
     Move ``clock`` with ``advance_clock``, as ``run_epoch`` does, so that
-    ``tally`` counts the requests released by then.
+    ``tally`` counts the requests released by then.  Time only moves
+    forward.
     """
     clock: float
     vehicles: dict[int, Vehicle]
@@ -227,9 +211,11 @@ class WorldState:
     def __post_init__(self) -> None:
         self.tally = RequestTally(self.requests, self.clock)
 
-    def advance_clock(self, now: float) -> None:
+    def advance_clock(self, now: float) -> list[Request]:
+        """Move the clock forward to ``now``; return the requests released
+        on the way, in release order."""
         self.clock = now
-        self.tally.release(now)
+        return self.tally.release(now)
 
 
 def waiting_time(r: Request, now: float) -> float:

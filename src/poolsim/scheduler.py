@@ -184,14 +184,13 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
               ) -> tuple[list[Assignment], EpochCounters]:
     """One scheduling pass over the released unassigned requests.
 
-    The requests are the state's running ``tally.pool``.  Mutates
-    ``state`` in place: its clock moves to ``now``, winning insertions are
-    committed (path, request bookkeeping and the state's running tally),
-    and gated vehicles read their search area through ``search_area``.
-    Requests with no feasible insertion stay unassigned and are retried
-    next epoch.  Returns the
-    committed assignments, stamped with ``now``, and the per-case candidate
-    counters.
+    The requests are the state's running ``tally.pool``, in release
+    order.  Mutates ``state`` in place: its clock moves to ``now``,
+    winning insertions are committed (path, request bookkeeping and the
+    state's running tally), and gated vehicles read their search area
+    through ``search_area``.  Requests with no feasible insertion stay
+    unassigned and are retried next epoch.  Returns the committed
+    assignments, stamped with ``now``, and the per-case candidate counters.
 
     No vehicle moves during the pass, so each vehicle's ``VehiclePath`` is
     built on its first visit and shared by every later request of the
@@ -205,16 +204,14 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     state.advance_clock(now)
 
     requests = state.requests
-    # longest-waiting first; release time rises as waiting falls
-    pool = sorted((requests[rid] for rid in state.tally.pool),
-                  key=lambda r: (r.t, r.id))
-
     vehicle_ids = sorted(state.vehicles)
     # the vehicle part of every trial, built on the vehicle's first visit
     # and dropped when a commit changes its path
     paths: dict[int, VehiclePath] = {}
     observing = trial_observer is not None
-    for r in pool:
+    # longest-waiting first: the pool is in release order, and a commit
+    # removes its request from it
+    for r in list(state.tally.pool.values()):
         w = waiting_time(r, now)
         check_buffer = w <= config.wait_threshold_s
         o_pt = net.point(r.o)

@@ -223,10 +223,10 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     """Simulate the full request set and return the run report.
 
     ``scheduler`` is "psap" (search-area pruned; gating per config) or "es"
-    (exhaustive).  Input request objects are never mutated.  The epoch's
-    ``traffic_metrics`` read the state's running tally, which the
-    scheduling pass (it moves the clock and commits) and each step's
-    pickup and drop-off events keep current.
+    (exhaustive).  Input request objects are never mutated.  The release
+    events and the epoch's ``traffic_metrics`` come from the state's
+    running tally, which the clock, the commits and each step's pickup and
+    drop-off events, tallied in ``events.jsonl`` order, keep current.
     """
     if scheduler == "psap":
         sched_fn = psap_epoch
@@ -242,8 +242,9 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     state = WorldState(clock=0.0, vehicles=vehicles, requests=reqs)
     area = net.area_km2()
 
-    release_order = sorted(reqs.values(), key=lambda r: (r.t, r.id))
-    release_ptr = 0
+    tally = state.tally
+    # a fresh state has pooled exactly the requests released at time 0
+    released = list(tally.pool.values())
     events: list[SimEvent] = []
     rows: list[EpochRow] = []
     assignment_log: list[Assignment] = []
@@ -252,11 +253,8 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     now = 0.0
     epoch_idx = 0
     while True:
-        while (release_ptr < len(release_order)
-               and release_order[release_ptr].t <= now):
-            r = release_order[release_ptr]
-            events.append(SimEvent(r.t, "release", r.id, None))
-            release_ptr += 1
+        events.extend(SimEvent(r.t, "release", r.id, None)
+                      for r in released)
 
         assignments, counters = sched_fn(net, state, config, now,
                                          trial_observer)
@@ -281,12 +279,11 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             break
         if config.horizon_s is not None and now >= config.horizon_s:
             break
-        if (release_ptr == len(release_order) and tm.moving == 0
-                and not assignments):
+        if tally.all_released and tm.moving == 0 and not assignments:
             # everything is released, so the pool holds every unscheduled
             # request
-            if all(waiting_time(reqs[rid], now) > config.wait_threshold_s
-                   for rid in state.tally.pool):
+            if all(waiting_time(r, now) > config.wait_threshold_s
+                   for r in tally.pool.values()):
                 # frozen state: no motion, no future releases, and the
                 # past-threshold pass just failed; later epochs are identical
                 break
@@ -295,18 +292,19 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
         for vid in sorted(vehicles):
             step_events.extend(advance_vehicle(net, vehicles[vid], reqs,
                                                config.epoch_s, config, now))
-        tally = state.tally
+        step_events.sort(key=lambda e: (e.t, _EVENT_ORDER[e.kind],
+                                        e.veh if e.veh is not None else -1,
+                                        e.req if e.req is not None else -1))
+        # tallied in events.jsonl order, which orders the sum of direct km
         for e in step_events:
             if e.kind == "pickup":
                 tally.pickup(reqs[e.req])
             else:
                 tally.dropoff(reqs[e.req])
-        step_events.sort(key=lambda e: (e.t, _EVENT_ORDER[e.kind],
-                                        e.veh if e.veh is not None else -1,
-                                        e.req if e.req is not None else -1))
         events.extend(step_events)
         now += config.epoch_s
         epoch_idx += 1
+        released = state.advance_clock(now)
 
     outcomes: list[RequestOutcome] = []
     assign_by_req = {a.request_id: a for a in assignment_log}
@@ -331,7 +329,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             assign_cost_km=a.cost if a else None))
 
     travel = fleet_km(vehicles.values())
-    direct_done = state.tally.direct_done_km
+    direct_done = tally.direct_done_km
     return SimReport(
         scheduler=scheduler, mode=mode, config=config.to_dict(),
         n_requests=len(reqs), n_vehicles=len(vehicles), area_km2=area,

@@ -164,6 +164,19 @@ class TestGenRequests:
     def test_neither_count_nor_rate(self, net_dir, tmp_path):
         assert main(self.base(net_dir, tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--duration-s", "0"), ("--duration-s", "inf"),
+        ("--duration-s", "nan"), ("--min-e-km", "-1"),
+        ("--min-e-km", "inf"), ("--min-e-km", "nan"),
+        ("--rate-per-h", "0"), ("--rate-per-h", "inf"),
+        ("--rate-per-h", "nan"),
+    ])
+    def test_bad_float_is_usage_error(self, net_dir, tmp_path, flag, value):
+        count = [] if flag == "--rate-per-h" else ["--count", "5"]
+        assert main(self.base(net_dir, tmp_path / "r.csv", *count,
+                              flag, value)) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_impossible_separation_is_input_error(self, net_dir, tmp_path):
         assert main(self.base(net_dir, tmp_path / "x", "--count", "5",
                               "--min-e-km", "100")) == 2
@@ -313,6 +326,14 @@ class TestCompare:
                                                   tmp_path):
         assert self.run_compare(net_dir, req_file, tmp_path / "cmp",
                                 "--harness-samples", "0") == 1
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("fractions", ["abc", "1.5", "0", "nan"])
+    def test_bad_harness_fraction_writes_nothing(self, net_dir, req_file,
+                                                 tmp_path, fractions):
+        assert self.run_compare(net_dir, req_file, tmp_path / "cmp",
+                                "--harness-fractions", fractions) == 1
+        assert not (tmp_path / "cmp").exists()
 
     def test_harness_fractions_flag(self, net_dir, req_file, tmp_path):
         out = tmp_path / "cmp"

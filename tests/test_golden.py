@@ -5,15 +5,16 @@ under every planner.  A change that moves one of them changes what the
 simulator does; make it on purpose, log the old and new digests in
 CHANGES.md and update the table here.
 
-The row-order test saves a lattice, reloads it with its node and edge rows
-in other orders, and requires byte-identical reports: a run depends on the
-network's content, not on how its files list it.
+The row-order tests reorder the rows of the network files or of the
+request list and require byte-identical reports: a run depends on its
+inputs' content, not on how they are listed.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -138,6 +139,27 @@ def test_reports_do_not_depend_on_network_row_order(tmp_path):
         digests = {}
         for order, net in nets.items():
             rep = run(net, reqs, cfg, scheduler=scheduler)
+            outdir = tmp_path / f"{planner}-{order}"
+            digests[order] = report_digests(rep, outdir)
+        assert digests["reversed"] == digests["file"], planner
+        assert digests["shuffled"] == digests["file"], planner
+
+
+def test_reports_do_not_depend_on_request_row_order(tmp_path):
+    # 0.3 km blocks: direct km that add up to different floats in different
+    # orders, so a total kept in request-file order would move; releases on
+    # whole minutes: ties that only the request id orders
+    net = gen_grid(10, 10, 0.3)
+    reqs = [replace(r, t=60.0 * (r.t // 60.0)) for r in
+            sample_requests(net, substream(3, "requests"), 30, 1500.0)]
+    shuffled = list(reqs)
+    random.Random(5).shuffle(shuffled)
+    orders = {"file": reqs, "reversed": reqs[::-1], "shuffled": shuffled}
+    for planner, (scheduler, gating) in PLANNERS.items():
+        cfg = SimConfig(n_vehicles=4, seed=3, gating=gating)
+        digests = {}
+        for order, listed in orders.items():
+            rep = run(net, listed, cfg, scheduler=scheduler)
             outdir = tmp_path / f"{planner}-{order}"
             digests[order] = report_digests(rep, outdir)
         assert digests["reversed"] == digests["file"], planner

@@ -678,14 +678,14 @@ class TestRunEpochBasics:
                            vehicles={0: Vehicle(id=0, capacity=3, node=0)},
                            requests={3: waiting, 1: out, 2: later})
         tally = state.tally
-        assert tally.pool == {1}
-        state.advance_clock(100.0)
-        assert tally.pool == {1, 2}
-        state.advance_clock(50.0)
-        assert tally.pool == {1}
+        assert tally.pool.keys() == {1}
+        assert not tally.all_released
+        assert state.advance_clock(50.0) == []
+        assert state.advance_clock(100.0) == [later]
+        assert list(tally.pool.keys()) == [1, 2] and tally.all_released
         assignments, _ = es_epoch(net, state, SimConfig(), now=100.0)
         assert sorted(a.request_id for a in assignments) == [1, 2]
-        assert tally.pool == set() and tally.unserved == 0
+        assert tally.pool == {} and tally.unserved == 0
 
     def test_unknown_mode_raises(self):
         net = self.line()

@@ -9,9 +9,11 @@ import pytest
 from poolsim import simulator
 from poolsim.insertion import splice
 from poolsim.model import (Request, RequestError, RequestState, SimConfig,
-                           Stop, StopKind, Vehicle, WorldState)
+                           Stop, StopKind, Vehicle, WorldState,
+                           sample_requests)
 from poolsim.roadnet import gen_grid
 from poolsim.scheduler import run_epoch
+from poolsim.seeds import substream
 from poolsim.simulator import (METRICS_HEADER, PoevBaseline, SimEvent,
                                advance_vehicle, poev_baseline,
                                poev_fleet_size, run, write_report_files)
@@ -377,13 +379,9 @@ class TestReportFiles:
 
 
 class TestRunningTotals:
-    @pytest.mark.parametrize("planner,gating", [
-        ("es", "literal"), ("psap", "literal")])
-    @pytest.mark.parametrize("seed", [0, 1, 17])
-    def test_tally_equals_a_rescan_every_epoch(self, monkeypatch, seed,
-                                               planner, gating):
-        net = gen_grid(*ORACLE_GRID)
-        n_veh, reqs = oracle_instance(net, seed)
+    @staticmethod
+    def check_tally_against_rescans(monkeypatch, net, n_veh, reqs, seed,
+                                    planner, gating):
         shipped = simulator.traffic_metrics
         epochs = []
 
@@ -398,11 +396,21 @@ class TestRunningTotals:
             assert tm.unserved == sum(
                 1 for r in everyone if r.state == RequestState.UNSCHEDULED
                 and r.t <= state.clock)
-            assert state.tally.pool == {
-                r.id for r in everyone if r.state == RequestState.UNSCHEDULED
-                and r.t <= state.clock}
-            travel = sum(v.odometer for v in state.vehicles.values())
-            assert tm.saved_km == sum(r.direct_dist for r in done) - travel
+            pooled = sorted((r for r in everyone
+                             if r.state == RequestState.UNSCHEDULED
+                             and r.t <= state.clock),
+                            key=lambda r: (r.t, r.id))
+            assert list(state.tally.pool.keys()) == [r.id for r in pooled]
+            # direct km add up in drop-off order, as events.jsonl lists
+            # them, and odometers left to right
+            direct = 0
+            for r in sorted(done, key=lambda r: (r.dropoff_time,
+                                                 r.vehicle_id, r.id)):
+                direct += r.direct_dist
+            travel = 0
+            for v in state.vehicles.values():
+                travel += v.odometer
+            assert tm.saved_km == direct - travel
             epochs.append(state.clock)
             return tm
 
@@ -411,3 +419,34 @@ class TestRunningTotals:
                                           gating=gating), scheduler=planner)
         assert len(epochs) == len(report.epochs) > 1
         assert report.completed > 0
+        return report
+
+    @pytest.mark.parametrize("planner,gating", [
+        ("es", "literal"), ("psap", "literal")])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_tally_equals_a_rescan_every_epoch(self, monkeypatch, seed,
+                                               planner, gating):
+        net = gen_grid(*ORACLE_GRID)
+        self.check_tally_against_rescans(monkeypatch, net,
+                                         *oracle_instance(net, seed), seed,
+                                         planner, gating)
+
+    @pytest.mark.parametrize("planner,gating", [
+        ("es", "literal"), ("psap", "inclusive")])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_tally_equals_a_rescan_off_the_half_km_grid(self, monkeypatch,
+                                                        seed, planner,
+                                                        gating):
+        # the oracle's direct km are multiples of 0.5, so every summation
+        # order gives the same total; multiples of 0.3 do not.  Twelve
+        # vehicles drop riders off in the same step, so an order by vehicle
+        # differs from drop-off order as well as request-file order does
+        net = gen_grid(10, 10, 0.3)
+        reqs = sample_requests(net, substream(seed, "requests"), 60, 600.0)
+        report = self.check_tally_against_rescans(
+            monkeypatch, net, 12, reqs, seed, planner, gating)
+        in_file_order = 0
+        for rc in report.requests:
+            if rc.state == RequestState.COMPLETED.value:
+                in_file_order += rc.direct_km
+        assert report.sum_direct_completed_km != in_file_order
