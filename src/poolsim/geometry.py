@@ -13,6 +13,7 @@ All coordinates are planar km.  Containment is closed (boundary points are in).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,8 +28,7 @@ def euclid(a: Point, b: Point) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-@dataclass(frozen=True)
-class PsaRect:
+class PsaRect(NamedTuple):
     """Rectangle circumscribing a detour ellipse.
 
     ``axis`` is the unit vector along the major (focal) direction; the
@@ -50,6 +50,19 @@ def make_psa_rect(f1: Point, f2: Point, sum_bound: float) -> PsaRect | None:
     sum_bound.  Degenerate sum_bound == E(f1, f2) gives a zero-width rectangle
     covering exactly the focal segment.
     """
+    fields = psa_rect_fields(f1, f2, sum_bound)
+    if fields is None:
+        return None
+    center, axis, half_len, half_wid, area = fields
+    return PsaRect(Point(*center), axis, half_len, half_wid, area)
+
+
+def psa_rect_fields(f1: Point, f2: Point, sum_bound: float) -> tuple | None:
+    """``make_psa_rect``'s fields as a plain tuple, or None.
+
+    For a rectangle tested once and dropped: ``rect_contains_all`` reads it
+    as a ``PsaRect``, and no ``PsaRect`` or ``Point`` is built.
+    """
     if sum_bound < 0:
         raise ValueError(f"sum_bound must be nonnegative, got {sum_bound}")
     e = euclid(f1, f2)
@@ -62,20 +75,28 @@ def make_psa_rect(f1: Point, f2: Point, sum_bound: float) -> PsaRect | None:
         axis = ((f2[0] - f1[0]) / e, (f2[1] - f1[1]) / e)
     else:
         axis = (1.0, 0.0)
-    center = Point((f1[0] + f2[0]) / 2.0, (f1[1] + f2[1]) / 2.0)
-    area = 4.0 * half_len * half_wid
-    return PsaRect(center=center, axis=axis, half_len=half_len,
-                   half_wid=half_wid, area=area)
+    center = ((f1[0] + f2[0]) / 2.0, (f1[1] + f2[1]) / 2.0)
+    return center, axis, half_len, half_wid, 4.0 * half_len * half_wid
 
 
 def rect_contains(rect: PsaRect, p: Point) -> bool:
     """Closed containment test in the rectangle's own frame."""
-    dx = p[0] - rect.center[0]
-    dy = p[1] - rect.center[1]
-    ax, ay = rect.axis
-    u = dx * ax + dy * ay
-    v = -dx * ay + dy * ax
-    return abs(u) <= rect.half_len and abs(v) <= rect.half_wid
+    return rect_contains_all(rect, (p,))
+
+
+def rect_contains_all(rect: PsaRect, points: Iterable[Point]) -> bool:
+    """True when the rectangle contains every one of the points.
+
+    ``rect`` may also be the plain tuple of ``psa_rect_fields``.
+    """
+    (cx, cy), (ax, ay), half_len, half_wid, _ = rect
+    for x, y in points:
+        dx = x - cx
+        dy = y - cy
+        if not (abs(dx * ax + dy * ay) <= half_len
+                and abs(-dx * ay + dy * ax) <= half_wid):
+            return False
+    return True
 
 
 def ellipse_contains(f1: Point, f2: Point, sum_bound: float, p: Point) -> bool:

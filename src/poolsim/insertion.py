@@ -33,7 +33,9 @@ buffer in O(1) and its detour in O(1) amortised, from the very floats the
 full check would sum.  Only a candidate that passes both pays the O(K)
 check: cost, the re-summed stops from its origin on, and every committed
 rider's bounds.  No margin or fallback is involved; the verdict is the full
-check's, bit for bit.
+check's, bit for bit.  A caller that only wants a cheaper candidate than
+the best it holds passes that cost as a bound, and a survivor whose O(1)
+cost is not below it is infeasible without the O(K) check.
 
 Enumeration for K >= 1 starts at i = 1: the per-case closed-form candidate
 counts (K(K-1)/2, K-1, 1) count slots between and after committed stops
@@ -105,10 +107,11 @@ class VehiclePath:
     """One vehicle's committed path as its trials and its gate read it.
 
     Holds the seats its committed riders hold and, each built on first use,
-    the path's legs, the committed riders' table the full QoS check walks,
-    and the position and stop points the gate tests.  A vehicle that is full
-    or gated out never builds the legs, so no distance row is fetched for
-    its stops.  All of it is fixed while the vehicle stands between two
+    its reach (the km to its first origin slot), the path's legs, the
+    committed riders' table the full QoS check walks, and the position and
+    stop points the gate tests.  A vehicle that is full, out of reach or
+    gated out never builds the legs, so no forward row is fetched for its
+    stops.  All of it is fixed while the vehicle stands between two
     moves and keeps its path, so ``run_epoch`` builds one per vehicle on the
     vehicle's first visit of an epoch, shares it among that epoch's
     requests, and drops it when a commit splices a new rider into the path.
@@ -122,8 +125,27 @@ class VehiclePath:
         self.k = len(v.path)
         self.seats = passengers_committed(v, requests)
         self.ix: list[int] | None = None
+        self._reach: tuple[int, float] | None = None
         self._riders: list[_Rider] | None = None
         self._gate_points: tuple[Point, list[Point]] | None = None
+
+    def reach(self) -> tuple[int, float]:
+        """Row index of the first origin slot's node, and the km to it.
+
+        Every candidate puts the new origin after stop 0 (enumeration
+        starts at i = 1), or after the head when idle.  The km is ``at[1]``
+        (``at[0]`` when idle), the same float, read without ``legs``.
+        """
+        if self._reach is None:
+            net, v = self.net, self.v
+            head = net.index_of(v.node)
+            if v.path:
+                first = v.path[0].node
+                self._reach = (net.index_of(first),
+                               v.offset_km + net.dists_to(first)[head])
+            else:
+                self._reach = (head, v.offset_km)
+        return self._reach
 
     def legs(self) -> None:
         """Set ``ix``, ``leg`` and ``at`` on first use.
@@ -216,13 +238,15 @@ class VehicleTrial:
     committed prefix, and the km to the destination from one running sum
     per origin position i, built on the first candidate with that i.  A
     candidate that fails either bound is infeasible without an O(K) step.
-    A survivor gets its cost and the full check: the re-summed prefix and
-    every bound, committed riders included.  Only the full check reads the
-    committed-rider table, which the vehicle part builds on first use, so a
-    vehicle whose every candidate fails on the new rider never builds it.
+    A survivor gets its cost and, when that is below the caller's bound,
+    the full check: the re-summed prefix and every bound, committed riders
+    included.  Only the full check reads the committed-rider table, which
+    the vehicle part builds on first use, so a vehicle whose every
+    candidate fails on the new rider never builds it.
     ``violation`` is always the full check.  Both decide with the same float
     operations in the same order as re-summing the whole spliced path, so
-    every verdict is bit-identical to that.
+    every verdict under the default, infinite bound is bit-identical to
+    that.
     """
 
     def __init__(self, path: VehiclePath, new: RequestRows,
@@ -345,11 +369,15 @@ class VehicleTrial:
                 return QosViolation(rid, "buffer")
         return None
 
-    def evaluate(self, i: int, j: int, case: str | None = None) -> Candidate:
+    def evaluate(self, i: int, j: int, case: str | None = None,
+                 bound: float = INFEASIBLE) -> Candidate:
         """Cost one (i, j) splice and QoS-check it; infeasible carries inf.
 
         ``case`` is the position's case as ``candidate_positions`` hands it
-        out; without it the position is checked and classified here.
+        out; without it the position is checked and classified here.  A
+        splice whose cost is not below ``bound`` is infeasible without the
+        full check: a caller that keeps the cheapest candidate so far passes
+        its cost, since nothing that costs as much can replace it.
         """
         if case is None:
             case = classify_case(i, j, self.k)
@@ -370,9 +398,12 @@ class VehicleTrial:
                 > self.max_detour):
             return Candidate(i, j, case, INFEASIBLE)
         cost = self.cost(i, j)
+        # any unreachable leg leaves an infinite or NaN cost, which is below
+        # no bound, or an infinite prefix
+        if not cost < bound:
+            return Candidate(i, j, case, INFEASIBLE)
         q = self.prefix(i, j)
-        # any unreachable leg leaves an infinite or NaN cost or prefix
-        if (not math.isfinite(cost) or q[-1] == INFEASIBLE
+        if (q[-1] == INFEASIBLE
                 or self._first_violation(q, i, j) is not None):
             cost = INFEASIBLE
         return Candidate(i, j, case, cost)

@@ -88,6 +88,10 @@ class Vehicle:
         return Point(a.x + (b.x - a.x) * frac, a.y + (b.y - a.y) * frac)
 
 
+# km at or below which a step's driving budget moves no vehicle
+STILL_KM = 1e-15
+
+
 @dataclass
 class SimConfig:
     max_detour: float = 0.2          # Delta, ratio
@@ -120,6 +124,17 @@ class SimConfig:
             raise ValueError("speed_kmh must be positive")
         if not (self.epoch_s > 0):
             raise ValueError("epoch_s must be positive")
+        # the km one epoch's step lets a vehicle drive, as advance_vehicle
+        # computes it: at or below STILL_KM nothing ever moves, and a run
+        # without a horizon never ends
+        if self.speed_kmh / 3600.0 * self.epoch_s <= STILL_KM:
+            raise ValueError(f"an epoch's drive, speed_kmh * epoch_s / 3600 "
+                             f"km, must exceed {STILL_KM} km, or no vehicle "
+                             f"moves")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.horizon_s is not None and self.horizon_s < 0:
+            raise ValueError("horizon_s must be >= 0")
         if self.n_vehicles < 1:
             raise ValueError("n_vehicles must be >= 1")
         if self.gating not in ("literal", "inclusive"):

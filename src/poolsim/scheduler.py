@@ -13,6 +13,10 @@ Once a rider's waiting time passes the threshold W the gates (and the pickup
 buffer guarantee) are dropped for that rider: any detour-feasible insertion
 anywhere is acceptable rather than leaving them stranded.
 
+Before its gate, the pruned scheduler skips a vehicle that cannot reach the
+new origin within the pickup buffer (``out_of_reach``), and both evaluate a
+candidate against the cheapest cost found so far; neither changes a commit.
+
 Counters: N tallies what the exhaustive search would evaluate (closed form per
 vehicle path length), M tallies what was actually cost-evaluated.  The
 per-case rejection ratio (N - M) / N is the measured pruning power.
@@ -20,15 +24,14 @@ per-case rejection ratio (N - M) / N is the measured pruning power.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from .geometry import (PSA_OPEN, PSA_SINGLE, Point, VehiclePsa, make_psa_rect,
-                       psa_contains, rect_contains)
-from .insertion import (CASE_A, CASE_B, CASE_C, QOS_EPS, Candidate,
-                        RequestRows, VehiclePath, VehicleTrial,
+                       psa_contains, psa_rect_fields, rect_contains_all)
+from .insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
+                        Candidate, RequestRows, VehiclePath, VehicleTrial,
                         candidate_positions, splice)
 from .model import (Request, RequestState, SimConfig, StopKind, Vehicle,
                     WorldState, waiting_time)
@@ -58,6 +61,10 @@ def admitted_positions(k: int, admit: tuple[bool, bool, bool],
 
 
 _ADMIT_ALL = (True, True, True)
+_ADMIT_NONE = (False, False, False)
+# float slack of the reach bound: the network's float distances obey the
+# triangle inequality only up to rounding
+_REACH_SLACK = 1e-9
 
 
 @dataclass
@@ -172,10 +179,23 @@ def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path_pts: list[Point],
                         or not d_in)
     if not path_pts:
         return d_in, admit_b, True
-    rect = make_psa_rect(vehicle_pos, o_pt, buffer_km + QOS_EPS)
-    admit_c = rect is not None and all(rect_contains(rect, p)
-                                       for p in path_pts)
+    rect = psa_rect_fields(vehicle_pos, o_pt, buffer_km + QOS_EPS)
+    admit_c = rect is not None and rect_contains_all(rect, path_pts)
     return d_in, admit_b, admit_c
+
+
+def out_of_reach(path: VehiclePath, ends: RequestRows,
+                 buffer_km: float) -> bool:
+    """True when no candidate of the vehicle can meet the pickup buffer.
+
+    Every candidate's km to the new origin is at least the km to the
+    vehicle's first origin slot plus the network km from there to the
+    origin (``VehiclePath.reach``), so past the buffer, its slack and a
+    hair for float rounding every candidate fails the new rider's O(1)
+    pickup screen.  The test reads one entry of the origin's reverse row.
+    """
+    ix, km = path.reach()
+    return km + ends.to_o[ix] > buffer_km + QOS_EPS + _REACH_SLACK
 
 
 def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
@@ -196,73 +216,92 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     built on its first visit and shared by every later request of the
     pass, until a commit to that vehicle changes its path and drops it.
     Each request's ``RequestRows`` is built once, before its vehicle loop.
+
+    The pruned planner counts an ``out_of_reach`` vehicle as a gate
+    rejection of all three cases.  Vehicles, then positions, are tried in
+    the order of the key ``(cost, vid, i, j)``, so only a lower cost can
+    win, and each candidate is evaluated against the best cost so far.  An
+    observer gets every verdict unbounded, for every vehicle with seats
+    for the party (an empty list when nothing was evaluated).
     """
     if mode not in (MODE_LITERAL, MODE_INCLUSIVE, MODE_ES):
         raise ValueError(f"unknown scheduler mode {mode!r}")
-    counters = EpochCounters()
+    n_a = n_b = n_c = m_a = m_b = m_c = 0
     assignments: list[Assignment] = []
     state.advance_clock(now)
 
     requests = state.requests
-    vehicle_ids = sorted(state.vehicles)
+    vehicles = state.vehicles
+    vehicle_ids = sorted(vehicles)
     # the vehicle part of every trial, built on the vehicle's first visit
     # and dropped when a commit changes its path
     paths: dict[int, VehiclePath] = {}
     observing = trial_observer is not None
+    pruning = mode != MODE_ES
+    buffer_km = config.buffer_km
+    wait_threshold_s = config.wait_threshold_s
     # longest-waiting first: the pool is in release order, and a commit
     # removes its request from it
     for r in list(state.tally.pool.values()):
-        w = waiting_time(r, now)
-        check_buffer = w <= config.wait_threshold_s
-        o_pt = net.point(r.o)
-        d_pt = net.point(r.d)
+        check_buffer = waiting_time(r, now) <= wait_threshold_s
+        gated = pruning and check_buffer
+        if gated:
+            o_pt = net.point(r.o)
+            d_pt = net.point(r.d)
+        party = r.n
         ends = RequestRows(net, r.o, r.d)
         best: tuple[float, int, int, int] | None = None  # cost, vid, i, j
         best_case = ""
+        bound = INFEASIBLE
         for vid in vehicle_ids:
-            v = state.vehicles[vid]
+            v = vehicles[vid]
             path = paths.get(vid)
             if path is None:
                 path = paths[vid] = VehiclePath(net, v, requests)
-            if path.seats + r.n > v.capacity:
+            if path.seats + party > v.capacity:
                 continue
             k = path.k
-            n_a, n_b, n_c = counts_for_path(k)
-            counters.n_a += n_a
-            counters.n_b += n_b
-            counters.n_c += n_c
+            na, nb, nc = counts_for_path(k)
+            n_a += na
+            n_b += nb
+            n_c += nc
 
-            if mode != MODE_ES and check_buffer:
+            if not gated:
+                admit = _ADMIT_ALL
+            elif out_of_reach(path, ends, buffer_km):
+                admit = _ADMIT_NONE
+            else:
                 position, stop_points = path.gate_points()
                 admit = gate(search_area(net, v, requests, config),
                              o_pt, d_pt, stop_points, position,
-                             config.buffer_km, mode)
-            else:
-                admit = _ADMIT_ALL
+                             buffer_km, mode)
             positions = admitted_positions(k, admit)
-            counters.m_a += n_a if admit[0] else 0
-            counters.m_b += n_b if admit[1] else 0
-            counters.m_c += n_c if admit[2] else 0
+            m_a += na if admit[0] else 0
+            m_b += nb if admit[1] else 0
+            m_c += nc if admit[2] else 0
 
             evaluated: list[Candidate] = []
             if positions:
                 evaluate = VehicleTrial(path, ends, r, config,
                                         check_buffer).evaluate
                 for i, j, case in positions:
-                    cand = evaluate(i, j, case)
+                    cand = evaluate(i, j, case, bound)
                     if observing:
                         evaluated.append(cand)
-                    if cand.cost != math.inf:
-                        key = (cand.cost, vid, i, j)
+                    cost = cand.cost
+                    if cost != INFEASIBLE:
+                        key = (cost, vid, i, j)
                         if best is None or key < best:
                             best = key
-                            best_case = cand.case
+                            best_case = case
+                            if not observing:
+                                bound = cost
             if observing:
                 trial_observer(now, r, v, evaluated, requests)
 
         if best is not None:
             cost, vid, i, j = best
-            v = state.vehicles[vid]
+            v = vehicles[vid]
             v.path = splice(v.path, r.o, r.d, i, j, r.id)
             del paths[vid]
             r.state = RequestState.WAITING
@@ -274,7 +313,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             state.tally.schedule(r)
             assignments.append(Assignment(now, r.id, vid, i, j, best_case,
                                           cost))
-    return assignments, counters
+    return assignments, EpochCounters(n_a, n_b, n_c, m_a, m_b, m_c)
 
 
 def psap_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,

@@ -20,8 +20,9 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .analysis import fleet_km, traffic_metrics
-from .model import (Request, RequestError, RequestState, SimConfig, StopKind,
-                    Vehicle, WorldState, check_request, waiting_time)
+from .model import (STILL_KM, Request, RequestError, RequestState, SimConfig,
+                    StopKind, Vehicle, WorldState, check_request,
+                    waiting_time)
 from .roadnet import RoadNetwork
 from .scheduler import (Assignment, EpochCounters, es_epoch, psap_epoch,
                         TrialObserver)
@@ -174,7 +175,7 @@ def advance_vehicle(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
                     r.dropoff_time = t
                     r.traveled_at_dropoff = v.odometer
                     events.append(SimEvent(t, "dropoff", r.id, v.id))
-        if budget <= 1e-15:
+        if budget <= STILL_KM:
             break
         if v.offset_km > 0.0:
             step = min(v.offset_km, budget)

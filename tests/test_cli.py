@@ -255,6 +255,17 @@ class TestSimulate:
         assert main(sim_args(net_dir, req_file, tmp_path / "sim",
                              flag, value)) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--seed", "-3"), ("--horizon-s", "-5"),
+        # no vehicle moves: the horizon ends the run should the check fail
+        ("--speed-kmh", "1e-13", "--horizon-s", "20"),
+    ])
+    def test_bad_run_setting_writes_nothing(self, net_dir, req_file,
+                                            tmp_path, flags):
+        out = tmp_path / "sim"
+        assert main(sim_args(net_dir, req_file, out, *flags)) == 1
+        assert not out.exists()
+
     def test_inclusive_psap_reproduces_exhaustive_outcomes(self, net_dir,
                                                            req_file,
                                                            tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from poolsim.geometry import (Point, VehiclePsa, ellipse_contains, euclid,
                               make_psa_rect, psa_contains, rect_bbox,
-                              rect_contains, rect_corners)
+                              rect_contains, rect_contains_all, rect_corners)
 
 
 def test_euclid_values():
@@ -98,6 +98,21 @@ class TestContainment:
             for p in (f1, f2, mid):
                 assert rect_contains(r, p)
                 assert ellipse_contains(f1, f2, sb, p)
+
+
+def test_contains_all_is_contains_of_every_point():
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        f1 = Point(*rng.uniform(-5, 5, 2))
+        f2 = Point(*rng.uniform(-5, 5, 2))
+        r = make_psa_rect(f1, f2, euclid(f1, f2) * rng.uniform(1.0, 1.5))
+        assert r is not None
+        x0, y0, x1, y1 = rect_bbox(r)
+        points = [f1, f2] + [Point(rng.uniform(x0, x1), rng.uniform(y0, y1))
+                             for _ in range(rng.integers(0, 4))]
+        assert rect_contains_all(r, points) == all(rect_contains(r, p)
+                                                   for p in points)
+    assert rect_contains_all(r, [])
 
 
 def test_circumscription_property():

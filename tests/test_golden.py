@@ -40,14 +40,14 @@ GOLDEN = {
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
     (0, "psap-inclusive"): (
-        "592c80defb86aee0813f487433386809387dfb0d5e42e33c70906e1d49edc6ae",
-        "87aaf48d8fd6f95a933ae3102867e485e3f3d343d8e1565c5dfd437d9551278c",
+        "40ece21cd1c9f5e4d1aa46e1aaabccb57536c0ceace0dd7ac8120ef7842f5749",
+        "944d733b096c70d23b518a8b8386d592c3397aa967f98884f03b016fd646e72c",
         "1a0e862fd70105b52b2cde3d392ace41eab08aa7c879e3cc41c74a0964857f5c",
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
     (0, "psap-literal"): (
-        "b6f62b2325d70459ada7190f496a600725850193d97239eb07d0e1f43f7479de",
-        "8f9ecbae5172438654918edc6ee7e5f4540f665c546c87590f0486eb783c6cb5",
+        "e2419669517d40fb904d17e02369e586b4df518af80561682abca6bd4ef6f157",
+        "5bde408b2bd9ff15c679ed2f939c79fba01f257ae3d17f043d7016c952fe5b45",
         "1a0e862fd70105b52b2cde3d392ace41eab08aa7c879e3cc41c74a0964857f5c",
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
@@ -58,14 +58,14 @@ GOLDEN = {
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
     (1, "psap-inclusive"): (
-        "9a44742d5143f6908ab207d6809966b9a296ca160237e7e85cc5d1b8f4926688",
-        "bdec2ae42f22009032d5d5b5dae596817eb211963023f281cb048f01723c87d9",
+        "ca67da72682f0c96facdce436f23d0698f53f9d42316099419d9efb6f4b64f9e",
+        "e8a1d8ca0df83ae20a59e71118522aad25ea69155ebad1d7da26acbbf5a633f6",
         "b6fa9cf64cb31ad388c86573d7f7109303af6d15de6ad16aa56b378e6bd8d3d5",
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
     (1, "psap-literal"): (
-        "3031f68c54c8a716fce7704fb50a7be029c4c8a7ab67bbc82bbffe9a8b073dbe",
-        "0d0547765222fc2467dd785823529f994822dffb5e5674486a9c1988d1155e0b",
+        "70e74281c4e8a564234df12491cc619afe4fff932b48c433ac091ca8917524dd",
+        "9fe5d4106ea11b5a38af796297a2f3cb8c1de6097fb7bd4df54abe5577fc6a08",
         "b6fa9cf64cb31ad388c86573d7f7109303af6d15de6ad16aa56b378e6bd8d3d5",
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
@@ -76,14 +76,14 @@ GOLDEN = {
         "c7c28f13f317e92e0806d86ca80b3258ad6d755570946a813ab4035376417c2e",
     ),
     (17, "psap-inclusive"): (
-        "4459ac8acaa5a5bb1e6c07ca9ce25c302c78dec48aff159c0c37a3786c83bb22",
-        "ff1b324de4d6151e012475ea61c51e76263f3d8aac8da5e7916efd8462d3e302",
+        "79273859622ab61da94f428709c4b15a9f2b51540f8726ba27ece1e35b919849",
+        "d8a23a1e245d910b22f64c837235054a3c58be2d8d38dc51f1070fdbc04948ab",
         "f606f04c371cda3ca906d4d0146dc346bcef050f0a741cf81f2a40db18594fe2",
         "c7c28f13f317e92e0806d86ca80b3258ad6d755570946a813ab4035376417c2e",
     ),
     (17, "psap-literal"): (
-        "f624ed586fd681cddb6ee638a6a585b8e449b7146071f75d7859dd471db977a8",
-        "f771d485f6ed28ce87c3062f4b53cecf344cf23939b6280ac7f6d7101b22bfcb",
+        "774e20505674408831ddaa8d53cf60e979e44f1de685e82b85cdd7c364182c03",
+        "cf0d408a3fb19a706f46f4ce71f2320f8c7f98926586dc0418e7d82c23ac0c89",
         "aa13f6e87ddf990f5706aa1cd7f533c3ec0e72a62d9aa052551adbcb4bef36e1",
         "d9a114105234378db27329fe73ef7efe33d36bcb4e5acd85b1b6b8544811bbae",
     ),

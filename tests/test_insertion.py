@@ -553,12 +553,14 @@ class TestEnumerateAll:
 
 
 def full_check_candidate(trial: VehicleTrial, i: int, j: int,
-                         _case: str | None = None) -> Candidate:
-    """``VehicleTrial.evaluate`` without its new-rider screen.
+                         _case: str | None = None,
+                         _bound: float | None = None) -> Candidate:
+    """``VehicleTrial.evaluate`` without its new-rider screen or cost bound.
 
     Costs the splice and runs the full ``violation`` check; a splice with an
     unreachable leg is infeasible.  The case is classified here, whatever
-    case the caller hands in.
+    case the caller hands in, and every candidate is checked in full,
+    whatever bound the caller hands in.
     """
     cost = trial.cost(i, j)
     try:
@@ -680,6 +682,27 @@ class TestScreenedEvaluate:
             got = trial.evaluate(i, j)
             want = full_check_candidate(reference, i, j)
             assert got == want, (i, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=screened_trials(), data=st.data())
+    def test_cost_bound_skips_only_what_cannot_beat_it(self, case, data):
+        # a bound at a feasible candidate's exact cost, a hair either side
+        # of it, 0 and inf: below the bound the verdict is the full check's,
+        # at or above it the candidate is infeasible
+        net, v, reqs, new, cfg, check_buffer = case
+        positions = candidate_positions(len(v.path))
+        reference = trial_for(net, v, reqs, new, cfg, check_buffer)
+        full = [full_check_candidate(reference, i, j) for i, j, _ in positions]
+        costs = [c.cost for c in full if c.cost != INFEASIBLE]
+        pinned = data.draw(st.sampled_from(costs)) if costs else 1.0
+        bound = data.draw(st.sampled_from([
+            pinned, math.nextafter(pinned, math.inf),
+            math.nextafter(pinned, -math.inf), 0.0, INFEASIBLE]))
+        trial = trial_for(net, v, reqs, new, cfg, check_buffer)
+        for (i, j, case_), want in zip(positions, full):
+            if not want.cost < bound:
+                want = want._replace(cost=INFEASIBLE)
+            assert trial.evaluate(i, j, case_, bound) == want, (i, j)
 
     def test_pinned_bounds_are_feasible(self):
         # the new rider's plan lands exactly on both bounds and passes

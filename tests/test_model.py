@@ -5,8 +5,8 @@ import math
 import pytest
 
 from poolsim.geometry import Point, euclid
-from poolsim.model import (Request, RequestError, RequestState, SimConfig,
-                           Stop, StopKind, Vehicle, load_requests,
+from poolsim.model import (STILL_KM, Request, RequestError, RequestState,
+                           SimConfig, Stop, StopKind, Vehicle, load_requests,
                            passengers_committed, sample_requests,
                            save_requests, waiting_time)
 from poolsim.roadnet import NetworkError, gen_grid
@@ -99,11 +99,29 @@ class TestSimConfig:
     @pytest.mark.parametrize("kw", [
         {"max_detour": -0.1}, {"wait_threshold_s": -1}, {"buffer_km": -2},
         {"capacity": 0}, {"speed_kmh": 0}, {"epoch_s": 0},
-        {"n_vehicles": 0}, {"gating": "both"},
+        {"n_vehicles": 0}, {"gating": "both"}, {"seed": -3},
+        {"horizon_s": -5.0},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SimConfig(**kw)
+
+    def test_horizon_zero_is_accepted(self):
+        assert SimConfig(horizon_s=0.0).horizon_s == 0.0
+
+    @pytest.mark.parametrize("speed_kmh,epoch_s", [
+        (1e-13, 10.0), (3.6e-13, 10.0), (30.0, 1e-16)])
+    def test_step_that_moves_nothing_rejected(self, speed_kmh, epoch_s):
+        # advance_vehicle drives nothing on a budget at or below STILL_KM,
+        # so without a horizon such a run would never end
+        assert speed_kmh / 3600.0 * epoch_s <= STILL_KM
+        with pytest.raises(ValueError, match="no vehicle moves"):
+            SimConfig(speed_kmh=speed_kmh, epoch_s=epoch_s)
+
+    def test_smallest_moving_step_accepted(self):
+        speed_kmh = 3.7e-13
+        assert speed_kmh / 3600.0 * 10.0 > STILL_KM
+        assert SimConfig(speed_kmh=speed_kmh).speed_kmh == speed_kmh
 
     @pytest.mark.parametrize("name", [
         "max_detour", "wait_threshold_s", "buffer_km", "speed_kmh",

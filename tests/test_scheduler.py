@@ -10,21 +10,22 @@ from hypothesis import strategies as st
 
 from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
                               Point, VehiclePsa, make_psa_rect, psa_contains)
-from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE,
-                               VehiclePath, VehicleTrial, candidate_positions,
-                               enumerate_all)
+from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
+                               RequestRows, VehiclePath, VehicleTrial,
+                               candidate_positions, enumerate_all)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, WorldState, passengers_committed,
                            waiting_time)
 from poolsim.roadnet import Edge, RoadNetwork, gen_grid
 from poolsim import scheduler
 from poolsim.scheduler import (Assignment, EpochCounters, counts_for_path,
-                               es_epoch, furthest_psa, gate, psap_epoch,
-                               run_epoch, search_area)
+                               es_epoch, furthest_psa, gate, out_of_reach,
+                               psap_epoch, run_epoch, search_area)
 from poolsim.analysis import traffic_metrics
 from poolsim.simulator import run, write_report_files
 from test_acceptance import ORACLE_GRID, oracle_instance
 from test_insertion import full_check_candidate
+from test_roadnet import one_way_grid
 
 
 def two_node_net():
@@ -436,6 +437,121 @@ class TestGateSoundness:
                 assert admit[cand.case], cand
 
 
+# two-way lattices with exact and with inexact sums, and one-way streets
+REACH_NETS = (gen_grid(5, 4, 0.5), gen_grid(5, 4, 0.3),
+              one_way_grid(5, 5, 0.3, 0.2))
+
+
+@st.composite
+def reach_states(draw):
+    """A vehicle, idle or with stops, at a node or mid-edge, and a buffer.
+
+    Committed riders are onboard or waiting, and the detour bound is wide,
+    so the new rider's pickup buffer decides most verdicts.  The buffer is
+    one candidate's exact km to the new origin, so that candidate's plan
+    lies on the bound; the least such km, so the best plan lies on it; that
+    km less the QoS slack or a few times it, so every plan just misses; or
+    a plain 0 or 6 km.
+    """
+    net = draw(st.sampled_from(REACH_NETS))
+    node = st.sampled_from(sorted(net.nodes))
+    v = Vehicle(id=0, capacity=9, node=draw(node), odometer=20.0)
+    if draw(st.booleans()):
+        # mid-edge: part of an edge into the node is still ahead
+        edge = draw(st.sampled_from(
+            [e for e in net.edges
+             if e.v == v.node or (e.bidirectional and e.u == v.node)]))
+        v.prev_node = edge.u if edge.v == v.node else edge.v
+        v.offset_km = edge.length_km * draw(st.sampled_from([0.25, 1.0]))
+    requests: dict[int, Request] = {}
+    for rid in range(1, draw(st.integers(0, 3)) + 1):
+        d = draw(node)
+        if draw(st.booleans()):
+            r = Request(id=rid, t=0.0, n=1, o=d, d=d, direct_dist=1.0,
+                        state=RequestState.ONBOARD, traveled_at_pickup=20.0)
+            at = draw(st.integers(0, len(v.path)))
+            v.path.insert(at, Stop(StopKind.DESTINATION, rid, d))
+        else:
+            o = draw(node.filter(lambda x: x != d))
+            r = Request(id=rid, t=0.0, n=1, o=o, d=d, direct_dist=1.0,
+                        state=RequestState.WAITING, p_s=net.point(o),
+                        odometer_at_schedule=20.0,
+                        scheduled_under_wait=False)
+            a = draw(st.integers(0, len(v.path)))
+            v.path.insert(a, Stop(StopKind.ORIGIN, rid, o))
+            b = draw(st.integers(a + 1, len(v.path)))
+            v.path.insert(b, Stop(StopKind.DESTINATION, rid, d))
+        requests[rid] = r
+    o = draw(node)
+    d = draw(node.filter(lambda x: x != o))
+    new = Request(id=99, t=0.0, n=1, o=o, d=d,
+                  direct_dist=net.shortest_dist(o, d))
+    trial = VehicleTrial.for_vehicle(net, v, requests, new, SimConfig(), True)
+    pickups = [trial.prefix(i, j)[i + 1]
+               for i, j, _ in candidate_positions(len(v.path))]
+    least = min(pickups)
+    buffer_km = draw(st.sampled_from(
+        [draw(st.sampled_from(pickups)), least, least - QOS_EPS,
+         least - 3 * QOS_EPS, 0.0, 6.0]))
+    cfg = SimConfig(max_detour=100.0, buffer_km=max(buffer_km, 0.0))
+    return net, v, requests, new, cfg
+
+
+class TestReachBound:
+    """A vehicle out of reach has no candidate that meets the buffer."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=reach_states())
+    def test_out_of_reach_has_no_feasible_candidate(self, case):
+        net, v, requests, new, cfg = case
+        requests = {**requests, new.id: new}
+        pruned = out_of_reach(VehiclePath(net, v, requests),
+                              RequestRows(net, new.o, new.d), cfg.buffer_km)
+        cands = enumerate_all(net, v, requests, new, cfg, check_buffer=True)
+        if pruned:
+            assert all(c.cost == INFEASIBLE for c in cands)
+
+    def test_reach_is_the_first_origin_slot(self):
+        # mid-edge, 0.2 km short of node 1, with stops at nodes 3 and 5
+        net = gen_grid(8, 2, 0.5)
+        rider = Request(id=1, t=0, n=1, o=0, d=5, direct_dist=2.5,
+                        state=RequestState.ONBOARD, traveled_at_pickup=0.0)
+        v = Vehicle(id=0, capacity=4, node=1, prev_node=0, offset_km=0.2,
+                    path=stops(("d", 1, 3), ("d", 1, 5)))
+        path = VehiclePath(net, v, {1: rider})
+        assert path.reach() == (net.index_of(3), 0.2 + 1.0)
+        path.legs()
+        assert path.reach()[1] == path.at[1]
+        idle = VehiclePath(net, Vehicle(id=1, capacity=4, node=1,
+                                        prev_node=0, offset_km=0.2), {})
+        assert idle.reach() == (net.index_of(1), 0.2)
+
+    @pytest.mark.parametrize("stops_at", [(), (3,)])
+    def test_pickup_on_the_buffer_is_in_reach(self, stops_at):
+        # the best pickup lands exactly on the buffer: kept, and feasible;
+        # a buffer shorter by more than the slacks prunes the vehicle
+        net = gen_grid(8, 2, 0.3)
+        new = Request(id=2, t=0, n=1, o=6, d=14,
+                      direct_dist=net.shortest_dist(6, 14))
+        requests = {2: new}
+        # an onboard rider dropped off on the way, or an idle vehicle
+        for x in stops_at:
+            requests[1] = Request(id=1, t=0, n=1, o=0, d=x, direct_dist=0.9,
+                                  state=RequestState.ONBOARD,
+                                  traveled_at_pickup=0.0)
+        v = Vehicle(id=0, capacity=4, node=1, prev_node=0, offset_km=0.1,
+                    path=stops(*(("d", 1, x) for x in stops_at)))
+        pickup = 0.1 + net.shortest_dist(1, 6)
+        ends = RequestRows(net, new.o, new.d)
+        cfg = SimConfig(buffer_km=pickup)
+        assert not out_of_reach(VehiclePath(net, v, requests), ends, pickup)
+        costs = [c.cost for c in enumerate_all(net, v, requests, new, cfg,
+                                               True)]
+        assert min(costs) != INFEASIBLE
+        assert out_of_reach(VehiclePath(net, v, requests), ends,
+                            pickup - 1e-8)
+
+
 class TestSearchArea:
     def world(self):
         net = gen_grid(5, 2, 1.0)
@@ -504,16 +620,25 @@ class TestSearchAreaInRuns:
         cfg = SimConfig(n_vehicles=n_veh, seed=seed, gating=gating)
         checked = 0
 
+        skipped = 0
+
         def observer(now, r, v, evaluated, requests):
-            nonlocal checked
+            nonlocal checked, skipped
             if waiting_time(r, now) > cfg.wait_threshold_s:
+                return
+            # a vehicle out of reach is skipped before it reads its area
+            if out_of_reach(VehiclePath(oracle_net, v, requests),
+                            RequestRows(oracle_net, r.o, r.d),
+                            cfg.buffer_km):
+                assert evaluated == []
+                skipped += 1
                 return
             assert v.psa == furthest_psa(oracle_net, v, requests,
                                          cfg.buffer_km, cfg.max_detour)
             checked += 1
 
         run(oracle_net, reqs, cfg, scheduler="psap", trial_observer=observer)
-        assert checked > 0
+        assert checked > 0 and skipped > 0
 
     def test_es_never_builds_an_area(self, oracle_net, monkeypatch):
         calls = 0
