@@ -14,9 +14,10 @@ shortest-path lookups, so cost never re-sums the whole path.  Costing and the
 quality-of-service check share one ``VehicleTrial`` per (vehicle, request).
 It joins two parts that it reads without copying: the vehicle's
 ``VehiclePath`` (its seats and, each built on first use, the legs of its
-committed path, its rider table and gate points), built once per vehicle per
-scheduling epoch, and the request's ``RequestRows`` (the forward and reverse
-rows of the new origin and destination), built once per request.
+committed path with its table of rejections, its rider table and gate
+points), built once per vehicle per scheduling epoch, and the request's
+``RequestRows`` (the forward and reverse rows of the new origin and
+destination, and the request's own QoS limits), built once per request.
 
 Every distance a trial reads comes from a row of a request endpoint: the km
 from a path node to the new origin or destination from that endpoint's
@@ -27,15 +28,19 @@ changes every epoch.
 
 Most candidates fail on the new rider's own bounds, and those two bounds
 read only the km to the new origin and to the new destination.  The km to
-the origin depends on i alone, and the km to the destination is one running
-sum per i, so ``VehicleTrial.evaluate`` settles the new rider's pickup
-buffer in O(1) and its detour in O(1) amortised, from the very floats the
-full check would sum.  Only a candidate that passes both pays the O(K)
-check: cost, the re-summed stops from its origin on, and every committed
-rider's bounds.  No margin or fallback is involved; the verdict is the full
-check's, bit for bit.  A caller that only wants a cheaper candidate than
-the best it holds passes that cost as a bound, and a survivor whose O(1)
-cost is not below it is infeasible without the O(K) check.
+the origin depends on the origin slot i alone, and the km to the
+destination is one running sum along the slot.  So on the first candidate
+of a slot a trial screens the slot's positions in one pass, from the very
+floats the full check would sum, and ``VehicleTrial.evaluate`` then reads
+each candidate's verdict.  A rejection is a prebuilt ``Candidate``, one
+table per path length K (``rejections``), so a rejected candidate costs a
+table read and allocates nothing.  Only a candidate that passes both bounds
+pays the O(K) check: cost, the re-summed stops from its origin on, and
+every committed rider's bounds.  No margin or fallback is involved; the
+verdict is the full check's, bit for bit.  A caller that only wants a
+cheaper candidate than the best it holds passes that cost as a bound, and
+a survivor whose O(1) cost is not below it is infeasible without the O(K)
+check.
 
 Enumeration for K >= 1 starts at i = 1: the per-case closed-form candidate
 counts (K(K-1)/2, K-1, 1) count slots between and after committed stops
@@ -47,8 +52,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .geometry import Point
 from .model import (Request, SimConfig, Stop, StopKind, Vehicle,
@@ -103,18 +110,32 @@ def candidate_positions(k: int) -> list[tuple[int, int, str]]:
             for i in range(1, k + 1) for j in range(i + 1, k + 2)]
 
 
+@lru_cache(maxsize=64)
+def rejections(k: int) -> tuple[Mapping[int, Candidate], ...]:
+    """The infeasible ``Candidate`` of every position for K stops.
+
+    Entry ``[i][j]`` is ``Candidate(i, j, case, INFEASIBLE)`` for every
+    0 <= i < j <= K + 1, so a rejected candidate is returned, never built.
+    The table is shared by every path of K stops, so its rows are read-only.
+    """
+    return tuple(MappingProxyType(
+        {j: Candidate(i, j, classify_case(i, j, k), INFEASIBLE)
+         for j in range(i + 1, k + 2)}) for i in range(k + 1))
+
+
 class VehiclePath:
     """One vehicle's committed path as its trials and its gate read it.
 
     Holds the seats its committed riders hold and, each built on first use,
-    its reach (the km to its first origin slot), the path's legs, the
-    committed riders' table the full QoS check walks, and the position and
-    stop points the gate tests.  A vehicle that is full, out of reach or
-    gated out never builds the legs, so no forward row is fetched for its
-    stops.  All of it is fixed while the vehicle stands between two
-    moves and keeps its path, so ``run_epoch`` builds one per vehicle on the
-    vehicle's first visit of an epoch, shares it among that epoch's
-    requests, and drops it when a commit splices a new rider into the path.
+    its reach (the km to its first origin slot), the path's legs with the
+    shared table of its positions' rejections, the committed riders' table
+    the full QoS check walks, and the position and stop points the gate
+    tests.  A vehicle that is full, out of reach or gated out never builds
+    the legs, so no forward row is fetched for its stops.  All of it is
+    fixed while the vehicle stands between two moves and keeps its path,
+    so ``run_epoch`` builds one per vehicle on the vehicle's first visit of
+    an epoch, shares it among that epoch's requests, and drops it when a
+    commit splices a new rider into the path.
     """
 
     def __init__(self, net: RoadNetwork, v: Vehicle,
@@ -148,7 +169,7 @@ class VehiclePath:
         return self._reach
 
     def legs(self) -> None:
-        """Set ``ix``, ``leg`` and ``at`` on first use.
+        """Set ``ix``, ``leg``, ``at`` and ``rejected`` on first use.
 
         ``theta(m)`` is the head node for m = 0, else the node of stop
         m - 1.  ``ix[m]`` is the row index of theta(m), ``leg[m]`` the km
@@ -156,7 +177,8 @@ class VehiclePath:
         ``at[0]`` the remainder of the in-progress edge.  Every stop is a
         request endpoint, so every leg is read from an endpoint's row: the
         head leg from the first stop's reverse row, every other leg from the
-        forward row of the stop it leaves.
+        forward row of the stop it leaves.  ``rejected`` is the shared
+        table of the path's rejections (``rejections``).
         """
         if self.ix is not None:
             return
@@ -168,6 +190,7 @@ class VehiclePath:
         self.leg = leg = [net.dists_to(stops[0].node)[ix[0]]] if stops else []
         leg.extend(dists_from(s.node)[x] for s, x in zip(stops, ix[2:]))
         self.at = list(accumulate(leg, initial=v.offset_km))
+        self.rejected = rejections(self.k)
 
     def gate_points(self) -> tuple[Point, list[Point]]:
         """The vehicle's position point and the points of its stops."""
@@ -209,69 +232,67 @@ class VehiclePath:
 
 
 class RequestRows:
-    """The new origin's and destination's distance rows.
+    """The request part of every splice: its rows and its own limits.
 
-    The request part of a splice: built once per request, before any
-    vehicle is tried.  ``row_o`` and ``row_d`` are the endpoints' forward
-    rows (km from o and from d), ``to_o`` and ``to_d`` their reverse rows
-    (km to o and to d), all indexed by ``RoadNetwork.index_of``.
+    Built once per request, before any vehicle is tried.  ``row_o`` and
+    ``row_d`` are the endpoints' forward rows (km from o and from d),
+    ``to_o`` and ``to_d`` their reverse rows (km to o and to d), all
+    indexed by ``RoadNetwork.index_of``.  ``max_detour`` and ``max_buffer``
+    are the detour and buffer bounds with the check's slack, and
+    ``max_pickup`` is the new rider's own pickup bound: ``max_buffer`` when
+    its buffer is checked, else infinite, which no pickup km exceeds.
     """
 
-    def __init__(self, net: RoadNetwork, o: int, d: int) -> None:
+    def __init__(self, net: RoadNetwork, request: Request, config: SimConfig,
+                 check_buffer: bool) -> None:
+        o, d = request.o, request.d
+        self.request = request
         self.d_ix = net.index_of(d)
         self.row_o = net.dists_from(o)
         self.row_d = net.dists_from(d)
         self.to_o = net.dists_to(o)
         self.to_d = net.dists_to(d)
+        self.max_detour = config.max_detour + QOS_EPS
+        self.max_buffer = config.buffer_km + QOS_EPS
+        self.max_pickup = self.max_buffer if check_buffer else INFEASIBLE
 
 
 class VehicleTrial:
-    """One request tried against one vehicle: the (i, j)-independent work.
+    """One request tried against one vehicle, a candidate (i, j) at a time.
 
     Built once per (vehicle, request) from the vehicle's ``VehiclePath``
     and the request's ``RequestRows``, which it reads without copying, so
     costing or prefix-summing an (i, j) splice touches only what the splice
     changes.  An unreachable leg shows up as an infinite (or NaN) cost or
-    prefix rather than an exception.  ``evaluate`` first decides the new
-    rider's pickup buffer and detour from the km to its two stops, which it
-    sums exactly as ``prefix`` does: the km to the origin from the
-    committed prefix, and the km to the destination from one running sum
-    per origin position i, built on the first candidate with that i.  A
-    candidate that fails either bound is infeasible without an O(K) step.
-    A survivor gets its cost and, when that is below the caller's bound,
-    the full check: the re-summed prefix and every bound, committed riders
-    included.  Only the full check reads the committed-rider table, which
-    the vehicle part builds on first use, so a vehicle whose every
-    candidate fails on the new rider never builds it.
-    ``violation`` is always the full check.  Both decide with the same float
-    operations in the same order as re-summing the whole spliced path, so
-    every verdict under the default, infinite bound is bit-identical to
-    that.
+    prefix rather than an exception.
+
+    ``evaluate`` first decides the new rider's pickup buffer and detour
+    from the km to its two stops, which it sums exactly as ``prefix`` does.
+    The km to the origin depends on the origin slot i alone and the km to
+    the destination is one running sum along the slot, so on the first
+    candidate of a slot one pass (``_screen``) settles every position of
+    the slot, and a candidate reads its verdict from the pass.  A rejected candidate is the path's prebuilt ``Candidate``
+    (``rejections``): nothing is allocated for it.  A survivor gets its
+    cost and, when that is below the caller's bound, the full check: the
+    re-summed prefix and every bound, committed riders included.  Only the
+    full check reads the committed-rider table, which the vehicle part
+    builds on first use, so a vehicle whose every candidate fails on the
+    new rider never builds it.  ``violation`` is always the full check.
+    Both decide with the same float operations in the same order as
+    re-summing the whole spliced path, so every verdict under the default,
+    infinite bound is bit-identical to that.
     """
 
-    def __init__(self, path: VehiclePath, new: RequestRows,
-                 new_request: Request, config: SimConfig,
-                 check_buffer: bool) -> None:
+    __slots__ = ("path", "new", "_slot", "_verdicts")
+
+    def __init__(self, path: VehiclePath, new: RequestRows) -> None:
         path.legs()
-        self.k = path.k
-        self.ix = path.ix
-        self.leg = path.leg
-        self.at = path.at
-        self.d_ix = new.d_ix
-        self.row_o = new.row_o
-        self.row_d = new.row_d
-        self.to_o = new.to_o
-        self.to_d = new.to_d
         self.path = path
-        self.new_request = new_request
-        self.check_buffer = check_buffer
-        self.max_detour = config.max_detour + QOS_EPS
-        self.max_buffer = config.buffer_km + QOS_EPS
-        # _chain[m] = km to stop i + m of the splice before its destination
-        # goes in (the new origin, then the committed stops after it), for
-        # the origin position i = _chain_i
-        self._chain_i = -1
-        self._chain: list[float] = []
+        self.new = new
+        # the origin slot last screened, and its verdict per position j:
+        # the prebuilt rejection, or None for a survivor
+        self._slot = -1
+        self._verdicts: Mapping[int, Candidate | None] = {}
 
     @classmethod
     def for_vehicle(cls, net: RoadNetwork, v: Vehicle,
@@ -279,29 +300,29 @@ class VehicleTrial:
                     config: SimConfig, check_buffer: bool) -> "VehicleTrial":
         """A trial on parts of its own, for a caller outside an epoch."""
         return cls(VehiclePath(net, v, requests),
-                   RequestRows(net, new_request.o, new_request.d),
-                   new_request, config, check_buffer)
+                   RequestRows(net, new_request, config, check_buffer))
 
     def cost(self, i: int, j: int) -> float:
         """Added driving distance of splicing o at i and d at j."""
-        k = self.k
-        ix, leg = self.ix, self.leg
-        to_o = self.to_o[ix[i]]
+        path, new = self.path, self.new
+        k = path.k
+        ix, leg = path.ix, path.leg
+        to_o = new.to_o[ix[i]]
         if i == k and j == k + 1:
             # both appended after the last stop
-            return to_o + self.row_o[self.d_ix]
+            return to_o + new.row_o[new.d_ix]
         if j == i + 1:
             # o and d adjacent inside the path
-            return (to_o + self.row_o[self.d_ix] + self.row_d[ix[i + 1]]
+            return (to_o + new.row_o[new.d_ix] + new.row_d[ix[i + 1]]
                     - leg[i])
         if j == k + 1:
             # o interior, d appended
-            return (to_o + self.row_o[ix[i + 1]] - leg[i]
-                    + self.to_d[ix[k]])
+            return (to_o + new.row_o[ix[i + 1]] - leg[i]
+                    + new.to_d[ix[k]])
         # o and d both interior, non-adjacent; d lands between the stops at
         # positions j-1 and j of the o-augmented path
-        return (to_o + self.row_o[ix[i + 1]] - leg[i]
-                + self.to_d[ix[j - 1]] + self.row_d[ix[j]] - leg[j - 1])
+        return (to_o + new.row_o[ix[i + 1]] - leg[i]
+                + new.to_d[ix[j - 1]] + new.row_d[ix[j]] - leg[j - 1])
 
     def prefix(self, i: int, j: int) -> list[float]:
         """q[t + 1] = km from the current position to stop t of the splice.
@@ -310,18 +331,19 @@ class VehicleTrial:
         the front exactly as re-summing the spliced path would, and the
         entries before the origin are the committed path's own, bit for bit.
         """
-        ix, leg = self.ix, self.leg
+        path, new = self.path, self.new
+        ix, leg = path.ix, path.leg
         if j == i + 1:
-            legs = [self.to_o[ix[i]], self.row_o[self.d_ix]]
+            legs = [new.to_o[ix[i]], new.row_o[new.d_ix]]
         else:
-            legs = [self.to_o[ix[i]], self.row_o[ix[i + 1]]]
+            legs = [new.to_o[ix[i]], new.row_o[ix[i + 1]]]
             legs.extend(leg[i + 1:j - 1])
-            legs.append(self.to_d[ix[j - 1]])
-        if j <= self.k:
-            legs.append(self.row_d[ix[j]])
+            legs.append(new.to_d[ix[j - 1]])
+        if j <= path.k:
+            legs.append(new.row_d[ix[j]])
             legs.extend(leg[j:])
-        q = self.at[:i]
-        q.extend(accumulate(legs, initial=self.at[i]))
+        q = path.at[:i]
+        q.extend(accumulate(legs, initial=path.at[i]))
         return q
 
     def violation(self, i: int, j: int) -> QosViolation | None:
@@ -330,8 +352,8 @@ class VehicleTrial:
         Checks the new request first, then committed requests in drop-off
         order; per request the detour bound comes before the pickup buffer.
         The buffer guarantee is per request and only applies before pickup:
-        the new request is buffer-checked when ``check_buffer`` is set (an
-        assignment past the waiting threshold trades its own buffer
+        the new request is buffer-checked when its ``RequestRows`` says so
+        (an assignment past the waiting threshold trades its own buffer
         guarantee for coverage), and a committed waiting rider is
         buffer-checked exactly when it was scheduled under the threshold, so
         a late-arriving request can never stretch a guaranteed rider's
@@ -345,15 +367,16 @@ class VehicleTrial:
 
     def _first_violation(self, q: list[float], i: int,
                          j: int) -> QosViolation | None:
-        max_detour = self.max_detour
-        max_buffer = self.max_buffer
-        new = self.new_request
+        new = self.new
+        max_detour = new.max_detour
+        max_buffer = new.max_buffer
+        rider = new.request
         at_o = q[i + 1]
-        if (q[j + 1] - at_o) / new.direct_dist - 1.0 > max_detour:
-            return QosViolation(new.id, "detour")
+        if (q[j + 1] - at_o) / rider.direct_dist - 1.0 > max_detour:
+            return QosViolation(rider.id, "detour")
         # the new request has driven nothing since its scheduling
-        if self.check_buffer and 0.0 + at_o > max_buffer:
-            return QosViolation(new.id, "buffer")
+        if 0.0 + at_o > new.max_pickup:
+            return QosViolation(rider.id, "buffer")
         # committed stop m sits at splice position m + (m >= i) + (m >= j-1)
         jm = j - 1
         for rid, oi, di, direct, counted, guarded in self.path.riders():
@@ -369,44 +392,77 @@ class VehicleTrial:
                 return QosViolation(rid, "buffer")
         return None
 
-    def evaluate(self, i: int, j: int, case: str | None = None,
+    def _screen(self, i: int) -> None:
+        """Settle the new rider's bounds for every position of slot i.
+
+        The km to the origin is q[i + 1] of ``prefix`` and the km to the
+        destination at position j is q[j + 1], summed here with the same
+        floats in the same order: ``at[i]`` plus the km to the origin, then
+        for j > i + 1 a running sum on through the committed legs plus the
+        km from the stop before j to the destination.  A slot whose pickup
+        fails the buffer takes the path's whole row of rejections.  Either
+        way the slot's verdicts are keyed by exactly its positions j.
+        """
+        path, new = self.path, self.new
+        k = path.k
+        if not 0 <= i <= k:
+            raise ValueError(f"bad origin position {i} for K={k}")
+        ix = path.ix
+        rejected = path.rejected[i]
+        at_o = path.at[i] + new.to_o[ix[i]]
+        self._slot = i
+        if 0.0 + at_o > new.max_pickup:
+            self._verdicts = rejected
+            return
+        direct = new.request.direct_dist
+        max_detour = new.max_detour
+        j = i + 1
+        at_d = at_o + new.row_o[new.d_ix]
+        verdicts = self._verdicts = {
+            j: rejected[j] if (at_d - at_o) / direct - 1.0 > max_detour
+            else None}
+        if i == k:
+            return
+        leg, to_d = path.leg, new.to_d
+        # km to the stop before the destination at position j
+        at_prev = at_o + new.row_o[ix[j]]
+        while True:
+            j += 1
+            verdicts[j] = (rejected[j] if (at_prev + to_d[ix[j - 1]] - at_o)
+                           / direct - 1.0 > max_detour else None)
+            if j > k:
+                return
+            at_prev += leg[j - 1]
+
+    def evaluate(self, i: int, j: int,
                  bound: float = INFEASIBLE) -> Candidate:
         """Cost one (i, j) splice and QoS-check it; infeasible carries inf.
 
-        ``case`` is the position's case as ``candidate_positions`` hands it
-        out; without it the position is checked and classified here.  A
-        splice whose cost is not below ``bound`` is infeasible without the
-        full check: a caller that keeps the cheapest candidate so far passes
-        its cost, since nothing that costs as much can replace it.
+        Raises ValueError unless 0 <= i < j <= K + 1.  A splice whose cost
+        is not below ``bound`` is infeasible without the full check: a
+        caller that keeps the cheapest candidate so far passes its cost,
+        since nothing that costs as much can replace it.
         """
-        if case is None:
-            case = classify_case(i, j, self.k)
-        ix = self.ix
-        # the new rider's own bounds, from q[i + 1] and q[j + 1] of prefix()
-        at_o = self.at[i] + self.to_o[ix[i]]
-        if self.check_buffer and 0.0 + at_o > self.max_buffer:
-            return Candidate(i, j, case, INFEASIBLE)
-        if j == i + 1:
-            at_d = at_o + self.row_o[self.d_ix]
-        else:
-            if self._chain_i != i:
-                self._chain_i = i
-                self._chain = list(accumulate(
-                    [at_o, self.row_o[ix[i + 1]], *self.leg[i + 1:]]))
-            at_d = self._chain[j - i - 1] + self.to_d[ix[j - 1]]
-        if ((at_d - at_o) / self.new_request.direct_dist - 1.0
-                > self.max_detour):
-            return Candidate(i, j, case, INFEASIBLE)
+        if i != self._slot:
+            self._screen(i)
+        try:
+            verdict = self._verdicts[j]
+        except KeyError:
+            raise ValueError(f"bad insertion positions ({i}, {j}) "
+                             f"for K={self.path.k}") from None
+        if verdict is not None:
+            return verdict
+        rejected = self.path.rejected[i][j]
         cost = self.cost(i, j)
         # any unreachable leg leaves an infinite or NaN cost, which is below
         # no bound, or an infinite prefix
         if not cost < bound:
-            return Candidate(i, j, case, INFEASIBLE)
+            return rejected
         q = self.prefix(i, j)
         if (q[-1] == INFEASIBLE
                 or self._first_violation(q, i, j) is not None):
-            cost = INFEASIBLE
-        return Candidate(i, j, case, cost)
+            return rejected
+        return Candidate(i, j, rejected.case, cost)
 
 
 def splice(stops: list[Stop], o: int, d: int, i: int, j: int,
@@ -430,5 +486,5 @@ def enumerate_all(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
     """
     trial = VehicleTrial.for_vehicle(net, v, requests, new_request, config,
                                      check_buffer)
-    return [trial.evaluate(i, j, case)
-            for i, j, case in candidate_positions(len(v.path))]
+    return [trial.evaluate(i, j)
+            for i, j, _ in candidate_positions(len(v.path))]

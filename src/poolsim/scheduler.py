@@ -184,18 +184,18 @@ def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path_pts: list[Point],
     return d_in, admit_b, admit_c
 
 
-def out_of_reach(path: VehiclePath, ends: RequestRows,
-                 buffer_km: float) -> bool:
+def out_of_reach(path: VehiclePath, ends: RequestRows) -> bool:
     """True when no candidate of the vehicle can meet the pickup buffer.
 
     Every candidate's km to the new origin is at least the km to the
     vehicle's first origin slot plus the network km from there to the
-    origin (``VehiclePath.reach``), so past the buffer, its slack and a
-    hair for float rounding every candidate fails the new rider's O(1)
-    pickup screen.  The test reads one entry of the origin's reverse row.
+    origin (``VehiclePath.reach``), so past the buffer with its slack
+    (``RequestRows.max_buffer``) and a hair for float rounding every
+    candidate fails the new rider's pickup screen.  The test reads one
+    entry of the origin's reverse row.
     """
     ix, km = path.reach()
-    return km + ends.to_o[ix] > buffer_km + QOS_EPS + _REACH_SLACK
+    return km + ends.to_o[ix] > ends.max_buffer + _REACH_SLACK
 
 
 def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
@@ -249,7 +249,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             o_pt = net.point(r.o)
             d_pt = net.point(r.d)
         party = r.n
-        ends = RequestRows(net, r.o, r.d)
+        ends = RequestRows(net, r, config, check_buffer)
         best: tuple[float, int, int, int] | None = None  # cost, vid, i, j
         best_case = ""
         bound = INFEASIBLE
@@ -268,7 +268,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
 
             if not gated:
                 admit = _ADMIT_ALL
-            elif out_of_reach(path, ends, buffer_km):
+            elif out_of_reach(path, ends):
                 admit = _ADMIT_NONE
             else:
                 position, stop_points = path.gate_points()
@@ -282,10 +282,9 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
 
             evaluated: list[Candidate] = []
             if positions:
-                evaluate = VehicleTrial(path, ends, r, config,
-                                        check_buffer).evaluate
+                evaluate = VehicleTrial(path, ends).evaluate
                 for i, j, case in positions:
-                    cand = evaluate(i, j, case, bound)
+                    cand = evaluate(i, j, bound)
                     if observing:
                         evaluated.append(cand)
                     cost = cand.cost

@@ -1,20 +1,22 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poolsim import insertion
 from poolsim.geometry import Point
 from poolsim.insertion import (QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
                                Candidate, VehiclePath, VehicleTrial,
                                candidate_positions, classify_case,
-                               enumerate_all, splice)
+                               enumerate_all, rejections, splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import Edge, NoPathError, RoadNetwork, gen_grid
-from test_roadnet import one_way_grid
+from test_roadnet import one_way_grid, random_directed_grid
 
 
 def line_net(n=61, spacing=0.1):
@@ -171,6 +173,28 @@ class TestInsertionCost:
         with pytest.raises(ValueError):
             trial_for(net, one_stop, {1: rider}, new, SimConfig(),
                       True).evaluate(1, 1)
+        # K = 2: only 0 <= i < j <= 3 is a position, negative indices do
+        # not wrap, and a refused call leaves the trial's verdicts intact
+        other = Request(id=3, t=0, n=1, o=0, d=6, direct_dist=6.0,
+                        state=RequestState.ONBOARD, traveled_at_pickup=0.0)
+        two_stops = Vehicle(id=0, capacity=5, node=0,
+                            path=stops(("d", 1, 4), ("d", 3, 6)))
+        riders = {1: rider, 3: other}
+        trial = trial_for(net, two_stops, riders, new, SimConfig(), True)
+        reference = trial_for(net, two_stops, riders, new, SimConfig(), True)
+        good = [(0, 1), (1, 2), (1, 3), (2, 3), (0, 3), (1, 2)]
+        bad = [(1, 1), (2, 1), (0, 4), (3, 4), (-1, 1), (1, -1), (-1, 0),
+               (-2, -1), (0, 0), (2, -1), (-1, 3), (-2, 3)]
+        for (i, j), (bi, bj) in zip(good, bad):
+            assert trial.evaluate(i, j) == full_check_candidate(reference,
+                                                                i, j)
+            with pytest.raises(ValueError):
+                trial.evaluate(bi, bj)
+        for i, j in bad:
+            with pytest.raises(ValueError):
+                trial.evaluate(i, j)
+        assert [trial.evaluate(i, j).case for i, j in good] == [
+            CASE_A, CASE_A, CASE_B, CASE_C, CASE_B, CASE_A]
 
     def test_equals_spliced_length_delta_random(self):
         # the closed forms must equal re-summing the whole spliced path
@@ -553,14 +577,12 @@ class TestEnumerateAll:
 
 
 def full_check_candidate(trial: VehicleTrial, i: int, j: int,
-                         _case: str | None = None,
                          _bound: float | None = None) -> Candidate:
     """``VehicleTrial.evaluate`` without its new-rider screen or cost bound.
 
     Costs the splice and runs the full ``violation`` check; a splice with an
-    unreachable leg is infeasible.  The case is classified here, whatever
-    case the caller hands in, and every candidate is checked in full,
-    whatever bound the caller hands in.
+    unreachable leg is infeasible.  The case is classified here, and every
+    candidate is checked in full, whatever bound the caller hands in.
     """
     cost = trial.cost(i, j)
     try:
@@ -569,7 +591,7 @@ def full_check_candidate(trial: VehicleTrial, i: int, j: int,
         bad = True
     if bad or not math.isfinite(cost):
         cost = INFEASIBLE
-    return Candidate(i, j, classify_case(i, j, trial.k), cost)
+    return Candidate(i, j, classify_case(i, j, trial.path.k), cost)
 
 
 def grid_with_island() -> RoadNetwork:
@@ -667,6 +689,61 @@ def screened_trials(draw):
     return net, v, reqs, new, cfg, draw(st.booleans())
 
 
+def under_slack(x: float) -> float | None:
+    """The bound b >= 0 with b + QOS_EPS == x exactly, or None.
+
+    A plan whose ratio or km is x then lies exactly on the check's
+    slack-inclusive bound, where one ulp decides the verdict.
+    """
+    b = x - QOS_EPS
+    for _ in range(64):
+        if b < 0.0 or not math.isfinite(b):
+            return None
+        if b + QOS_EPS == x:
+            return b
+        b = math.nextafter(b, -math.inf if b + QOS_EPS > x else math.inf)
+    return None
+
+
+LOOSE_NET = random_directed_grid()
+LOOSE_NODES = list(range(20))
+
+
+@st.composite
+def slack_pinned_trials(draw):
+    """A vehicle on a lattice of random lengths, with bounds on one plan.
+
+    The lengths make the km sums inexact, so summing them in another order
+    changes their last bits.  The config's detour and buffer bounds are
+    pinned, slack included, to one candidate's exact detour ratio and
+    pickup km as the full check sums them.
+    """
+    net = LOOSE_NET
+    nodes = st.sampled_from(LOOSE_NODES)
+    k = draw(st.integers(0, 6))
+    v = Vehicle(id=0, capacity=k + 1, node=draw(nodes),
+                offset_km=draw(st.sampled_from([0.0, 0.13])))
+    reqs: dict[int, Request] = {}
+    for rid in range(1, k + 1):
+        at = draw(nodes)
+        reqs[rid] = Request(id=rid, t=0, n=1, o=at, d=at,
+                            direct_dist=draw(st.sampled_from([0.5, 50.0])),
+                            state=RequestState.ONBOARD, traveled_at_pickup=0.0)
+        v.path.append(Stop(StopKind.DESTINATION, rid, at))
+    o = draw(nodes)
+    d = draw(nodes.filter(lambda x: x != o))
+    new = Request(id=99, t=0, n=1, o=o, d=d,
+                  direct_dist=net.shortest_dist(o, d))
+    i, j = draw(st.sampled_from([(i, j) for i in range(k + 1)
+                                 for j in range(i + 1, k + 2)]))
+    q = trial_for(net, v, reqs, new, SimConfig(), True).prefix(i, j)
+    detour = under_slack((q[j + 1] - q[i + 1]) / new.direct_dist - 1.0)
+    buffer_km = under_slack(q[i + 1])
+    cfg = SimConfig(max_detour=0.2 if detour is None else detour,
+                    buffer_km=6.0 if buffer_km is None else buffer_km)
+    return net, v, reqs, new, cfg, draw(st.booleans())
+
+
 class TestScreenedEvaluate:
     @settings(max_examples=300, deadline=None)
     @given(case=screened_trials(), data=st.data())
@@ -674,14 +751,31 @@ class TestScreenedEvaluate:
         net, v, reqs, new, cfg, check_buffer = case
         k = len(v.path)
         positions = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 2)]
-        # any order: the per-origin running sum must follow changes of i
+        # any order, then repeats: each slot's screen must follow changes
+        # of i and be rebuilt when i comes back
         order = data.draw(st.permutations(positions))
+        order += data.draw(st.lists(st.sampled_from(positions),
+                                    max_size=2 * len(positions)))
         trial = trial_for(net, v, reqs, new, cfg, check_buffer)
         reference = trial_for(net, v, reqs, new, cfg, check_buffer)
         for i, j in order:
             got = trial.evaluate(i, j)
             want = full_check_candidate(reference, i, j)
             assert got == want, (i, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=slack_pinned_trials())
+    def test_matches_full_check_on_the_slack_bound(self, case):
+        # the screen sums in the full check's order: a plan exactly on a
+        # bound gets the full check's verdict, where one ulp decides it
+        net, v, reqs, new, cfg, check_buffer = case
+        k = len(v.path)
+        trial = trial_for(net, v, reqs, new, cfg, check_buffer)
+        reference = trial_for(net, v, reqs, new, cfg, check_buffer)
+        for i in range(k + 1):
+            for j in range(i + 1, k + 2):
+                assert trial.evaluate(i, j) == \
+                    full_check_candidate(reference, i, j), (i, j)
 
     @settings(max_examples=300, deadline=None)
     @given(case=screened_trials(), data=st.data())
@@ -699,10 +793,10 @@ class TestScreenedEvaluate:
             pinned, math.nextafter(pinned, math.inf),
             math.nextafter(pinned, -math.inf), 0.0, INFEASIBLE]))
         trial = trial_for(net, v, reqs, new, cfg, check_buffer)
-        for (i, j, case_), want in zip(positions, full):
+        for (i, j, _), want in zip(positions, full):
             if not want.cost < bound:
                 want = want._replace(cost=INFEASIBLE)
-            assert trial.evaluate(i, j, case_, bound) == want, (i, j)
+            assert trial.evaluate(i, j, bound) == want, (i, j)
 
     def test_pinned_bounds_are_feasible(self):
         # the new rider's plan lands exactly on both bounds and passes
@@ -753,6 +847,53 @@ class TestScreenedEvaluate:
         assert trial.evaluate(0, 1).cost == 0.0
         assert summed == [(0, 1)]
         assert tables == [0]
+
+    def test_rejections_are_prebuilt(self):
+        # a rejected candidate is the shared table's own object, and
+        # asking for it again allocates nothing: a slot whose pickup fails
+        # the buffer reads the table's row, and a slot screened once keeps
+        # its verdicts until another slot is asked for
+        net = gen_grid(8, 2, 0.5)
+        rider = Request(id=1, t=0, n=1, o=7, d=0, direct_dist=3.5,
+                        state=RequestState.ONBOARD, traveled_at_pickup=3.0)
+        v = Vehicle(id=0, capacity=4, node=7, odometer=3.0,
+                    path=stops(("d", 1, 0)))
+        new = Request(id=2, t=0, n=1, o=6, d=1, direct_dist=2.5)
+        cfg = SimConfig(max_detour=0.2, buffer_km=0.25)
+        # past the buffer in both slots; and a 40% detour at (0, 2)
+        buffered = trial_for(net, v, {1: rider}, new, cfg, True)
+        detoured = trial_for(net, v, {1: rider}, new, cfg, False)
+        assert detoured.evaluate(0, 1).cost == 0.0
+        calls = [(buffered, 0, 1), (buffered, 0, 2), (buffered, 1, 2),
+                 (detoured, 0, 2)]
+        table = rejections(1)
+        for trial, i, j in calls:
+            assert trial.evaluate(i, j) is table[i][j]
+        assert table[1][2] == Candidate(1, 2, CASE_C, INFEASIBLE)
+        # every path of one length shares the table: no row can be changed
+        with pytest.raises(TypeError):
+            table[1][2] = Candidate(1, 2, CASE_C, 0.0)
+
+        def ask(work):
+            for trial, i, j in work:
+                trial.evaluate(i, j)
+
+        ask(calls * 250)   # warm the interpreter's caches
+        work = iter(calls * 250)
+        here = [tracemalloc.Filter(True, insertion.__file__)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(here)
+            tracemalloc.reset_peak()
+            ask(work)
+            # nothing allocated and freed again, nor kept
+            current, peak = tracemalloc.get_traced_memory()
+            after = tracemalloc.take_snapshot().filter_traces(here)
+        finally:
+            tracemalloc.stop()
+        assert peak == current
+        assert [d for d in after.compare_to(before, "lineno")
+                if d.count_diff] == []
 
     def test_unreachable_leg_is_infeasible_without_raising(self):
         # the committed stop sits on the island: no leg leads back out

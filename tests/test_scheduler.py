@@ -506,7 +506,7 @@ class TestReachBound:
         net, v, requests, new, cfg = case
         requests = {**requests, new.id: new}
         pruned = out_of_reach(VehiclePath(net, v, requests),
-                              RequestRows(net, new.o, new.d), cfg.buffer_km)
+                              RequestRows(net, new, cfg, True))
         cands = enumerate_all(net, v, requests, new, cfg, check_buffer=True)
         if pruned:
             assert all(c.cost == INFEASIBLE for c in cands)
@@ -542,14 +542,15 @@ class TestReachBound:
         v = Vehicle(id=0, capacity=4, node=1, prev_node=0, offset_km=0.1,
                     path=stops(*(("d", 1, x) for x in stops_at)))
         pickup = 0.1 + net.shortest_dist(1, 6)
-        ends = RequestRows(net, new.o, new.d)
         cfg = SimConfig(buffer_km=pickup)
-        assert not out_of_reach(VehiclePath(net, v, requests), ends, pickup)
+        assert not out_of_reach(VehiclePath(net, v, requests),
+                                RequestRows(net, new, cfg, True))
         costs = [c.cost for c in enumerate_all(net, v, requests, new, cfg,
                                                True)]
         assert min(costs) != INFEASIBLE
-        assert out_of_reach(VehiclePath(net, v, requests), ends,
-                            pickup - 1e-8)
+        shorter = SimConfig(buffer_km=pickup - 1e-8)
+        assert out_of_reach(VehiclePath(net, v, requests),
+                            RequestRows(net, new, shorter, True))
 
 
 class TestSearchArea:
@@ -628,8 +629,7 @@ class TestSearchAreaInRuns:
                 return
             # a vehicle out of reach is skipped before it reads its area
             if out_of_reach(VehiclePath(oracle_net, v, requests),
-                            RequestRows(oracle_net, r.o, r.d),
-                            cfg.buffer_km):
+                            RequestRows(oracle_net, r, cfg, True)):
                 assert evaluated == []
                 skipped += 1
                 return
@@ -1015,10 +1015,19 @@ class FreshPath:
         return getattr(VehiclePath(*self.parts), name)
 
 
-def fresh_trial(path, ends, new_request, config, check_buffer):
-    net, v, requests = path.parts
-    return VehicleTrial.for_vehicle(net, v, requests, new_request, config,
-                                    check_buffer)
+def fresh_trials(config):
+    """Stands in for the epoch's trials: both parts are built anew for each.
+
+    The request part is rebuilt from the request and ``config``, with its
+    buffer checked exactly when the shipped part checks it.
+    """
+    def fresh_trial(path, ends):
+        net = path.parts[0]
+        check_buffer = ends.max_pickup != INFEASIBLE
+        return VehicleTrial(VehiclePath(*path.parts),
+                            RequestRows(net, ends.request, config,
+                                        check_buffer))
+    return fresh_trial
 
 
 class TestSharedVehicleParts:
@@ -1039,7 +1048,7 @@ class TestSharedVehicleParts:
         shipped = run(oracle_net, reqs, cfg, scheduler=planner)
         with monkeypatch.context() as m:
             m.setattr(scheduler, "VehiclePath", FreshPath)
-            m.setattr(scheduler, "VehicleTrial", fresh_trial)
+            m.setattr(scheduler, "VehicleTrial", fresh_trials(cfg))
             reference = run(oracle_net, reqs, cfg, scheduler=planner)
         assert shipped.counters == reference.counters
         ours = write_report_files(shipped, tmp_path / "shipped")
