@@ -6,8 +6,8 @@ length.  That set is an ellipse with foci o and d.  The planner works with
 the circumscribing rectangle instead, which costs a fixed 4/pi area overhead
 per region but turns containment tests into two coordinate comparisons.
 """
-from poolsim.analysis import eta_monte_carlo, four_over_pi_monte_carlo
-from poolsim.geometry import Point, ellipse_contains, make_psa_rect, rect_contains
+from poolsim.analysis import eta_monte_carlo
+from poolsim.geometry import Point, euclid, make_psa_rect, rect_contains
 
 
 def main() -> None:
@@ -28,14 +28,14 @@ def main() -> None:
     probes = [Point(2.0, 1.0), Point(0.2, 1.2), Point(4.7, 0.2)]
     print("\npoint membership (ellipse vs rectangle):")
     for p in probes:
-        in_e = ellipse_contains(o, d, budget, p)
+        in_e = euclid(o, p) + euclid(p, d) <= budget
         in_r = rect_contains(rect, p)
         tag = {(True, True): "inside both",
                (False, True): "rectangle only (the 4/pi overhead)",
                (False, False): "outside both"}[(in_e, in_r)]
         print(f"  ({p.x:5.2f}, {p.y:5.2f}) -> {tag}")
 
-    est = four_over_pi_monte_carlo(samples=200_000, seed=11)
+    est = eta_monte_carlo(None, (o, d, budget), samples=200_000, seed=11).eta
     print(f"\nmeasured rectangle/ellipse area ratio : {est:.5f}")
     print(f"4/pi                                  : {4 / 3.141592653589793:.5f}")
 

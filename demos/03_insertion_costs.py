@@ -6,7 +6,8 @@ driving cost and a case label: interior insertions (A), destination appended
 last (B), and the origin-destination pair appended together (C).  Quality
 checks then strike candidates that would stretch a committed rider too far.
 """
-from poolsim.insertion import enumerate_all
+from poolsim.insertion import (RequestRows, VehiclePath, VehicleTrial,
+                               candidate_positions)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import gen_grid
 
@@ -31,7 +32,10 @@ def main() -> None:
 
     print(f"vehicle at node 10, stops [14, 22]; new rider 12 -> 21 "
           f"(direct {new.direct_dist:.1f} km)")
-    cands = enumerate_all(net, v, riders, new, SimConfig(), check_buffer=True)
+    trial = VehicleTrial(VehiclePath(net, v, riders),
+                         RequestRows(net, new, SimConfig(), check_buffer=True))
+    cands = [trial.evaluate(i, j)
+             for i, j, _ in candidate_positions(len(v.path))]
     print(f"\n{len(cands)} candidate splices:")
     print("   i  j  case   added km")
     for c in sorted(cands, key=lambda c: (c.cost, c.i, c.j)):

@@ -14,8 +14,7 @@ with alpha_opt = pi/4 * alpha, beta_opt = pi/4 * beta, and closed-form bounds
 
 Under uniform request endpoints over a city of area S, a filter region of
 area A rejects interior candidates (case A, both endpoints tested) at rate
-1 - (A/S)^2 and append candidates (case B, origin tested) at rate 1 - A/S,
-which gives the expected per-request evaluation saving in closed form.
+1 - (A/S)^2 and append candidates (case B, origin tested) at rate 1 - A/S.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from .geometry import (Point, PsaRect, VehiclePsa, make_psa_rect, rect_bbox)
 from .model import Vehicle, WorldState
-from .scheduler import counts_for_path, gate
+from .scheduler import gate
 from .seeds import substream
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -256,13 +255,6 @@ def eta_monte_carlo(f_alpha: Region | None, f_beta: Region, samples: int,
                        mu=mu, nu=nu, samples=samples)
 
 
-def four_over_pi_monte_carlo(samples: int, seed: int) -> float:
-    """Single-region sanity estimate of the rectangle/ellipse area ratio."""
-    est = eta_monte_carlo(None, (Point(0.0, 0.0), Point(4.0, 0.0), 6.0),
-                          samples, seed)
-    return est.eta
-
-
 # -- rejection-rate model --------------------------------------------------
 
 
@@ -274,15 +266,6 @@ def expected_rrcc(area: float, s: float) -> tuple[float, float]:
         raise ValueError(f"region area {area} outside [0, {s}]")
     frac = area / s
     return 1.0 - frac * frac, 1.0 - frac
-
-
-def expected_reduction(k: int, area: float, s: float) -> float:
-    """Expected number of insertion evaluations saved per request-vehicle try."""
-    if k < 1:
-        raise ValueError("path length must be >= 1")
-    n_a, n_b, _ = counts_for_path(k)
-    psi_a, psi_b = expected_rrcc(area, s)
-    return n_a * psi_a + n_b * psi_b
 
 
 # side of the square city the gate harness draws its points in

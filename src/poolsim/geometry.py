@@ -4,8 +4,8 @@ A vehicle's potential search area is built from rectangles that circumscribe
 detour ellipses: for foci f1, f2 and a path-length budget ``sum_bound``, the
 ellipse is {x : |x - f1| + |x - f2| <= sum_bound} and the circumscribing
 rectangle shares its center and axes.  Membership tests against the rectangle
-are the cheap filter used by the scheduler; the exact ellipse test exists for
-analysis and validation only.
+are the cheap filter used by the scheduler; only the Monte Carlo area-ratio
+estimator in :mod:`poolsim.analysis` tests points against the ellipse itself.
 
 All coordinates are planar km.  Containment is closed (boundary points are in).
 """
@@ -97,11 +97,6 @@ def rect_contains_all(rect: PsaRect, points: Iterable[Point]) -> bool:
                 and abs(-dx * ay + dy * ax) <= half_wid):
             return False
     return True
-
-
-def ellipse_contains(f1: Point, f2: Point, sum_bound: float, p: Point) -> bool:
-    """Exact (closed) test on the underlying ellipse. Not used in the hot path."""
-    return euclid(f1, p) + euclid(p, f2) <= sum_bound
 
 
 def rect_corners(rect: PsaRect) -> list[Point]:

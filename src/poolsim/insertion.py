@@ -31,16 +31,17 @@ read only the km to the new origin and to the new destination.  The km to
 the origin depends on the origin slot i alone, and the km to the
 destination is one running sum along the slot.  So on the first candidate
 of a slot a trial screens the slot's positions in one pass, from the very
-floats the full check would sum, and ``VehicleTrial.evaluate`` then reads
-each candidate's verdict.  A rejection is a prebuilt ``Candidate``, one
-table per path length K (``rejections``), so a rejected candidate costs a
-table read and allocates nothing.  Only a candidate that passes both bounds
-pays the O(K) check: cost, the re-summed stops from its origin on, and
-every committed rider's bounds.  No margin or fallback is involved; the
-verdict is the full check's, bit for bit.  A caller that only wants a
-cheaper candidate than the best it holds passes that cost as a bound, and
-a survivor whose O(1) cost is not below it is infeasible without the O(K)
-check.
+floats that re-summing the spliced path gives, and ``VehicleTrial.evaluate``
+then reads each candidate's verdict.  A rejection is a prebuilt
+``Candidate``, one table per path length K (``rejections``), so a rejected
+candidate costs a table read and allocates nothing.  Only a candidate that
+passes both bounds pays the O(K) check: cost, the re-summed stops from its
+origin on, and every committed rider's bounds.  No margin or fallback is
+involved: each bound is decided once, bit for bit as re-summing the whole
+spliced path decides it, and ``evaluate`` is the one QoS check.  A caller
+that only wants a cheaper candidate than the best it holds passes that cost
+as a bound, and a survivor whose O(1) cost is not below it is infeasible
+without the O(K) check.
 
 Enumeration for K >= 1 starts at i = 1: the per-case closed-form candidate
 counts (K(K-1)/2, K-1, 1) count slots between and after committed stops
@@ -51,7 +52,6 @@ K = 0 path has the single append candidate (0, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
@@ -60,7 +60,7 @@ from typing import Mapping, NamedTuple
 from .geometry import Point
 from .model import (Request, SimConfig, Stop, StopKind, Vehicle,
                     passengers_committed)
-from .roadnet import NoPathError, RoadNetwork
+from .roadnet import RoadNetwork
 
 CASE_A = "A"
 CASE_B = "B"
@@ -76,19 +76,13 @@ class Candidate(NamedTuple):
     cost: float  # added km, INFEASIBLE when the splice fails QoS
 
 
-@dataclass(frozen=True)
-class QosViolation:
-    request_id: int
-    kind: str  # detour | buffer
-
-
 # feasibility comparisons carry a hair of slack so exact-boundary plans
 # (planned/direct landing on the threshold) survive float rounding
 QOS_EPS = 1e-9
 
 _ORIGIN = StopKind.ORIGIN
 
-# a committed rider as the full check reads it, see VehiclePath.riders
+# a committed rider as the O(K) check reads it, see VehiclePath.riders
 _Rider = tuple[int, int, int, float, float, bool]
 
 
@@ -271,16 +265,17 @@ class VehicleTrial:
     The km to the origin depends on the origin slot i alone and the km to
     the destination is one running sum along the slot, so on the first
     candidate of a slot one pass (``_screen``) settles every position of
-    the slot, and a candidate reads its verdict from the pass.  A rejected candidate is the path's prebuilt ``Candidate``
-    (``rejections``): nothing is allocated for it.  A survivor gets its
-    cost and, when that is below the caller's bound, the full check: the
-    re-summed prefix and every bound, committed riders included.  Only the
-    full check reads the committed-rider table, which the vehicle part
-    builds on first use, so a vehicle whose every candidate fails on the
-    new rider never builds it.  ``violation`` is always the full check.
-    Both decide with the same float operations in the same order as
-    re-summing the whole spliced path, so every verdict under the default,
-    infinite bound is bit-identical to that.
+    the slot, and a candidate reads its verdict from the pass.  A rejected
+    candidate is the path's prebuilt ``Candidate`` (``rejections``):
+    nothing is allocated for it.  A survivor gets its cost and, when that
+    is below the caller's bound, the committed riders' check: the
+    re-summed prefix and every committed rider's bounds.  Only that check
+    reads the committed-rider table, which the vehicle part builds on
+    first use, so a vehicle whose every candidate fails on the new rider
+    never builds it.  The screen and that check decide with the same float
+    operations in the same order as re-summing the whole spliced path, so
+    every verdict under the default, infinite bound is bit-identical to
+    that.
     """
 
     __slots__ = ("path", "new", "_slot", "_verdicts")
@@ -293,14 +288,6 @@ class VehicleTrial:
         # the prebuilt rejection, or None for a survivor
         self._slot = -1
         self._verdicts: Mapping[int, Candidate | None] = {}
-
-    @classmethod
-    def for_vehicle(cls, net: RoadNetwork, v: Vehicle,
-                    requests: dict[int, Request], new_request: Request,
-                    config: SimConfig, check_buffer: bool) -> "VehicleTrial":
-        """A trial on parts of its own, for a caller outside an epoch."""
-        return cls(VehiclePath(net, v, requests),
-                   RequestRows(net, new_request, config, check_buffer))
 
     def cost(self, i: int, j: int) -> float:
         """Added driving distance of splicing o at i and d at j."""
@@ -346,51 +333,32 @@ class VehicleTrial:
         q.extend(accumulate(legs, initial=path.at[i]))
         return q
 
-    def violation(self, i: int, j: int) -> QosViolation | None:
-        """First quality-of-service violation of the (i, j) splice, or None.
+    def _breaks_committed(self, q: list[float], i: int, j: int) -> bool:
+        """Whether the (i, j) splice breaks a committed rider's bound.
 
-        Checks the new request first, then committed requests in drop-off
-        order; per request the detour bound comes before the pickup buffer.
-        The buffer guarantee is per request and only applies before pickup:
-        the new request is buffer-checked when its ``RequestRows`` says so
-        (an assignment past the waiting threshold trades its own buffer
-        guarantee for coverage), and a committed waiting rider is
-        buffer-checked exactly when it was scheduled under the threshold, so
-        a late-arriving request can never stretch a guaranteed rider's
-        pickup past the buffer.  Raises NoPathError if a leg of the spliced
-        path has no route.
+        ``q`` is the splice's ``prefix``.  Riders are read in drop-off order
+        from the path's rider table.  An onboard rider has only the detour
+        bound.  A waiting rider's buffer applies before pickup and only when
+        it was scheduled under the waiting threshold, so a late-arriving
+        request can never stretch a guaranteed rider's pickup past the
+        buffer.  The new rider's own bounds are ``_screen``'s.
         """
-        q = self.prefix(i, j)
-        if q[-1] == INFEASIBLE:
-            raise NoPathError("a leg of the spliced path has no route")
-        return self._first_violation(q, i, j)
-
-    def _first_violation(self, q: list[float], i: int,
-                         j: int) -> QosViolation | None:
-        new = self.new
-        max_detour = new.max_detour
-        max_buffer = new.max_buffer
-        rider = new.request
-        at_o = q[i + 1]
-        if (q[j + 1] - at_o) / rider.direct_dist - 1.0 > max_detour:
-            return QosViolation(rider.id, "detour")
-        # the new request has driven nothing since its scheduling
-        if 0.0 + at_o > new.max_pickup:
-            return QosViolation(rider.id, "buffer")
+        max_detour = self.new.max_detour
+        max_buffer = self.new.max_buffer
         # committed stop m sits at splice position m + (m >= i) + (m >= j-1)
         jm = j - 1
-        for rid, oi, di, direct, counted, guarded in self.path.riders():
+        for _, oi, di, direct, counted, guarded in self.path.riders():
             at_d = q[di + 1 + (di >= i) + (di >= jm)]
             if oi < 0:  # onboard: km ridden plus km still to its drop-off
                 if (counted + at_d) / direct - 1.0 > max_detour:
-                    return QosViolation(rid, "detour")
+                    return True
                 continue
             at_o = q[oi + 1 + (oi >= i) + (oi >= jm)]
             if (at_d - at_o) / direct - 1.0 > max_detour:
-                return QosViolation(rid, "detour")
+                return True
             if guarded and counted + at_o > max_buffer:
-                return QosViolation(rid, "buffer")
-        return None
+                return True
+        return False
 
     def _screen(self, i: int) -> None:
         """Settle the new rider's bounds for every position of slot i.
@@ -439,7 +407,7 @@ class VehicleTrial:
         """Cost one (i, j) splice and QoS-check it; infeasible carries inf.
 
         Raises ValueError unless 0 <= i < j <= K + 1.  A splice whose cost
-        is not below ``bound`` is infeasible without the full check: a
+        is not below ``bound`` is infeasible without the O(K) check: a
         caller that keeps the cheapest candidate so far passes its cost,
         since nothing that costs as much can replace it.
         """
@@ -459,8 +427,7 @@ class VehicleTrial:
         if not cost < bound:
             return rejected
         q = self.prefix(i, j)
-        if (q[-1] == INFEASIBLE
-                or self._first_violation(q, i, j) is not None):
+        if q[-1] == INFEASIBLE or self._breaks_committed(q, i, j):
             return rejected
         return Candidate(i, j, rejected.case, cost)
 
@@ -475,16 +442,3 @@ def splice(stops: list[Stop], o: int, d: int, i: int, j: int,
     out.insert(i, Stop(StopKind.ORIGIN, request_id, o))
     out.insert(j, Stop(StopKind.DESTINATION, request_id, d))
     return out
-
-
-def enumerate_all(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
-                  new_request: Request, config: SimConfig,
-                  check_buffer: bool) -> list[Candidate]:
-    """Every insertion candidate with its cost; infeasible ones carry inf.
-
-    This is the exhaustive-search per-vehicle step: no geometric filtering.
-    """
-    trial = VehicleTrial.for_vehicle(net, v, requests, new_request, config,
-                                     check_buffer)
-    return [trial.evaluate(i, j)
-            for i, j, _ in candidate_positions(len(v.path))]

@@ -261,7 +261,8 @@ def check_request(net: RoadNetwork, r: Request) -> float:
 
     The party size must be at least 1, the release time finite and at least
     0, and o and d two different known nodes with a path from o to d.  A
-    ``direct_dist`` already set is returned as it is, without a row query.
+    ``direct_dist`` already set to a positive finite km is returned as it
+    is, without a row query.
     """
     if r.n < 1:
         raise RequestError(f"request {r.id}: party size must be >= 1")
@@ -273,7 +274,7 @@ def check_request(net: RoadNetwork, r: Request) -> float:
     for nd in (r.o, r.d):
         if nd not in net.nodes:
             raise RequestError(f"request {r.id}: unknown node {nd}")
-    if r.direct_dist > 0:
+    if 0.0 < r.direct_dist < math.inf:
         return r.direct_dist
     try:
         return net.shortest_dist(r.o, r.d)

@@ -24,7 +24,7 @@ import csv
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from scipy.sparse import csr_matrix
@@ -53,28 +53,20 @@ class Edge:
     bidirectional: bool = True
 
 
-@dataclass
 class RoadNetwork:
-    nodes: dict[int, Point]
-    edges: list[Edge]
-    _index: dict[int, int] = field(init=False, repr=False)
-    _ids: list[int] = field(init=False, repr=False)
-    _adj: list[dict[int, float]] = field(init=False, repr=False)
-    _csr: csr_matrix = field(init=False, repr=False)
-    _two_way: bool = field(init=False, repr=False)
-    _csr_t: csr_matrix | None = field(init=False, repr=False)
-    _dist_cache: dict[int, array] = field(init=False, repr=False)
-    _to_cache: dict[int, array] = field(init=False, repr=False)
+    """Nodes and edges, validated, with memoized shortest-path rows."""
 
-    def __post_init__(self) -> None:
-        self._ids = list(self.nodes.keys())
+    def __init__(self, nodes: dict[int, Point], edges: list[Edge]) -> None:
+        self.nodes = nodes
+        self.edges = edges
+        self._ids = list(nodes.keys())
         self._index = {nid: i for i, nid in enumerate(self._ids)}
         n = len(self._ids)
         # parallel edges collapse to the shortest one; scipy would otherwise
         # sum duplicate COO entries
         adj: list[dict[int, float]] = [dict() for _ in range(n)]
         two_way = True
-        for e in self.edges:
+        for e in edges:
             self._validate_edge(e)
             two_way = two_way and e.bidirectional
             iu, iv = self._index[e.u], self._index[e.v]
@@ -92,9 +84,9 @@ class RoadNetwork:
                 data.append(w)
         self._csr = csr_matrix((data, (rows, cols)), shape=(n, n))
         self._two_way = two_way
-        self._csr_t = None
-        self._dist_cache = {}
-        self._to_cache = {}
+        self._csr_t: csr_matrix | None = None
+        self._dist_cache: dict[int, array] = {}
+        self._to_cache: dict[int, array] = {}
 
     def _validate_edge(self, e: Edge) -> None:
         if e.u not in self.nodes or e.v not in self.nodes:
@@ -156,15 +148,7 @@ class RoadNetwork:
 
     def shortest_dist(self, a: int, b: int) -> float:
         """Network shortest-path distance a -> b in km."""
-        dist = self._dist_cache.get(a)
-        ib = self._index.get(b)
-        if dist is None or ib is None:
-            ia = self.index_of(a)
-            ib = self.index_of(b)
-            if ia == ib:
-                return 0.0
-            dist = self._row(self._dist_cache, self._csr, a)
-        d = dist[ib]
+        d = self.dists_from(a)[self.index_of(b)]
         if d == math.inf:
             raise NoPathError(f"no path from node {a} to node {b}")
         return d

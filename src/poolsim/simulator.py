@@ -15,7 +15,6 @@ rerun with the same seed is byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -344,26 +343,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
         requests=outcomes, events=events)
 
 
-# -- baseline and report files --------------------------------------------
-
-
-@dataclass(frozen=True)
-class PoevBaseline:
-    """Private-vehicle counterfactual: every rider drives the direct route."""
-    total_km: float
-    fleet_size: int
-    sharing_rate: float = 1.0
-
-
-def poev_fleet_size(n_requests: int) -> int:
-    return math.ceil(n_requests / 2)
-
-
-def poev_baseline(net: RoadNetwork, requests: list[Request]) -> PoevBaseline:
-    total = 0.0
-    for r in requests:
-        total += check_request(net, r)
-    return PoevBaseline(total_km=total, fleet_size=poev_fleet_size(len(requests)))
+# -- report files ----------------------------------------------------------
 
 
 def _atomic_write(path: str, text: str) -> None:

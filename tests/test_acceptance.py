@@ -12,20 +12,21 @@ session-scoped and shared across tests.
 """
 import math
 import time
+from dataclasses import dataclass
 
 import pytest
 
-from poolsim.analysis import (eta_monte_carlo, four_over_pi_monte_carlo,
-                              rrcc_gate_harness)
+from poolsim.analysis import eta_monte_carlo, rrcc_gate_harness
 from poolsim.geometry import Point, euclid
-from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
-                               candidate_positions, enumerate_all)
+from poolsim.insertion import CASE_A, CASE_B, CASE_C, candidate_positions
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
-                           Vehicle, sample_requests, waiting_time)
-from poolsim.roadnet import gen_grid
+                           Vehicle, check_request, sample_requests,
+                           waiting_time)
+from poolsim.roadnet import RoadNetwork, gen_grid
 from poolsim.scheduler import gate, search_area
 from poolsim.seeds import substream
-from poolsim.simulator import poev_baseline, run, write_report_files
+from poolsim.simulator import run, write_report_files
+from test_insertion import enumerate_all, trial_for
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -86,8 +87,8 @@ class SubsetObserver:
         if not check_buffer or not evaluated:
             return
         legal = {(i, j) for i, j, _ in positions}
-        trial = VehicleTrial.for_vehicle(self.net, v, requests, r,
-                                         self.config, check_buffer)
+        trial = trial_for(self.net, v, requests, r, self.config,
+                          check_buffer)
         for c in evaluated:
             if (c.i, c.j) not in legal:
                 self.escaped += 1
@@ -195,6 +196,13 @@ def dense_results():
         out[label] = rep
         out[f"{label}_wall_s"] = time.perf_counter() - t0
     return out
+
+
+def four_over_pi_monte_carlo(samples: int, seed: int) -> float:
+    """Single-region sanity estimate of the rectangle/ellipse area ratio."""
+    est = eta_monte_carlo(None, (Point(0.0, 0.0), Point(4.0, 0.0), 6.0),
+                          samples, seed)
+    return est.eta
 
 
 def test_01_area_ratio(capsys):
@@ -363,6 +371,26 @@ def test_08_pruning_effect(capsys, dense_results):
              f"es={dense_results['es_wall_s']:.1f}s (reported, not asserted); "
              f"{psi_txt} vs reference ordering "
              f"psi_a 0.402 > psi_c 0.318 > psi_b 0.151")
+
+
+@dataclass(frozen=True)
+class PoevBaseline:
+    """Private-vehicle counterfactual: every rider drives the direct route."""
+    total_km: float
+    fleet_size: int
+    sharing_rate: float = 1.0
+
+
+def poev_fleet_size(n_requests: int) -> int:
+    return math.ceil(n_requests / 2)
+
+
+def poev_baseline(net: RoadNetwork, requests: list[Request]) -> PoevBaseline:
+    total = 0.0
+    for r in requests:
+        total += check_request(net, r)
+    return PoevBaseline(total_km=total,
+                        fleet_size=poev_fleet_size(len(requests)))
 
 
 def test_09_sharing_benefit(capsys, dense_results):

@@ -7,15 +7,14 @@ import pytest
 
 from poolsim.analysis import (_MC_CHUNK, FOUR_OVER_PI, EtaBounds,
                               EtaEstimate, RrccRow, eta_closed,
-                              eta_monte_carlo,
-                              expected_reduction, expected_rrcc,
-                              fleet_km, four_over_pi_monte_carlo, rrcc_gate_harness,
-                              traffic_metrics)
+                              eta_monte_carlo, expected_rrcc, fleet_km,
+                              rrcc_gate_harness, traffic_metrics)
 from poolsim.geometry import Point, make_psa_rect, rect_bbox
 from poolsim.model import (Request, RequestState, Stop, StopKind, Vehicle,
                            WorldState)
 from poolsim.scheduler import counts_for_path
 from poolsim.seeds import substream
+from test_acceptance import four_over_pi_monte_carlo
 
 
 class TestEtaClosed:
@@ -236,30 +235,6 @@ class TestCandidateCounts:
             n_b = sum(1 for i, j in pairs if j == k + 1 and i < k)
             n_c = sum(1 for i, j in pairs if j == k + 1 and i == k)
             assert counts_for_path(k) == (n_a, n_b, n_c)
-
-    def test_agrees_with_scheduler_counts(self):
-        # the reduction model weighs the scheduler's own per-case tallies
-        psi_a, psi_b = expected_rrcc(30.0, 100.0)
-        for k in range(1, 20):
-            n_a, n_b, _ = counts_for_path(k)
-            assert expected_reduction(k, 30.0, 100.0) == (n_a * psi_a
-                                                          + n_b * psi_b)
-
-    def test_rejects_empty_path(self):
-        with pytest.raises(ValueError):
-            expected_reduction(0, 30.0, 100.0)
-
-
-class TestExpectedReduction:
-    def test_no_region_coverage_saves_everything_testable(self):
-        # area == S: the gates pass everything, nothing is saved
-        assert expected_reduction(4, 100.0, 100.0) == 0.0
-
-    def test_single_stop_path_has_no_gateable_cases(self):
-        assert expected_reduction(1, 30.0, 100.0) == 0.0
-
-    def test_reference_value(self):
-        assert expected_reduction(3, 30.0, 100.0) == pytest.approx(4.13)
 
 
 class TestRrccGateHarness:

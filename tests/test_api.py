@@ -1,0 +1,75 @@
+"""No public name in the library is there only for the tests.
+
+Every public module-level function or class of ``src/poolsim``, and every
+public method, must be named somewhere in the library or the benchmark
+(``perfbench/``) outside its own definition.  A name counts where code
+uses it: comments, docstrings, the package's re-exports and the
+benchmark's tests do not.  Code that only the tests call belongs in the
+tests.
+"""
+from __future__ import annotations
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_DEFINITION = (ast.FunctionDef, ast.ClassDef)
+
+
+def words_in_code(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, word) of every name, attribute and word of a non-doc string."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, *_DEFINITION))
+            and ast.get_docstring(node, clean=False) is not None}
+    words = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            words.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            words.extend((node.lineno, w) for w in re.findall(r"\w+",
+                                                              node.value))
+    return words
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Public module-level functions and classes, and their public methods."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, _DEFINITION) or node.name.startswith("_"):
+            continue
+        out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out.extend((f"{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, _DEFINITION)
+                       and not item.name.startswith("_"))
+    return out
+
+
+def unused_public_names() -> list[str]:
+    """Public names of the library that nothing outside them names."""
+    library = sorted((ROOT / "src" / "poolsim").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in library + sorted((ROOT / "perfbench").glob("*.py"))}
+    uses: dict[str, list[tuple[Path, int]]] = defaultdict(list)
+    for path, tree in trees.items():
+        if path.name != "__init__.py":
+            for line, word in words_in_code(tree):
+                uses[word].append((path, line))
+    unused = []
+    for path in library:
+        for qualname, node in public_definitions(trees[path]):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(where != path or line not in own
+                       for where, line in uses[node.name]):
+                unused.append(f"{path.stem}.{qualname}")
+    return unused
+
+
+def test_every_public_name_is_used_by_the_program():
+    assert unused_public_names() == []

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from poolsim.geometry import (Point, VehiclePsa, ellipse_contains, euclid,
-                              make_psa_rect, psa_contains, rect_bbox,
-                              rect_contains, rect_contains_all, rect_corners)
+from poolsim.geometry import (Point, VehiclePsa, euclid, make_psa_rect,
+                              psa_contains, rect_bbox, rect_contains,
+                              rect_contains_all, rect_corners)
+
+
+def ellipse_contains(f1: Point, f2: Point, sum_bound: float, p: Point) -> bool:
+    """Exact (closed) test on the ellipse the rectangle circumscribes."""
+    return euclid(f1, p) + euclid(p, f2) <= sum_bound
 
 
 def test_euclid_values():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from poolsim import insertion
 from poolsim.geometry import Point
 from poolsim.insertion import (QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
-                               Candidate, VehiclePath, VehicleTrial,
-                               candidate_positions, classify_case,
-                               enumerate_all, rejections, splice)
+                               Candidate, RequestRows, VehiclePath,
+                               VehicleTrial, candidate_positions,
+                               classify_case, rejections, splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import Edge, NoPathError, RoadNetwork, gen_grid
 from test_roadnet import one_way_grid, random_directed_grid
@@ -23,7 +23,62 @@ def line_net(n=61, spacing=0.1):
     return gen_grid(n, 2, spacing)
 
 
-trial_for = VehicleTrial.for_vehicle
+def trial_for(net, v, requests, new_request, config,
+              check_buffer) -> VehicleTrial:
+    """A trial on parts of its own, for a caller outside an epoch."""
+    return VehicleTrial(VehiclePath(net, v, requests),
+                        RequestRows(net, new_request, config, check_buffer))
+
+
+def enumerate_all(net, v, requests, new_request, config,
+                  check_buffer) -> list[Candidate]:
+    """Every insertion candidate with its cost; infeasible ones carry inf.
+
+    This is the exhaustive-search per-vehicle step: no geometric filtering.
+    """
+    trial = trial_for(net, v, requests, new_request, config, check_buffer)
+    return [trial.evaluate(i, j)
+            for i, j, _ in candidate_positions(len(v.path))]
+
+
+def full_check(trial: VehicleTrial, i: int, j: int) -> tuple[int, str] | None:
+    """First QoS violation of the (i, j) splice as (request id, kind), or None.
+
+    The reference for ``VehicleTrial.evaluate``'s verdicts: it decides
+    every bound from the trial's ``prefix``, the new rider's included, which
+    ``evaluate`` settles in its slot screen.  Checks the new request first,
+    then committed requests in drop-off order; per request the detour bound
+    comes before the pickup buffer.  The new request is buffer-checked when
+    its ``RequestRows`` says so, and a committed waiting rider exactly when
+    it was scheduled under the waiting threshold.  Raises NoPathError if a
+    leg of the spliced path has no route.
+    """
+    q = trial.prefix(i, j)
+    if q[-1] == INFEASIBLE:
+        raise NoPathError("a leg of the spliced path has no route")
+    new = trial.new
+    max_detour = new.max_detour
+    rider = new.request
+    at_o = q[i + 1]
+    if (q[j + 1] - at_o) / rider.direct_dist - 1.0 > max_detour:
+        return rider.id, "detour"
+    # the new request has driven nothing since its scheduling
+    if 0.0 + at_o > new.max_pickup:
+        return rider.id, "buffer"
+    # committed stop m sits at splice position m + (m >= i) + (m >= j-1)
+    jm = j - 1
+    for rid, oi, di, direct, counted, guarded in trial.path.riders():
+        at_d = q[di + 1 + (di >= i) + (di >= jm)]
+        if oi < 0:  # onboard: km ridden plus km still to its drop-off
+            if (counted + at_d) / direct - 1.0 > max_detour:
+                return rid, "detour"
+            continue
+        at_o = q[oi + 1 + (oi >= i) + (oi >= jm)]
+        if (at_d - at_o) / direct - 1.0 > max_detour:
+            return rid, "detour"
+        if guarded and counted + at_o > new.max_buffer:
+            return rid, "buffer"
+    return None
 
 
 def splice_legs(net, head, path, o, d, offset_km=0.0) -> VehicleTrial:
@@ -263,6 +318,14 @@ class TestSplice:
         assert len(path) == 1
 
 
+def qos_verdict(trial: VehicleTrial, i: int,
+                j: int) -> tuple[int, str] | None:
+    """``full_check``'s verdict, once ``evaluate`` is seen to agree with it."""
+    want = full_check(trial, i, j)
+    assert (trial.evaluate(i, j).cost == INFEASIBLE) == (want is not None)
+    return want
+
+
 class TestQosCheck:
     def config(self, **kw):
         return SimConfig(**kw)
@@ -272,7 +335,7 @@ class TestQosCheck:
         cfg = self.config()
         r = Request(id=1, t=0, n=1, o=4, d=8, direct_dist=2.0)
         v = Vehicle(id=0, capacity=5, node=0)
-        assert trial_for(net, v, {}, r, cfg, True).violation(0, 1) is None
+        assert qos_verdict(trial_for(net, v, {}, r, cfg, True), 0, 1) is None
 
     def test_detour_violation(self):
         # direct 4 km, planned 5 km: 25% over the 20% bound
@@ -284,10 +347,8 @@ class TestQosCheck:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 9, 9), ("d", 9, 0)))
         # spliced: o1 o9 d1 d9
-        hit = trial_for(net, v, {9: other}, r, cfg, True).violation(0, 2)
-        assert hit is not None
-        assert hit.kind == "detour"
-        assert hit.request_id == 1
+        trial = trial_for(net, v, {9: other}, r, cfg, True)
+        assert qos_verdict(trial, 0, 2) == (1, "detour")
 
     def test_buffer_violation_only_when_checked(self):
         # pickup 7 km out: violates B=6 under the strict branch, passes the
@@ -296,9 +357,9 @@ class TestQosCheck:
         cfg = self.config()
         r = Request(id=1, t=0, n=1, o=14, d=16, direct_dist=1.0)
         v = Vehicle(id=0, capacity=5, node=0)
-        hit = trial_for(net, v, {}, r, cfg, True).violation(0, 1)
-        assert hit is not None and hit.kind == "buffer"
-        assert trial_for(net, v, {}, r, cfg, False).violation(0, 1) is None
+        assert qos_verdict(trial_for(net, v, {}, r, cfg, True),
+                          0, 1) == (1, "buffer")
+        assert qos_verdict(trial_for(net, v, {}, r, cfg, False), 0, 1) is None
 
     def test_committed_rider_keeps_buffer_guarantee(self):
         # rider 2 was scheduled under the waiting threshold with its pickup
@@ -315,15 +376,12 @@ class TestQosCheck:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 2, 11), ("d", 2, 16)))
         # spliced: o1 d1 o2 d2
-        hit = trial_for(net, v, {2: committed}, late, cfg,
-                        False).violation(0, 1)
-        assert hit is not None
-        assert hit.kind == "buffer"
-        assert hit.request_id == 2
+        assert qos_verdict(trial_for(net, v, {2: committed}, late, cfg, False),
+                          0, 1) == (2, "buffer")
         # a rider committed past the threshold never had the guarantee
         committed.scheduled_under_wait = False
-        assert trial_for(net, v, {2: committed}, late, cfg,
-                         False).violation(0, 1) is None
+        assert qos_verdict(trial_for(net, v, {2: committed}, late, cfg, False),
+                          0, 1) is None
 
     def test_boundary_detour_feasible(self):
         # planned exactly (1 + max detour) * direct survives float rounding;
@@ -336,8 +394,8 @@ class TestQosCheck:
         v = Vehicle(id=0, capacity=5, node=10,
                     path=stops(("o", 2, 43), ("d", 2, 10)))
         # spliced: o1 o2 d1 d2
-        assert trial_for(net, v, {2: other}, r, cfg,
-                         True).violation(0, 2) is None
+        assert qos_verdict(trial_for(net, v, {2: other}, r, cfg, True),
+                          0, 2) is None
 
     def test_existing_waiting_rider_protected(self):
         # the new rider fits, but the splice stretches a committed rider past
@@ -353,12 +411,9 @@ class TestQosCheck:
         trial = trial_for(net, v, {2: committed}, new, cfg, True)
         # spliced: o2 o1 d2 d1; committed rider unharmed here (o and d stay
         # in order, planned 1.0)
-        assert trial.violation(1, 3) is None
+        assert qos_verdict(trial, 1, 3) is None
         # spliced: o2 o1 d1 d2
-        hit = trial.violation(1, 2)
-        assert hit is not None
-        assert hit.request_id == 2
-        assert hit.kind == "detour"
+        assert qos_verdict(trial, 1, 2) == (2, "detour")
 
     def test_onboard_rider_protected(self):
         net = line_net()
@@ -371,9 +426,10 @@ class TestQosCheck:
         new = Request(id=1, t=0, n=1, o=50, d=30, direct_dist=2.0)
         # detour to pick up at x=5.0 then back: onboard rider rides 2 + 3 + 2 + 2
         # spliced: o1 d2 d1
-        hit = trial_for(net, v, {2: onboard}, new, cfg, True).violation(0, 2)
+        trial = trial_for(net, v, {2: onboard}, new, cfg, True)
+        hit = qos_verdict(trial, 0, 2)
         assert hit is not None
-        assert hit.request_id == 2
+        assert hit[0] == 2
 
     def test_matches_brute_force_resummation(self):
         # random committed paths on a half-km grid with a quarter-km edge
@@ -403,7 +459,7 @@ def check_against_brute_force(net, cfg, rng, vehicles):
 
     For every (i, j) of each vehicle's trials, with and without the new
     rider's buffer check, ``cost`` must equal the growth of the re-summed
-    path, and ``violation`` and ``evaluate`` must give ``brute_force_qos``'s
+    path, and ``full_check`` and ``evaluate`` must give ``brute_force_qos``'s
     verdict.  Returns the number of verdicts checked, of plans on the
     detour bound, of vehicles mid-edge and of splices with back-to-back
     stops at one node.
@@ -430,9 +486,8 @@ def check_against_brute_force(net, cfg, rng, vehicles):
                 for check_buffer, trial in trials.items():
                     want, bound = brute_force_qos(net, v, reqs, path,
                                                   new, cfg, check_buffer)
-                    got = trial.violation(i, j)
-                    assert ((got.request_id, got.kind) if got else None
-                            ) == want, (v, path, check_buffer)
+                    assert full_check(trial, i, j) == want, (
+                        v, path, check_buffer)
                     assert trial.cost(i, j) == added, (v, path)
                     cand = trial.evaluate(i, j)
                     assert cand.cost == (added if want is None
@@ -580,13 +635,13 @@ def full_check_candidate(trial: VehicleTrial, i: int, j: int,
                          _bound: float | None = None) -> Candidate:
     """``VehicleTrial.evaluate`` without its new-rider screen or cost bound.
 
-    Costs the splice and runs the full ``violation`` check; a splice with an
+    Costs the splice and runs ``full_check``; a splice with an
     unreachable leg is infeasible.  The case is classified here, and every
     candidate is checked in full, whatever bound the caller hands in.
     """
     cost = trial.cost(i, j)
     try:
-        bad = trial.violation(i, j) is not None
+        bad = full_check(trial, i, j) is not None
     except NoPathError:
         bad = True
     if bad or not math.isfinite(cost):
@@ -715,30 +770,63 @@ def slack_pinned_trials(draw):
 
     The lengths make the km sums inexact, so summing them in another order
     changes their last bits.  The config's detour and buffer bounds are
-    pinned, slack included, to one candidate's exact detour ratio and
-    pickup km as the full check sums them.
+    pinned, slack included, to one rider's exact detour ratio and pickup km
+    under one candidate, as the full check sums them: the new rider's or a
+    committed one's, onboard or waiting.
     """
     net = LOOSE_NET
     nodes = st.sampled_from(LOOSE_NODES)
     k = draw(st.integers(0, 6))
     v = Vehicle(id=0, capacity=k + 1, node=draw(nodes),
-                offset_km=draw(st.sampled_from([0.0, 0.13])))
+                offset_km=draw(st.sampled_from([0.0, 0.13])),
+                odometer=draw(st.sampled_from([0.0, 0.37])))
     reqs: dict[int, Request] = {}
-    for rid in range(1, k + 1):
-        at = draw(nodes)
-        reqs[rid] = Request(id=rid, t=0, n=1, o=at, d=at,
-                            direct_dist=draw(st.sampled_from([0.5, 50.0])),
-                            state=RequestState.ONBOARD, traveled_at_pickup=0.0)
-        v.path.append(Stop(StopKind.DESTINATION, rid, at))
+    path = v.path
+    rid = 0
+    while len(path) < k:
+        rid += 1
+        d = draw(nodes)
+        r = Request(id=rid, t=0, n=1, o=d, d=d,
+                    direct_dist=draw(st.sampled_from([0.5, 50.0])),
+                    state=RequestState.ONBOARD, traveled_at_pickup=0.0)
+        if len(path) < k - 1 and draw(st.booleans()):
+            r.o = draw(nodes)
+            r.state = RequestState.WAITING
+            r.odometer_at_schedule = 0.0
+            r.scheduled_under_wait = draw(st.booleans())
+            a = draw(st.integers(0, len(path)))
+            path.insert(a, Stop(StopKind.ORIGIN, rid, r.o))
+            path.insert(draw(st.integers(a + 1, len(path))),
+                        Stop(StopKind.DESTINATION, rid, d))
+        else:
+            path.insert(draw(st.integers(0, len(path))),
+                        Stop(StopKind.DESTINATION, rid, d))
+        reqs[rid] = r
     o = draw(nodes)
     d = draw(nodes.filter(lambda x: x != o))
     new = Request(id=99, t=0, n=1, o=o, d=d,
                   direct_dist=net.shortest_dist(o, d))
     i, j = draw(st.sampled_from([(i, j) for i in range(k + 1)
                                  for j in range(i + 1, k + 2)]))
-    q = trial_for(net, v, reqs, new, SimConfig(), True).prefix(i, j)
-    detour = under_slack((q[j + 1] - q[i + 1]) / new.direct_dist - 1.0)
-    buffer_km = under_slack(q[i + 1])
+    trial = trial_for(net, v, reqs, new, SimConfig(), True)
+    q = trial.prefix(i, j)
+
+    def at(m: int) -> float:
+        # km to committed stop m, at splice position m + (m >= i) + (m >= j-1)
+        return q[m + 1 + (m >= i) + (m >= j - 1)]
+
+    # per rider: km counted before the plan, km to its origin (None once
+    # onboard), km to its destination and its direct km
+    plans = [(0.0, q[i + 1], q[j + 1], new.direct_dist)]
+    plans.extend((counted, None if oi < 0 else at(oi), at(di), direct)
+                 for _, oi, di, direct, counted, _ in trial.path.riders())
+    counted, at_o, at_d, direct = draw(st.sampled_from(plans))
+    if at_o is None:
+        detour = under_slack((counted + at_d) / direct - 1.0)
+        buffer_km = None
+    else:
+        detour = under_slack((at_d - at_o) / direct - 1.0)
+        buffer_km = under_slack(counted + at_o)
     cfg = SimConfig(max_detour=0.2 if detour is None else detour,
                     buffer_km=6.0 if buffer_km is None else buffer_km)
     return net, v, reqs, new, cfg, draw(st.booleans())

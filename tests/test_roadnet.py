@@ -276,6 +276,12 @@ class TestShortestPaths:
         with pytest.raises(NetworkError):
             net.index_of(999)
 
+    def test_networks_compare_by_identity(self):
+        # two networks with the same content are still two row caches
+        net = gen_grid(3, 3, 1.0)
+        assert net == net
+        assert (net == gen_grid(3, 3, 1.0)) is False
+
     def test_unknown_node(self):
         net = gen_grid(2, 2, 1.0)
         with pytest.raises(NetworkError):

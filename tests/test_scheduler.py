@@ -12,7 +12,7 @@ from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
                               Point, VehiclePsa, make_psa_rect, psa_contains)
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                                RequestRows, VehiclePath, VehicleTrial,
-                               candidate_positions, enumerate_all)
+                               candidate_positions)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, WorldState, passengers_committed,
                            waiting_time)
@@ -24,7 +24,7 @@ from poolsim.scheduler import (Assignment, EpochCounters, counts_for_path,
 from poolsim.analysis import traffic_metrics
 from poolsim.simulator import run, write_report_files
 from test_acceptance import ORACLE_GRID, oracle_instance
-from test_insertion import full_check_candidate
+from test_insertion import enumerate_all, full_check_candidate, trial_for
 from test_roadnet import one_way_grid
 
 
@@ -266,7 +266,7 @@ class TestGateSlack:
         cfg = SimConfig()
         # o before rider 23's drop-off, d appended: rider 23 rides 3.6 km,
         # exactly (1 + 0.2) times the direct distance
-        trial = VehicleTrial.for_vehicle(net, v, requests, new, cfg, True)
+        trial = trial_for(net, v, requests, new, cfg, True)
         assert trial.evaluate(1, 3).cost != INFEASIBLE
         psa = furthest_psa(net, v, requests, cfg.buffer_km, cfg.max_detour)
         assert psa.kind == PSA_SINGLE and psa.furthest_request_id == 23
@@ -299,7 +299,7 @@ class TestGateSlack:
                       direct_dist=net.shortest_dist(7, 15))
         buffer_km = net.shortest_dist(0, 3) + net.shortest_dist(3, 7)
         cfg = SimConfig(buffer_km=buffer_km)
-        trial = VehicleTrial.for_vehicle(net, v, {1: rider}, new, cfg, True)
+        trial = trial_for(net, v, {1: rider}, new, cfg, True)
         assert trial.evaluate(1, 2).cost != INFEASIBLE
         psa = furthest_psa(net, v, {1: rider}, cfg.buffer_km, cfg.max_detour)
         assert gate(psa, net.point(7), net.point(15), [net.point(3)],
@@ -327,10 +327,10 @@ class TestGateSlack:
         new = Request(id=3, t=0.0, n=1, o=6, d=5,
                       direct_dist=net.shortest_dist(6, 5))
         requests = {**riders, 3: new}
-        pickup_km = VehicleTrial.for_vehicle(
+        pickup_km = trial_for(
             net, v, requests, new, SimConfig(), True).prefix(1, 2)[4]
         cfg = SimConfig(buffer_km=pickup_km)
-        trial = VehicleTrial.for_vehicle(net, v, requests, new, cfg, True)
+        trial = trial_for(net, v, requests, new, cfg, True)
         assert trial.evaluate(1, 2).cost != INFEASIBLE
         psa = furthest_psa(net, v, requests, cfg.buffer_km, cfg.max_detour)
         assert psa.kind == PSA_UNION
@@ -410,7 +410,7 @@ def bound_states(draw):
                   direct_dist=net.shortest_dist(o, d))
     k = len(path)
     i, j, _ = draw(st.sampled_from(candidate_positions(k)))
-    legs = VehicleTrial.for_vehicle(net, v, requests, new, SimConfig(), True)
+    legs = trial_for(net, v, requests, new, SimConfig(), True)
     q = legs.prefix(i, j)
     max_detour = draw(st.sampled_from(
         [0.0, 0.2, (q[j + 1] - q[i + 1]) / new.direct_dist - 1.0]))
@@ -486,7 +486,7 @@ def reach_states(draw):
     d = draw(node.filter(lambda x: x != o))
     new = Request(id=99, t=0.0, n=1, o=o, d=d,
                   direct_dist=net.shortest_dist(o, d))
-    trial = VehicleTrial.for_vehicle(net, v, requests, new, SimConfig(), True)
+    trial = trial_for(net, v, requests, new, SimConfig(), True)
     pickups = [trial.prefix(i, j)[i + 1]
                for i, j, _ in candidate_positions(len(v.path))]
     least = min(pickups)

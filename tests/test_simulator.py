@@ -14,10 +14,10 @@ from poolsim.model import (Request, RequestError, RequestState, SimConfig,
 from poolsim.roadnet import gen_grid
 from poolsim.scheduler import run_epoch
 from poolsim.seeds import substream
-from poolsim.simulator import (METRICS_HEADER, PoevBaseline, SimEvent,
-                               advance_vehicle, poev_baseline,
-                               poev_fleet_size, run, write_report_files)
-from test_acceptance import ORACLE_GRID, oracle_instance
+from poolsim.simulator import (METRICS_HEADER, SimEvent, advance_vehicle, run,
+                               write_report_files)
+from test_acceptance import (ORACLE_GRID, PoevBaseline, oracle_instance,
+                             poev_baseline, poev_fleet_size)
 
 SPEED_KM_S = 30.0 / 3600.0
 
@@ -367,6 +367,17 @@ class TestReportFiles:
         ev_lines = (tmp_path / "events.jsonl").read_text().splitlines()
         assert len(ev_lines) == len(report.events)
         assert json.loads(ev_lines[0])["kind"] == "release"
+
+    def test_infinite_preset_direct_distance_is_resolved(self, tmp_path):
+        # only a positive finite preset is trusted; an infinite one would
+        # reach report.json, which refuses it
+        net = gen_grid(4, 4, 0.5)
+        req = Request(id=0, t=0.0, n=1, o=0, d=15, direct_dist=math.inf)
+        report = run(net, [req], SimConfig(n_vehicles=1))
+        write_report_files(report, tmp_path)
+        with open(tmp_path / "report.json") as f:
+            (outcome,) = json.load(f)["requests"]
+        assert outcome["direct_km"] == net.shortest_dist(0, 15) == 3.0
 
     def test_rewrites_are_byte_identical(self, tmp_path):
         report = self.make_report()
