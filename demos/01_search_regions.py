@@ -20,7 +20,7 @@ def main() -> None:
     rect = make_psa_rect(o, d, budget)
     print("trip o=(0,0) -> d=(4,0), direct 4.0 km, detour allowance 20%")
     print(f"  path budget        : {budget:.3f} km")
-    print(f"  rectangle center   : ({rect.center.x:.2f}, {rect.center.y:.2f})")
+    print(f"  rectangle center   : ({rect.cx:.2f}, {rect.cy:.2f})")
     print(f"  rectangle half-len : {rect.half_len:.4f} km")
     print(f"  rectangle half-wid : {rect.half_wid:.4f} km")
     print(f"  rectangle area     : {rect.area:.4f} km^2")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import (Point, PsaRect, VehiclePsa, make_psa_rect, rect_bbox)
 from .model import Vehicle, WorldState
-from .scheduler import gate
+from .scheduler import MODE_INCLUSIVE, gate
 from .seeds import substream
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -104,19 +104,19 @@ def _rect_mask(rect: PsaRect, xs: np.ndarray, ys: np.ndarray,
     and v = dy*ax - dx*ay; the latter equals -dx*ay + dy*ax bit for bit.
     """
     dx, dy, u, t = scratch
-    ax, ay = rect.axis
-    np.subtract(xs, rect.center.x, out=dx)
-    np.subtract(ys, rect.center.y, out=dy)
+    cx, cy, ax, ay, half_len, half_wid, _ = rect
+    np.subtract(xs, cx, out=dx)
+    np.subtract(ys, cy, out=dy)
     np.multiply(dx, ax, out=u)
     np.multiply(dy, ay, out=t)
     np.add(u, t, out=u)
     np.abs(u, out=u)
-    np.less_equal(u, rect.half_len, out=out)
+    np.less_equal(u, half_len, out=out)
     np.multiply(dy, ax, out=u)
     np.multiply(dx, ay, out=t)
     np.subtract(u, t, out=u)
     np.abs(u, out=u)
-    np.less_equal(u, rect.half_wid, out=spare)
+    np.less_equal(u, half_wid, out=spare)
     np.logical_and(out, spare, out=out)
 
 
@@ -299,12 +299,11 @@ def rrcc_gate_harness(area_fraction: float, samples: int,
         raise ValueError("samples must be >= 1")
     s = HARNESS_SIDE_KM * HARNESS_SIDE_KM
     area = area_fraction * s
-    half = math.sqrt(area) / 2.0
     c = HARNESS_SIDE_KM / 2.0
-    rect = PsaRect(center=Point(c, c), axis=(1.0, 0.0), half_len=half,
-                   half_wid=half, area=area)
-    psa = VehiclePsa.single(rect, request_id=0)
     pos = Point(c, c)
+    # coincident foci: the axis-aligned square of side sqrt(area)
+    psa = VehiclePsa.single(make_psa_rect(pos, pos, math.sqrt(area)),
+                            request_id=0)
 
     rng = substream(seed, f"rrcc-{area_fraction:.6f}")
     pts = rng.uniform(0.0, HARNESS_SIDE_KM, size=(samples, 4))
@@ -313,7 +312,7 @@ def rrcc_gate_harness(area_fraction: float, samples: int,
     for ox, oy, dx, dy in pts:
         o = Point(ox, oy)
         d = Point(dx, dy)
-        admit_a, admit_b, _ = gate(psa, o, d, [], pos, 0.0, "inclusive")
+        admit_a, admit_b, _ = gate(psa, o, d, [], pos, 0.0, MODE_INCLUSIVE)
         pass_a += admit_a
         pass_b += admit_b
     exp_a, exp_b = expected_rrcc(area, s)
@@ -356,21 +355,20 @@ def traffic_metrics(state: WorldState) -> TrafficMetrics:
     (None) when nothing moves.  Saved distance is the direct-route total of
     completed requests minus all fleet travel so far; negative while pickup
     legs dominate.  The request counts come from the state's running
-    ``tally``, so only the vehicles are scanned.  The tally is counted when
+    totals, so only the vehicles are scanned.  The totals are counted when
     the state is built and kept current by ``run_epoch``, which moves the
     clock and commits, and by the simulator's pickup and drop-off events;
     a request changed any other way needs a freshly built state.
     """
     vehicles = state.vehicles.values()
     moving = sum(1 for v in vehicles if v.path)
-    tally = state.tally
-    onboard_riders = tally.onboard_riders
+    onboard_riders = state.onboard_riders
     travel = fleet_km(vehicles)
     fleet = len(state.vehicles)
     return TrafficMetrics(
         moving=moving, onboard_riders=onboard_riders,
         sharing_rate=(onboard_riders / moving) if moving else None,
         utilization=moving / fleet if fleet else 0.0,
-        saved_km=tally.direct_done_km - travel,
-        completed=tally.completed,
-        unserved=tally.unserved)
+        saved_km=state.direct_done_km - travel,
+        completed=state.completed,
+        unserved=state.unserved)

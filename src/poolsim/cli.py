@@ -3,9 +3,11 @@
 Exit codes are stable per error class: 1 for usage errors (bad flags or
 values), 2 for input errors (missing or malformed files), 3 for runtime
 failures.  Every command writes a manifest with the resolved configuration
-and input digests before doing the work, and all files land atomically
-(temp + rename).  Wall-clock timings are printed and written to a separate
-timing file so the reports themselves stay byte-reproducible.
+and input digests: ``simulate`` and ``compare`` before running, the
+generators ``gen-grid`` and ``gen-requests`` after writing their outputs.
+All files land atomically (temp + rename).  Wall-clock timings are printed
+and written to a separate timing file so the reports themselves stay
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import sys
 import time
 
 from . import __version__
-from .model import (RequestError, SimConfig, load_requests, sample_requests,
-                    save_requests)
+from .model import (GATINGS, RequestError, SimConfig, load_requests,
+                    sample_requests, save_requests)
 from .roadnet import NetworkError, gen_grid, load_network, save_network
 from .analysis import rrcc_gate_harness
 from .seeds import substream
-from .simulator import SimReport, _atomic_write, run, write_report_files
+from .simulator import SimReport, atomic_write, run, write_report_files
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,8 +65,8 @@ def _write_manifest(path: str, command: str, settings: dict,
         "seed": seed,
         "outputs": outputs,
     }
-    _atomic_write(path, json.dumps(manifest, indent=2, allow_nan=False)
-                  + "\n")
+    atomic_write(path, json.dumps(manifest, indent=2, allow_nan=False)
+                 + "\n")
 
 
 # -- commands --------------------------------------------------------------
@@ -186,8 +188,8 @@ def cmd_simulate(args) -> int:
     report = run(net, requests, config, scheduler=args.scheduler)
     wall = time.perf_counter() - t0
     write_report_files(report, args.out)
-    _atomic_write(os.path.join(args.out, "timing.json"),
-                  json.dumps({"wall_s": wall}) + "\n")
+    atomic_write(os.path.join(args.out, "timing.json"),
+                 json.dumps({"wall_s": wall}) + "\n")
     c = report.counters
     print(f"{args.scheduler}: {report.completed}/{report.n_requests} "
           f"completed, {report.unserved} unserved, "
@@ -255,10 +257,10 @@ def cmd_compare(args) -> int:
                             "count": len(only_psap) + len(only_es)},
         "harness": harness,
     }
-    _atomic_write(os.path.join(args.out, "compare.json"),
-                  json.dumps(summary, indent=2, allow_nan=False) + "\n")
-    _atomic_write(os.path.join(args.out, "timing.json"),
-                  json.dumps({"wall_s": walls}) + "\n")
+    atomic_write(os.path.join(args.out, "compare.json"),
+                 json.dumps(summary, indent=2, allow_nan=False) + "\n")
+    atomic_write(os.path.join(args.out, "timing.json"),
+                 json.dumps({"wall_s": walls}) + "\n")
 
     cp, ce = reports["psap"].counters, reports["es"].counters
     print(f"psap evaluated {cp.m_total} of {cp.n_total} candidates "
@@ -279,20 +281,20 @@ def _add_sim_flags(p: _Parser) -> None:
     p.add_argument("--edges", required=True, help="edges CSV")
     p.add_argument("--requests", required=True, help="requests CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--pvs", type=int, default=1, help="fleet size")
-    p.add_argument("--capacity", type=int, default=5)
-    p.add_argument("--speed-kmh", type=float, default=30.0)
-    p.add_argument("--delta", type=float, default=0.2,
+    d = SimConfig()
+    p.add_argument("--pvs", type=int, default=d.n_vehicles, help="fleet size")
+    p.add_argument("--capacity", type=int, default=d.capacity)
+    p.add_argument("--speed-kmh", type=float, default=d.speed_kmh)
+    p.add_argument("--delta", type=float, default=d.max_detour,
                    help="max detour ratio")
-    p.add_argument("--wait-min", type=float, default=4.0,
+    p.add_argument("--wait-min", type=float, default=d.wait_threshold_s / 60,
                    help="waiting threshold W, minutes")
-    p.add_argument("--buffer-km", type=float, default=6.0,
+    p.add_argument("--buffer-km", type=float, default=d.buffer_km,
                    help="pickup buffer B, km")
-    p.add_argument("--epoch-s", type=float, default=10.0)
-    p.add_argument("--gating", choices=["literal", "inclusive"],
-                   default="literal")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon-s", type=float, default=None)
+    p.add_argument("--epoch-s", type=float, default=d.epoch_s)
+    p.add_argument("--gating", choices=GATINGS, default=d.gating)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--horizon-s", type=float, default=d.horizon_s)
 
 
 def build_parser() -> _Parser:
@@ -338,26 +340,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except (NetworkError, RequestError, FileNotFoundError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (UsageError, ValueError) as exc:
+        # bad option values surface as config validation errors
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        try:
-            return args.fn(args)
-        except UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (NetworkError, RequestError, FileNotFoundError,
-                json.JSONDecodeError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        except ValueError as exc:
-            # bad option values surface as config validation errors
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - last-resort exit code mapping
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -3,9 +3,12 @@
 A vehicle's potential search area is built from rectangles that circumscribe
 detour ellipses: for foci f1, f2 and a path-length budget ``sum_bound``, the
 ellipse is {x : |x - f1| + |x - f2| <= sum_bound} and the circumscribing
-rectangle shares its center and axes.  Membership tests against the rectangle
-are the cheap filter used by the scheduler; only the Monte Carlo area-ratio
-estimator in :mod:`poolsim.analysis` tests points against the ellipse itself.
+rectangle shares its center and axes.  ``make_psa_rect`` is its one builder:
+a flat ``PsaRect`` of seven floats, which the scheduler's gate, the tests here
+and the Monte Carlo kernel in :mod:`poolsim.analysis` all read the same way.
+Membership tests against the rectangle are the cheap filter used by the
+scheduler; only the Monte Carlo area-ratio estimator tests points against the
+ellipse itself.
 
 All coordinates are planar km.  Containment is closed (boundary points are in).
 """
@@ -29,14 +32,17 @@ def euclid(a: Point, b: Point) -> float:
 
 
 class PsaRect(NamedTuple):
-    """Rectangle circumscribing a detour ellipse.
+    """Rectangle circumscribing a detour ellipse, as flat fields.
 
-    ``axis`` is the unit vector along the major (focal) direction; the
-    rectangle spans +/- half_len along it and +/- half_wid across it.
+    ``(cx, cy)`` is the center and ``(ax, ay)`` the unit vector along the
+    major (focal) direction; the rectangle spans +/- half_len along it and
+    +/- half_wid across it.  Build one with ``make_psa_rect``.
     """
 
-    center: Point
-    axis: tuple[float, float]
+    cx: float
+    cy: float
+    ax: float
+    ay: float
     half_len: float
     half_wid: float
     area: float
@@ -50,19 +56,6 @@ def make_psa_rect(f1: Point, f2: Point, sum_bound: float) -> PsaRect | None:
     sum_bound.  Degenerate sum_bound == E(f1, f2) gives a zero-width rectangle
     covering exactly the focal segment.
     """
-    fields = psa_rect_fields(f1, f2, sum_bound)
-    if fields is None:
-        return None
-    center, axis, half_len, half_wid, area = fields
-    return PsaRect(Point(*center), axis, half_len, half_wid, area)
-
-
-def psa_rect_fields(f1: Point, f2: Point, sum_bound: float) -> tuple | None:
-    """``make_psa_rect``'s fields as a plain tuple, or None.
-
-    For a rectangle tested once and dropped: ``rect_contains_all`` reads it
-    as a ``PsaRect``, and no ``PsaRect`` or ``Point`` is built.
-    """
     if sum_bound < 0:
         raise ValueError(f"sum_bound must be nonnegative, got {sum_bound}")
     e = euclid(f1, f2)
@@ -72,11 +65,11 @@ def psa_rect_fields(f1: Point, f2: Point, sum_bound: float) -> tuple | None:
     # minor semi-axis b = sqrt(a^2 - c^2) with a = sum_bound/2, c = e/2
     half_wid = math.sqrt(max(sum_bound * sum_bound - e * e, 0.0)) / 2.0
     if e > 0.0:
-        axis = ((f2[0] - f1[0]) / e, (f2[1] - f1[1]) / e)
+        ax, ay = (f2[0] - f1[0]) / e, (f2[1] - f1[1]) / e
     else:
-        axis = (1.0, 0.0)
-    center = ((f1[0] + f2[0]) / 2.0, (f1[1] + f2[1]) / 2.0)
-    return center, axis, half_len, half_wid, 4.0 * half_len * half_wid
+        ax, ay = 1.0, 0.0
+    return PsaRect((f1[0] + f2[0]) / 2.0, (f1[1] + f2[1]) / 2.0, ax, ay,
+                   half_len, half_wid, 4.0 * half_len * half_wid)
 
 
 def rect_contains(rect: PsaRect, p: Point) -> bool:
@@ -85,11 +78,8 @@ def rect_contains(rect: PsaRect, p: Point) -> bool:
 
 
 def rect_contains_all(rect: PsaRect, points: Iterable[Point]) -> bool:
-    """True when the rectangle contains every one of the points.
-
-    ``rect`` may also be the plain tuple of ``psa_rect_fields``.
-    """
-    (cx, cy), (ax, ay), half_len, half_wid, _ = rect
+    """True when the rectangle contains every one of the points."""
+    cx, cy, ax, ay, half_len, half_wid, _ = rect
     for x, y in points:
         dx = x - cx
         dy = y - cy
@@ -101,10 +91,8 @@ def rect_contains_all(rect: PsaRect, points: Iterable[Point]) -> bool:
 
 def rect_corners(rect: PsaRect) -> list[Point]:
     """The four corners, counterclockwise from +axis +perp."""
-    ax, ay = rect.axis
+    cx, cy, ax, ay, hl, hw, _ = rect
     px, py = -ay, ax
-    cx, cy = rect.center
-    hl, hw = rect.half_len, rect.half_wid
     return [
         Point(cx + sx * hl * ax + sy * hw * px, cy + sx * hl * ay + sy * hw * py)
         for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))
@@ -113,8 +101,7 @@ def rect_corners(rect: PsaRect) -> list[Point]:
 
 def rect_bbox(rect: PsaRect) -> tuple[float, float, float, float]:
     """Axis-aligned bounding box (xmin, ymin, xmax, ymax)."""
-    xs = [c.x for c in rect_corners(rect)]
-    ys = [c.y for c in rect_corners(rect)]
+    xs, ys = zip(*rect_corners(rect))
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -184,7 +171,7 @@ def psa_contains(psa: VehiclePsa, p: Point) -> bool:
         return False
     if psa.kind == PSA_OPEN:
         return True
-    if psa.beta is not None and rect_contains(psa.beta, p):
+    if rect_contains(psa.beta, p):
         return True
     if psa.alpha is not None and rect_contains(psa.alpha, p):
         return True

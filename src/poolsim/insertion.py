@@ -435,9 +435,7 @@ class VehicleTrial:
 def splice(stops: list[Stop], o: int, d: int, i: int, j: int,
            request_id: int) -> list[Stop]:
     """New stop list with o at position i, then d at position j."""
-    k = len(stops)
-    if not (0 <= i < j <= k + 1):
-        raise ValueError(f"bad insertion positions ({i}, {j}) for K={k}")
+    classify_case(i, j, len(stops))
     out = list(stops)
     out.insert(i, Stop(StopKind.ORIGIN, request_id, o))
     out.insert(j, Stop(StopKind.DESTINATION, request_id, d))

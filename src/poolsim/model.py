@@ -90,6 +90,8 @@ class Vehicle:
 
 # km at or below which a step's driving budget moves no vehicle
 STILL_KM = 1e-15
+# the psap gate's modes, SimConfig.gating's values; the first is the default
+GATINGS = ("literal", "inclusive")
 
 
 @dataclass
@@ -102,7 +104,7 @@ class SimConfig:
     epoch_s: float = 10.0
     n_vehicles: int = 1
     seed: int = 0
-    gating: str = "literal"          # literal | inclusive
+    gating: str = GATINGS[0]         # one of GATINGS
     horizon_s: float | None = None   # hard stop; None runs to completion
 
     def __post_init__(self) -> None:
@@ -137,38 +139,42 @@ class SimConfig:
             raise ValueError("horizon_s must be >= 0")
         if self.n_vehicles < 1:
             raise ValueError("n_vehicles must be >= 1")
-        if self.gating not in ("literal", "inclusive"):
-            raise ValueError(f"gating must be literal or inclusive, "
+        if self.gating not in GATINGS:
+            raise ValueError(f"gating must be {' or '.join(GATINGS)}, "
                              f"got {self.gating!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-class RequestTally:
-    """Running request totals that the per-epoch traffic metrics read.
+@dataclass
+class WorldState:
+    """Fleet and requests at ``clock``, with their running request totals.
 
-    The one owner of release order, ``(t, id)``.  Counted once from the
-    requests' states at construction, then moved by the code that changes
-    a request's state: ``release`` as the clock passes release times,
-    ``schedule`` at commit, ``pickup`` and ``dropoff`` from the vehicles'
-    stop events, so no epoch rescans every request.  ``pool`` holds the
-    released requests still unscheduled, the requests an epoch tries to
-    place, by id in release order.  ``direct_done_km`` adds the direct km
-    of the requests completed at construction, in ``requests`` order, then
-    of each drop-off as it is tallied.
+    The one owner of release order, ``(t, id)``.  The totals are counted
+    once from the requests' states at construction, then moved by the code
+    that changes a request's state: ``advance_clock`` as the clock passes
+    release times, ``schedule`` at commit, ``pickup`` and ``dropoff`` from
+    the vehicles' stop events, so no epoch rescans every request.  ``pool``
+    holds the released requests still unscheduled, the requests an epoch
+    tries to place, by id in release order.  ``direct_done_km`` adds the
+    direct km of the requests completed at construction, in ``requests``
+    order, then of each drop-off as it is tallied.  Time only moves forward.
     """
+    clock: float
+    vehicles: dict[int, Vehicle]
+    requests: dict[int, Request]
 
-    def __init__(self, requests: dict[int, Request], clock: float) -> None:
+    def __post_init__(self) -> None:
         # latest release last, so releasing pops from the end
-        self._unreleased = sorted(requests.values(),
+        self._unreleased = sorted(self.requests.values(),
                                   key=lambda r: (r.t, r.id), reverse=True)
         self.pool: dict[int, Request] = {}
-        self.release(clock)
+        self.advance_clock(self.clock)
         self.onboard_riders = 0
         self.completed = 0
         self.direct_done_km = 0
-        for r in requests.values():
+        for r in self.requests.values():
             if r.state is RequestState.ONBOARD:
                 self.onboard_riders += r.n
             elif r.state is RequestState.COMPLETED:
@@ -183,15 +189,17 @@ class RequestTally:
     def all_released(self) -> bool:
         return not self._unreleased
 
-    def release(self, clock: float) -> list[Request]:
-        """Pool the unscheduled requests released up to ``clock``.
+    def advance_clock(self, now: float) -> list[Request]:
+        """Move the clock forward to ``now`` and pool the unscheduled
+        requests released up to it.
 
-        Returns every request this call released, in release order.  The
-        clock only moves forward: a request once released stays released.
+        Returns every request released on the way, in release order.  A
+        request once released stays released.
         """
+        self.clock = now
         pending = self._unreleased
         released = []
-        while pending and pending[-1].t <= clock:
+        while pending and pending[-1].t <= now:
             r = pending.pop()
             released.append(r)
             if r.state is RequestState.UNSCHEDULED:
@@ -208,29 +216,6 @@ class RequestTally:
         self.onboard_riders -= r.n
         self.completed += 1
         self.direct_done_km += r.direct_dist
-
-
-@dataclass
-class WorldState:
-    """Fleet and requests at ``clock``, with their running totals.
-
-    Move ``clock`` with ``advance_clock``, as ``run_epoch`` does, so that
-    ``tally`` counts the requests released by then.  Time only moves
-    forward.
-    """
-    clock: float
-    vehicles: dict[int, Vehicle]
-    requests: dict[int, Request]
-    tally: RequestTally = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.tally = RequestTally(self.requests, self.clock)
-
-    def advance_clock(self, now: float) -> list[Request]:
-        """Move the clock forward to ``now``; return the requests released
-        on the way, in release order."""
-        self.clock = now
-        return self.tally.release(now)
 
 
 def waiting_time(r: Request, now: float) -> float:

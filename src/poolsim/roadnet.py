@@ -236,27 +236,32 @@ def read_csv(path: str | os.PathLike, kind: str, headers: tuple[str, ...],
     have as many fields as its header.  Blank lines are skipped.  An empty
     file, another header, a row with another field count, or a ValueError
     from ``parse`` raises ``error``, prefixed with ``path:line`` for a row.
+    A file that cannot be opened or read as text raises ``error`` too,
+    prefixed with ``path``.
     """
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        first = next(reader, None)
-        if first is None:
-            raise error(f"{path}: empty {kind} file")
-        header = ",".join(h.strip() for h in first)
-        if header not in headers:
-            raise error(f"{path}: {kind} header must be "
-                        f"{' or '.join(headers)}, got {header}")
-        width = len(first)
-        rows: list[T] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != width:
-                    raise ValueError(f"expected {width} fields")
-                rows.append(parse(row))
-            except ValueError as exc:
-                raise error(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            first = next(reader, None)
+            if first is None:
+                raise error(f"{path}: empty {kind} file")
+            header = ",".join(h.strip() for h in first)
+            if header not in headers:
+                raise error(f"{path}: {kind} header must be "
+                            f"{' or '.join(headers)}, got {header}")
+            width = len(first)
+            rows: list[T] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    if len(row) != width:
+                        raise ValueError(f"expected {width} fields")
+                    rows.append(parse(row))
+                except ValueError as exc:
+                    raise error(f"{path}:{lineno}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: {exc}") from None
     return header, rows
 
 

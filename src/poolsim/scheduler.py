@@ -29,16 +29,15 @@ from functools import lru_cache
 from typing import Callable
 
 from .geometry import (PSA_OPEN, PSA_SINGLE, Point, VehiclePsa, make_psa_rect,
-                       psa_contains, psa_rect_fields, rect_contains_all)
+                       psa_contains, rect_contains_all)
 from .insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                         Candidate, RequestRows, VehiclePath, VehicleTrial,
                         candidate_positions, splice)
-from .model import (Request, RequestState, SimConfig, StopKind, Vehicle,
-                    WorldState, waiting_time)
+from .model import (GATINGS, Request, RequestState, SimConfig, StopKind,
+                    Vehicle, WorldState, waiting_time)
 from .roadnet import RoadNetwork
 
-MODE_LITERAL = "literal"
-MODE_INCLUSIVE = "inclusive"
+MODE_LITERAL, MODE_INCLUSIVE = GATINGS
 MODE_ES = "es"
 
 TrialObserver = Callable[
@@ -179,7 +178,7 @@ def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path_pts: list[Point],
                         or not d_in)
     if not path_pts:
         return d_in, admit_b, True
-    rect = psa_rect_fields(vehicle_pos, o_pt, buffer_km + QOS_EPS)
+    rect = make_psa_rect(vehicle_pos, o_pt, buffer_km + QOS_EPS)
     admit_c = rect is not None and rect_contains_all(rect, path_pts)
     return d_in, admit_b, admit_c
 
@@ -204,10 +203,10 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
               ) -> tuple[list[Assignment], EpochCounters]:
     """One scheduling pass over the released unassigned requests.
 
-    The requests are the state's running ``tally.pool``, in release
-    order.  Mutates ``state`` in place: its clock moves to ``now``,
-    winning insertions are committed (path, request bookkeeping and the
-    state's running tally), and gated vehicles read their search area
+    The requests are the state's running ``pool``, in release order.
+    Mutates ``state`` in place: its clock moves to ``now``, winning
+    insertions are committed (path, request bookkeeping and the state's
+    running totals), and gated vehicles read their search area
     through ``search_area``.  Requests with no feasible insertion stay
     unassigned and are retried next epoch.  Returns the committed
     assignments, stamped with ``now``, and the per-case candidate counters.
@@ -242,7 +241,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     wait_threshold_s = config.wait_threshold_s
     # longest-waiting first: the pool is in release order, and a commit
     # removes its request from it
-    for r in list(state.tally.pool.values()):
+    for r in list(state.pool.values()):
         check_buffer = waiting_time(r, now) <= wait_threshold_s
         gated = pruning and check_buffer
         if gated:
@@ -309,7 +308,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             r.p_s = v.position_point(net)
             r.odometer_at_schedule = v.odometer
             r.scheduled_under_wait = check_buffer
-            state.tally.schedule(r)
+            state.schedule(r)
             assignments.append(Assignment(now, r.id, vid, i, j, best_case,
                                           cost))
     return assignments, EpochCounters(n_a, n_b, n_c, m_a, m_b, m_c)

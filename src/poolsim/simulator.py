@@ -225,7 +225,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     ``scheduler`` is "psap" (search-area pruned; gating per config) or "es"
     (exhaustive).  Input request objects are never mutated.  The release
     events and the epoch's ``traffic_metrics`` come from the state's
-    running tally, which the clock, the commits and each step's pickup and
+    running totals, which the clock, the commits and each step's pickup and
     drop-off events, tallied in ``events.jsonl`` order, keep current.
     """
     if scheduler == "psap":
@@ -242,9 +242,8 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     state = WorldState(clock=0.0, vehicles=vehicles, requests=reqs)
     area = net.area_km2()
 
-    tally = state.tally
     # a fresh state has pooled exactly the requests released at time 0
-    released = list(tally.pool.values())
+    released = list(state.pool.values())
     events: list[SimEvent] = []
     rows: list[EpochRow] = []
     assignment_log: list[Assignment] = []
@@ -279,11 +278,11 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             break
         if config.horizon_s is not None and now >= config.horizon_s:
             break
-        if tally.all_released and tm.moving == 0 and not assignments:
+        if state.all_released and tm.moving == 0 and not assignments:
             # everything is released, so the pool holds every unscheduled
             # request
             if all(waiting_time(r, now) > config.wait_threshold_s
-                   for r in tally.pool.values()):
+                   for r in state.pool.values()):
                 # frozen state: no motion, no future releases, and the
                 # past-threshold pass just failed; later epochs are identical
                 break
@@ -298,9 +297,9 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
         # tallied in events.jsonl order, which orders the sum of direct km
         for e in step_events:
             if e.kind == "pickup":
-                tally.pickup(reqs[e.req])
+                state.pickup(reqs[e.req])
             else:
-                tally.dropoff(reqs[e.req])
+                state.dropoff(reqs[e.req])
         events.extend(step_events)
         now += config.epoch_s
         epoch_idx += 1
@@ -329,7 +328,7 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
             assign_cost_km=a.cost if a else None))
 
     travel = fleet_km(vehicles.values())
-    direct_done = tally.direct_done_km
+    direct_done = state.direct_done_km
     return SimReport(
         scheduler=scheduler, mode=mode, config=config.to_dict(),
         n_requests=len(reqs), n_vehicles=len(vehicles), area_km2=area,
@@ -346,7 +345,8 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
 # -- report files ----------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", newline="") as f:
         f.write(text)
@@ -373,7 +373,7 @@ def write_report_files(report: SimReport, outdir: str | os.PathLike) -> list[str
     written: list[str] = []
 
     path = os.path.join(outdir, "report.json")
-    _atomic_write(path, json.dumps(report.to_dict(), indent=2,
+    atomic_write(path, json.dumps(report.to_dict(), indent=2,
                                    allow_nan=False) + "\n")
     written.append(path)
 
@@ -384,18 +384,18 @@ def write_report_files(report: SimReport, outdir: str | os.PathLike) -> list[str
             row.sharing_rate, row.utilization, row.saved_km, row.assigned,
             row.unserved)))
     path = os.path.join(outdir, "metrics.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     written.append(path)
 
     lines = [",".join(f.name for f in fields(RequestOutcome))]
     lines.extend(",".join(_csv_cell(x) for x in vars(rc).values())
                  for rc in report.requests)
     path = os.path.join(outdir, "requests.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     written.append(path)
 
     path = os.path.join(outdir, "events.jsonl")
-    _atomic_write(path, "".join(json.dumps(vars(e)) + "\n"
+    atomic_write(path, "".join(json.dumps(vars(e)) + "\n"
                                 for e in report.events))
     written.append(path)
     return written

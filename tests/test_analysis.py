@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolsim.analysis import (_MC_CHUNK, FOUR_OVER_PI, EtaBounds,
-                              EtaEstimate, RrccRow, eta_closed,
+                              EtaEstimate, RrccRow, _rect_mask, eta_closed,
                               eta_monte_carlo, expected_rrcc, fleet_km,
                               rrcc_gate_harness, traffic_metrics)
-from poolsim.geometry import Point, make_psa_rect, rect_bbox
+from poolsim.geometry import (Point, euclid, make_psa_rect, rect_bbox,
+                              rect_contains, rect_corners)
 from poolsim.model import (Request, RequestState, Stop, StopKind, Vehicle,
                            WorldState)
 from poolsim.scheduler import counts_for_path
@@ -146,9 +149,9 @@ def full_array_eta(f_alpha, f_beta, samples, seed):
     ys = rng.uniform(y0, y1, size=samples)
 
     def rect_mask(rect):
-        dx = xs - rect.center.x
-        dy = ys - rect.center.y
-        ax, ay = rect.axis
+        dx = xs - rect.cx
+        dy = ys - rect.cy
+        ax, ay = rect.ax, rect.ay
         u = dx * ax + dy * ay
         v = -dx * ay + dy * ax
         return (np.abs(u) <= rect.half_len) & (np.abs(v) <= rect.half_wid)
@@ -207,6 +210,41 @@ class TestEtaKernelEquivalence:
         want = full_array_eta(f_alpha, f_beta, samples, seed=5)
         for name in EtaEstimate.__dataclass_fields__:
             assert getattr(got, name) == getattr(want, name), name
+
+
+@st.composite
+def rect_and_points(draw):
+    """A rectangle, points around it, its corners, each nudged one ulp out."""
+    coord = st.floats(-20.0, 20.0)
+    f1 = Point(draw(coord), draw(coord))
+    f2 = draw(st.one_of(st.just(f1), st.builds(Point, coord, coord)))
+    e = euclid(f1, f2)
+    rect = make_psa_rect(f1, f2, draw(st.one_of(st.just(e),
+                                                st.floats(e, 2 * e + 10))))
+    x0, y0, x1, y1 = rect_bbox(rect)
+    pts = draw(st.lists(st.builds(Point, st.floats(x0 - 1, x1 + 1),
+                                  st.floats(y0 - 1, y1 + 1)), max_size=30))
+    for c in rect_corners(rect):
+        pts.append(c)
+        pts.append(Point(
+            math.nextafter(c.x, math.copysign(math.inf, c.x - rect.cx)),
+            math.nextafter(c.y, math.copysign(math.inf, c.y - rect.cy))))
+    return rect, pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rect_and_points())
+def test_rect_mask_matches_rect_contains_bit_for_bit(case):
+    # the Monte Carlo kernel and the scheduler's gate must agree on every
+    # point, boundary included
+    rect, pts = case
+    n = len(pts)
+    xs = np.array([p.x for p in pts])
+    ys = np.array([p.y for p in pts])
+    out = np.empty(n, dtype=bool)
+    _rect_mask(rect, xs, ys, [np.empty(n) for _ in range(4)],
+               np.empty(n, dtype=bool), out)
+    assert out.tolist() == [rect_contains(rect, p) for p in pts]
 
 
 class TestExpectedRrcc:

@@ -6,6 +6,9 @@ public method, must be named somewhere in the library or the benchmark
 uses it: comments, docstrings, the package's re-exports and the
 benchmark's tests do not.  Code that only the tests call belongs in the
 tests.
+
+No module of ``src/poolsim`` imports another module's underscore name: a
+helper two modules share gets a public name.
 """
 from __future__ import annotations
 
@@ -73,3 +76,24 @@ def unused_public_names() -> list[str]:
 
 def test_every_public_name_is_used_by_the_program():
     assert unused_public_names() == []
+
+
+def imported_private_names() -> list[str]:
+    """``importer: module.name`` of each underscore name imported across
+    the library's modules; dunder names such as ``__version__`` are public.
+    """
+    out = []
+    for path in sorted((ROOT / "src" / "poolsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.level or node.module.startswith("poolsim"))):
+                continue
+            out.extend(f"{path.stem}: {node.module}.{alias.name}"
+                       for alias in node.names
+                       if alias.name.startswith("_")
+                       and not alias.name.endswith("__"))
+    return out
+
+
+def test_no_module_imports_another_modules_underscore_name():
+    assert imported_private_names() == []

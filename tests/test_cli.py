@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from poolsim.cli import main
+from poolsim.cli import _config_from_args, build_parser, main
 from poolsim.geometry import euclid
-from poolsim.model import load_requests
+from poolsim.model import SimConfig, load_requests
 from poolsim.roadnet import load_network
 
 
@@ -242,6 +242,27 @@ class TestSimulate:
         args = sim_args(net_dir, req_file, tmp_path / "sim")
         args[args.index("--" + name[:-4]) + 1] = str(tmp_path / name)
         assert main(args) == 2
+
+    @pytest.mark.parametrize("flag", ["--nodes", "--edges", "--requests"])
+    @pytest.mark.parametrize("unreadable", ["not-utf8", "directory"])
+    def test_unreadable_input_is_input_error(self, net_dir, req_file,
+                                             tmp_path, flag, unreadable):
+        path = tmp_path / "input"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x00\x00id,t_s\n")
+        args = sim_args(net_dir, req_file, tmp_path / "sim")
+        args[args.index(flag) + 1] = str(path)
+        assert main(args) == 2
+        assert not (tmp_path / "sim" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_run_defaults_are_the_config_defaults(self, command):
+        args = build_parser().parse_args([
+            command, "--nodes", "n.csv", "--edges", "e.csv",
+            "--requests", "r.csv", "--out", "out"])
+        assert _config_from_args(args) == SimConfig()
 
     def test_invalid_delta_is_usage_error(self, net_dir, req_file, tmp_path):
         assert main(sim_args(net_dir, req_file, tmp_path / "sim",

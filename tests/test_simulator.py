@@ -411,7 +411,7 @@ class TestRunningTotals:
                              if r.state == RequestState.UNSCHEDULED
                              and r.t <= state.clock),
                             key=lambda r: (r.t, r.id))
-            assert list(state.tally.pool.keys()) == [r.id for r in pooled]
+            assert list(state.pool.keys()) == [r.id for r in pooled]
             # direct km add up in drop-off order, as events.jsonl lists
             # them, and odometers left to right
             direct = 0
