@@ -332,7 +332,7 @@ class TrafficMetrics:
     sharing_rate: float | None
     utilization: float
     saved_km: float
-    completed: int
+    completed_total: int
     unserved: int
 
 
@@ -370,5 +370,5 @@ def traffic_metrics(state: WorldState) -> TrafficMetrics:
         sharing_rate=(onboard_riders / moving) if moving else None,
         utilization=moving / fleet if fleet else 0.0,
         saved_km=state.direct_done_km - travel,
-        completed=state.completed,
+        completed_total=state.completed,
         unserved=state.unserved)

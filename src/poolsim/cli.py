@@ -1,8 +1,10 @@
 """Command-line front door: generators, single runs, scheduler comparison.
 
 Exit codes are stable per error class: 1 for usage errors (bad flags or
-values), 2 for input errors (missing or malformed files), 3 for runtime
-failures.  Every command writes a manifest with the resolved configuration
+values, such as an empty ``--out``, or one that names an existing file
+where a directory is written or a directory where a file is), 2 for input
+errors (missing or malformed files), 3 for runtime failures.  Every
+command writes a manifest with the resolved configuration
 and input digests: ``simulate`` and ``compare`` before running, the
 generators ``gen-grid`` and ``gen-requests`` after writing their outputs.
 All files land atomically (temp + rename).  Wall-clock timings are printed
@@ -19,14 +21,16 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 
 from . import __version__
 from .model import (GATINGS, RequestError, SimConfig, load_requests,
                     sample_requests, save_requests)
-from .roadnet import NetworkError, gen_grid, load_network, save_network
+from .roadnet import (NetworkError, atomic_write, gen_grid, load_network,
+                      save_network)
 from .analysis import rrcc_gate_harness
 from .seeds import substream
-from .simulator import SimReport, atomic_write, run, write_report_files
+from .simulator import SimReport, run, write_report_files
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,9 +84,7 @@ def cmd_gen_grid(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     nodes_path = os.path.join(args.out, "nodes.csv")
     edges_path = os.path.join(args.out, "edges.csv")
-    save_network(net, f"{nodes_path}.tmp", f"{edges_path}.tmp")
-    os.replace(f"{nodes_path}.tmp", nodes_path)
-    os.replace(f"{edges_path}.tmp", edges_path)
+    save_network(net, nodes_path, edges_path)
     _write_manifest(os.path.join(args.out, "manifest.json"), "gen-grid",
                     {"nx": args.nx, "ny": args.ny,
                      "spacing_km": args.spacing_km},
@@ -132,8 +134,7 @@ def cmd_gen_requests(args) -> int:
     parent = os.path.dirname(req_path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    save_requests(requests, f"{req_path}.tmp")
-    os.replace(f"{req_path}.tmp", req_path)
+    save_requests(requests, req_path)
     _write_manifest(f"{req_path}.manifest.json", "gen-requests",
                     {"count": args.count, "rate_per_h": args.rate_per_h,
                      "duration_s": args.duration_s,
@@ -145,18 +146,8 @@ def cmd_gen_requests(args) -> int:
 
 
 def _config_from_args(args) -> SimConfig:
-    return SimConfig(
-        max_detour=args.delta,
-        wait_threshold_s=args.wait_min * 60.0,
-        buffer_km=args.buffer_km,
-        capacity=args.capacity,
-        speed_kmh=args.speed_kmh,
-        epoch_s=args.epoch_s,
-        n_vehicles=args.pvs,
-        seed=args.seed,
-        gating=args.gating,
-        horizon_s=args.horizon_s,
-    )
+    return SimConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(SimConfig)})
 
 
 def _qos_stats(report: SimReport) -> dict:
@@ -276,19 +267,38 @@ def cmd_compare(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _out_path(is_dir: bool):
+    """The argparse type of an ``--out`` that names a directory or a file."""
+    def check(path: str) -> str:
+        if not path or os.path.isdir(path) != is_dir and os.path.exists(path):
+            raise argparse.ArgumentTypeError(
+                f"not a usable output {'directory' if is_dir else 'file'}: "
+                f"{path!r}")
+        return path
+    return check
+
+
+def _minutes(value: str) -> float:
+    return float(value) * 60.0
+
+
 def _add_sim_flags(p: _Parser) -> None:
+    # each run flag's dest is the SimConfig field it sets
     p.add_argument("--nodes", required=True, help="nodes CSV")
     p.add_argument("--edges", required=True, help="edges CSV")
     p.add_argument("--requests", required=True, help="requests CSV")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_out_path(True),
+                   help="output directory")
     d = SimConfig()
-    p.add_argument("--pvs", type=int, default=d.n_vehicles, help="fleet size")
+    p.add_argument("--pvs", dest="n_vehicles", type=int,
+                   default=d.n_vehicles, help="fleet size")
     p.add_argument("--capacity", type=int, default=d.capacity)
     p.add_argument("--speed-kmh", type=float, default=d.speed_kmh)
-    p.add_argument("--delta", type=float, default=d.max_detour,
-                   help="max detour ratio")
-    p.add_argument("--wait-min", type=float, default=d.wait_threshold_s / 60,
-                   help="waiting threshold W, minutes")
+    p.add_argument("--delta", dest="max_detour", type=float,
+                   default=d.max_detour, help="max detour ratio")
+    p.add_argument("--wait-min", dest="wait_threshold_s", type=_minutes,
+                   default=d.wait_threshold_s, metavar="MINUTES",
+                   help="waiting threshold W")
     p.add_argument("--buffer-km", type=float, default=d.buffer_km,
                    help="pickup buffer B, km")
     p.add_argument("--epoch-s", type=float, default=d.epoch_s)
@@ -308,7 +318,8 @@ def build_parser() -> _Parser:
     p.add_argument("--nx", type=int, required=True)
     p.add_argument("--ny", type=int, required=True)
     p.add_argument("--spacing-km", type=float, default=1.0)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_out_path(True),
+                   help="output directory")
     p.set_defaults(fn=cmd_gen_grid)
 
     p = sub.add_parser("gen-requests", help="sample a request set")
@@ -322,7 +333,8 @@ def build_parser() -> _Parser:
                    help="minimum straight-line O/D separation")
     p.add_argument("--party-n", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="requests CSV path")
+    p.add_argument("--out", required=True, type=_out_path(False),
+                   help="requests CSV path")
     p.set_defaults(fn=cmd_gen_requests)
 
     p = sub.add_parser("simulate", help="run one scheduler")
@@ -343,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (NetworkError, RequestError, FileNotFoundError) as exc:
+    except (NetworkError, RequestError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (UsageError, ValueError) as exc:

@@ -13,7 +13,6 @@ Quality-of-service quantities:
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import os
@@ -22,7 +21,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .geometry import Point, VehiclePsa, euclid
-from .roadnet import NetworkError, NoPathError, RoadNetwork, read_csv
+from .roadnet import (NetworkError, NoPathError, RoadNetwork, atomic_write,
+                      csv_text, read_csv)
 
 
 class RequestState(enum.Enum):
@@ -289,11 +289,8 @@ def load_requests(path: str | os.PathLike, net: RoadNetwork) -> list[Request]:
 
 
 def save_requests(requests: list[Request], path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(REQUEST_HEADER.split(","))
-        for r in requests:
-            w.writerow([r.id, repr(r.t), r.n, r.o, r.d])
+    atomic_write(path, csv_text(REQUEST_HEADER, (
+        (r.id, r.t, r.n, r.o, r.d) for r in requests)))
 
 
 def sample_requests(net: RoadNetwork, rng: np.random.Generator, count: int,

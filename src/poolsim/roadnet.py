@@ -25,7 +25,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -265,6 +265,37 @@ def read_csv(path: str | os.PathLike, kind: str, headers: tuple[str, ...],
     return header, rows
 
 
+def atomic_write(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` through ``<path>.tmp`` and a rename; on a
+    failure, remove the temporary file and re-raise."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _csv_cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)
+
+
+def csv_text(header: str, rows: Iterable[Iterable]) -> str:
+    """The one CSV dialect the program writes: None is an empty field, a
+    bool ``true`` or ``false``, a float its ``repr``; lines end in LF."""
+    lines = [header, *(",".join(map(_csv_cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def _parse_bool(s: str) -> bool:
     t = s.strip().lower()
     if t in ("1", "true", "yes"):
@@ -328,14 +359,7 @@ def load_network(nodes_path: str | os.PathLike,
 def save_network(net: RoadNetwork, nodes_path: str | os.PathLike,
                  edges_path: str | os.PathLike) -> None:
     """Write the planar CSV pair; full float precision, byte-stable order."""
-    with open(nodes_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(NODE_HEADERS[0].split(","))
-        for nid, p in net.nodes.items():
-            w.writerow([nid, repr(p.x), repr(p.y)])
-    with open(edges_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(EDGE_HEADER.split(","))
-        for e in net.edges:
-            w.writerow([e.id, e.u, e.v, repr(e.length_km),
-                        "true" if e.bidirectional else "false"])
+    atomic_write(nodes_path, csv_text(NODE_HEADERS[0], (
+        (nid, p.x, p.y) for nid, p in net.nodes.items())))
+    atomic_write(edges_path, csv_text(EDGE_HEADER, (
+        (e.id, e.u, e.v, e.length_km, e.bidirectional) for e in net.edges)))

@@ -22,7 +22,7 @@ from .analysis import fleet_km, traffic_metrics
 from .model import (STILL_KM, Request, RequestError, RequestState, SimConfig,
                     StopKind, Vehicle, WorldState, check_request,
                     waiting_time)
-from .roadnet import RoadNetwork
+from .roadnet import RoadNetwork, atomic_write, csv_text
 from .scheduler import (Assignment, EpochCounters, es_epoch, psap_epoch,
                         TrialObserver)
 from .seeds import substream
@@ -34,9 +34,6 @@ class SimEvent:
     kind: str  # release | schedule | pickup | dropoff
     req: int | None
     veh: int | None
-
-
-_EVENT_ORDER = {"release": 0, "schedule": 1, "pickup": 2, "dropoff": 3}
 
 
 @dataclass
@@ -266,15 +263,9 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
         rows.append(EpochRow(
             epoch=epoch_idx, t_s=now, **vars(counters),
             psi_a=counters.psi("A"), psi_b=counters.psi("B"),
-            psi_c=counters.psi("C"),
-            sharing_rate=tm.sharing_rate,
-            utilization=tm.utilization,
-            saved_km=tm.saved_km,
-            assigned=len(assignments), unserved=tm.unserved,
-            onboard_riders=tm.onboard_riders, moving=tm.moving,
-            completed_total=tm.completed))
+            psi_c=counters.psi("C"), assigned=len(assignments), **vars(tm)))
 
-        if tm.completed == len(reqs):
+        if tm.completed_total == len(reqs):
             break
         if config.horizon_s is not None and now >= config.horizon_s:
             break
@@ -291,9 +282,9 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
         for vid in sorted(vehicles):
             step_events.extend(advance_vehicle(net, vehicles[vid], reqs,
                                                config.epoch_s, config, now))
-        step_events.sort(key=lambda e: (e.t, _EVENT_ORDER[e.kind],
-                                        e.veh if e.veh is not None else -1,
-                                        e.req if e.req is not None else -1))
+        # a step fires only pickups and drop-offs, each with veh and req
+        step_events.sort(key=lambda e: (e.t, e.kind == "dropoff", e.veh,
+                                        e.req))
         # tallied in events.jsonl order, which orders the sum of direct km
         for e in step_events:
             if e.kind == "pickup":
@@ -336,31 +327,13 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
         total_travel_km=travel,
         sum_direct_completed_km=direct_done,
         saved_km=direct_done - travel,
-        completed=tm.completed,
-        unserved=len(reqs) - tm.completed,
+        completed=tm.completed_total,
+        unserved=len(reqs) - tm.completed_total,
         counters=totals, epochs=rows, assignments=assignment_log,
         requests=outcomes, events=events)
 
 
 # -- report files ----------------------------------------------------------
-
-
-def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 METRICS_HEADER = ("epoch,t_s,psi_A,psi_B,psi_C,sharing_rate,utilization,"
@@ -377,21 +350,17 @@ def write_report_files(report: SimReport, outdir: str | os.PathLike) -> list[str
                                    allow_nan=False) + "\n")
     written.append(path)
 
-    lines = [METRICS_HEADER]
-    for row in report.epochs:
-        lines.append(",".join(_csv_cell(x) for x in (
-            row.epoch, row.t_s, row.psi_a, row.psi_b, row.psi_c,
-            row.sharing_rate, row.utilization, row.saved_km, row.assigned,
-            row.unserved)))
     path = os.path.join(outdir, "metrics.csv")
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, csv_text(METRICS_HEADER, (
+        (row.epoch, row.t_s, row.psi_a, row.psi_b, row.psi_c,
+         row.sharing_rate, row.utilization, row.saved_km, row.assigned,
+         row.unserved) for row in report.epochs)))
     written.append(path)
 
-    lines = [",".join(f.name for f in fields(RequestOutcome))]
-    lines.extend(",".join(_csv_cell(x) for x in vars(rc).values())
-                 for rc in report.requests)
     path = os.path.join(outdir, "requests.csv")
-    atomic_write(path, "\n".join(lines) + "\n")
+    header = ",".join(f.name for f in fields(RequestOutcome))
+    atomic_write(path, csv_text(header, (vars(rc).values()
+                                         for rc in report.requests)))
     written.append(path)
 
     path = os.path.join(outdir, "events.jsonl")

@@ -336,7 +336,7 @@ class TestTrafficMetrics:
         assert tm.sharing_rate == pytest.approx(2.0)
         assert tm.utilization == pytest.approx(0.75)
         assert tm.saved_km == pytest.approx(100.0 - 120.0)
-        assert tm.completed == 1
+        assert tm.completed_total == 1
         assert tm.unserved == 1   # the 500 s release is not out yet
 
     def test_idle_fleet_has_no_sharing_rate(self):

@@ -9,6 +9,8 @@ tests.
 
 No module of ``src/poolsim`` imports another module's underscore name: a
 helper two modules share gets a public name.
+
+Every file the library writes goes through ``roadnet.atomic_write``.
 """
 from __future__ import annotations
 
@@ -97,3 +99,35 @@ def imported_private_names() -> list[str]:
 
 def test_no_module_imports_another_modules_underscore_name():
     assert imported_private_names() == []
+
+
+def writes_outside_atomic_write() -> list[str]:
+    """``module:line call`` of each ``os.replace``, ``os.rename``, or
+    ``open`` in a mode that writes, anywhere in the library but
+    ``roadnet.atomic_write``; a mode that is not a literal counts.
+    """
+    out = []
+    for path in sorted((ROOT / "src" / "poolsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        own = {line for node in tree.body
+               if path.stem == "roadnet" and isinstance(node, ast.FunctionDef)
+               and node.name == "atomic_write"
+               for line in range(node.lineno, node.end_lineno + 1)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or node.lineno in own:
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id == "os" and f.attr in ("replace", "rename")):
+                out.append(f"{path.stem}:{node.lineno} os.{f.attr}")
+            elif isinstance(f, ast.Name) and f.id == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords
+                                          if k.arg == "mode"]
+                if any(not isinstance(m, ast.Constant) or set("wax") & set(
+                        m.value) for m in modes):
+                    out.append(f"{path.stem}:{node.lineno} open")
+    return out
+
+
+def test_every_file_is_written_through_atomic_write():
+    assert writes_outside_atomic_write() == []

@@ -141,11 +141,11 @@ class TestGenRequests:
 
     @pytest.mark.parametrize("flags,sha256", [
         (("--count", "50", "--min-e-km", "1.0", "--seed", "3"),
-         "a43660fb2693c136f872886ac54901c6ea6e4acd95b18c23242e30af4cfa2f2c"),
+         "bb4664854d32e90af06332e502e0444934d81f02ca8105aad151574e743d48d2"),
         (("--rate-per-h", "300", "--duration-s", "1800", "--seed", "5"),
-         "14f880ea2c04da73ea71cd530e71798c1f2ffd27d77b7bfd033dd33e59fcf681"),
+         "b89231fb5ab08636fb3a188028062789435422189325b96d0b7064197a111f3c"),
         (("--count", "40", "--party-n", "2", "--seed", "9"),
-         "ccadc55f82d7a1dd2a306405c66cef157eecb1d6f6cc49fa8eeb57bf0e29ad22"),
+         "3fc049183d101f7c9744ea1b596e7bbeb0ad6ce422bfee87f5554dcfc4b0f0f3"),
     ], ids=["min-e", "rate", "party"])
     def test_pinned_draws(self, tmp_path, flags, sha256):
         # the sampler's draw order is part of the file format: a change to
@@ -375,3 +375,40 @@ class TestCompare:
         assert len(summary["harness"]) == 1
         assert summary["harness"][0]["area"] == pytest.approx(
             0.25 * summary["harness"][0]["s"])
+
+
+class TestUnusableOut:
+    """An unusable ``--out`` is a usage error, caught before any work."""
+
+    def args(self, command, net_dir, req_file, out):
+        net = ["--nodes", str(net_dir / "nodes.csv"),
+               "--edges", str(net_dir / "edges.csv")]
+        run = [*net, "--requests", str(req_file), "--pvs", "2"]
+        return {
+            "gen-grid": ["gen-grid", "--nx", "3", "--ny", "3"],
+            "gen-requests": ["gen-requests", *net, "--count", "5"],
+            "simulate": ["simulate", *run],
+            "compare": ["compare", *run, "--harness-samples", "2000"],
+        }[command] + ["--out", out]
+
+    @pytest.mark.parametrize("command,out", [
+        *((command, "empty") for command in
+          ("gen-grid", "gen-requests", "simulate", "compare")),
+        ("gen-grid", "file"), ("simulate", "file"), ("compare", "file"),
+        ("gen-requests", "directory"),
+    ])
+    def test_exits_1_and_leaves_nothing(self, net_dir, req_file, tmp_path,
+                                        monkeypatch, capsys, command, out):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "out"
+        if out == "file":
+            path.write_text("kept\n")
+        elif out == "directory":
+            path.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(self.args(command, net_dir, req_file,
+                              "" if out == "empty" else str(path))) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        if out == "file":
+            assert path.read_text() == "kept\n"

@@ -12,7 +12,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from poolsim.geometry import Point, euclid
 from poolsim.roadnet import (Edge, NetworkError, NoPathError, RoadNetwork,
-                             gen_grid, load_network, read_csv, save_network)
+                             atomic_write, csv_text, gen_grid, load_network,
+                             read_csv, save_network)
 
 
 def oracle_dijkstra(adj: dict[int, dict[int, float]], src: int,
@@ -526,6 +527,31 @@ class TestFileIO:
         p.write_text("")
         with pytest.raises(NetworkError, match="empty rows file"):
             read_csv(p, "rows", ("a,b",), NetworkError, tuple)
+
+    def test_csv_text_is_the_one_dialect(self):
+        assert csv_text("a,b,c,d", [(1, 0.1, None, True), (-2, 1e300, "x",
+                                                           False)]) == (
+            "a,b,c,d\n1,0.1,,true\n-2,1e+300,x,false\n")
+        assert csv_text("a", []) == "a\n"
+
+    def test_saved_network_has_lf_line_ends(self, tmp_path):
+        save_network(gen_grid(3, 2, 0.3), tmp_path / "n.csv",
+                     tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_bytes().startswith(
+            b"id,from,to,length_km,bidirectional\n0,0,1,0.3,true\n")
+        assert (tmp_path / "n.csv").read_bytes().endswith(b"\n5,0.6,0.3\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv",
+                                                              "n.csv"]
+
+    def test_failed_atomic_write_leaves_no_temp_file(self, tmp_path):
+        # a file cannot replace a non-empty directory
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "kept").write_text("kept\n")
+        with pytest.raises(OSError):
+            atomic_write(target, "text\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert (target / "kept").read_text() == "kept\n"
 
     def test_latlon_projection(self, tmp_path):
         # two nodes on the same parallel, 0.02 deg of longitude apart at 48N

@@ -4,20 +4,24 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from poolsim import simulator
-from poolsim.insertion import splice
+from poolsim.insertion import QOS_EPS, splice
 from poolsim.model import (Request, RequestError, RequestState, SimConfig,
                            Stop, StopKind, Vehicle, WorldState,
                            sample_requests)
-from poolsim.roadnet import gen_grid
+from poolsim.roadnet import (Edge, RoadNetwork, gen_grid, load_network,
+                             save_network)
 from poolsim.scheduler import run_epoch
 from poolsim.seeds import substream
 from poolsim.simulator import (METRICS_HEADER, SimEvent, advance_vehicle, run,
                                write_report_files)
 from test_acceptance import (ORACLE_GRID, PoevBaseline, oracle_instance,
                              poev_baseline, poev_fleet_size)
+from test_golden import PLANNERS, reorder_rows, report_digests
+from test_roadnet import one_way_grid
 
 SPEED_KM_S = 30.0 / 3600.0
 
@@ -403,7 +407,7 @@ class TestRunningTotals:
                     if r.state == RequestState.COMPLETED]
             assert tm.onboard_riders == sum(
                 r.n for r in everyone if r.state == RequestState.ONBOARD)
-            assert tm.completed == len(done)
+            assert tm.completed_total == len(done)
             assert tm.unserved == sum(
                 1 for r in everyone if r.state == RequestState.UNSCHEDULED
                 and r.t <= state.clock)
@@ -461,3 +465,79 @@ class TestRunningTotals:
             if rc.state == RequestState.COMPLETED.value:
                 in_file_order += rc.direct_km
         assert report.sum_direct_completed_km != in_file_order
+
+
+class TestOneWayStreets:
+    """The acceptance invariants off the lattice.
+
+    An 8x8 city of one-way streets with 0.4 x 0.3 km blocks, and a copy
+    with every length scaled by U(1, 1.3): D(a, b) differs from D(b, a),
+    and few routes tie.
+    """
+
+    @staticmethod
+    def city(lengths: str, seed: int) -> RoadNetwork:
+        net = one_way_grid(8, 8, 0.4, 0.3)
+        if lengths == "blocks":
+            return net
+        rng = np.random.default_rng(seed)
+        return RoadNetwork(nodes=net.nodes, edges=[
+            Edge(e.id, e.u, e.v, e.length_km * float(rng.uniform(1.0, 1.3)),
+                 e.bidirectional) for e in net.edges])
+
+    @staticmethod
+    def requests(net: RoadNetwork, seed: int) -> list[Request]:
+        return sample_requests(net, substream(seed, "requests"), 60, 1200.0,
+                               min_e_km=0.8)
+
+    @staticmethod
+    def config(seed: int, gating: str) -> SimConfig:
+        return SimConfig(n_vehicles=6, seed=seed, gating=gating,
+                         buffer_km=1.5)
+
+    @pytest.mark.parametrize("lengths", ["blocks", "scaled"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_inclusive_commits_what_es_commits_within_qos(self, lengths,
+                                                          seed):
+        net = self.city(lengths, seed)
+        reqs = self.requests(net, seed)
+        reports = {planner: run(net, reqs, self.config(seed, gating),
+                                scheduler=scheduler)
+                   for planner, (scheduler, gating) in PLANNERS.items()}
+        es = [vars(a) for a in reports["es"].assignments]
+        assert es
+        assert [vars(a) for a in reports["psap-inclusive"].assignments] == es
+        for planner, report in reports.items():
+            detours = [rc.realized_detour for rc in report.requests
+                       if rc.realized_detour is not None]
+            buffers = [rc.realized_buffer_km for rc in report.requests
+                       if rc.under_wait_branch
+                       and rc.realized_buffer_km is not None]
+            assert detours and buffers, planner
+            assert max(detours) <= report.config["max_detour"] + QOS_EPS
+            assert max(buffers) <= report.config["buffer_km"] + QOS_EPS
+
+    @pytest.mark.parametrize("lengths", ["blocks", "scaled"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reports_do_not_depend_on_network_row_order(self, tmp_path,
+                                                        lengths, seed):
+        base = self.city(lengths, seed)
+        reqs = self.requests(base, seed)
+        nets = {}
+        for order in ("file", "reversed", "shuffled"):
+            nodes = tmp_path / f"{order}-nodes.csv"
+            edges = tmp_path / f"{order}-edges.csv"
+            save_network(base, nodes, edges)
+            if order != "file":
+                reorder_rows(nodes, order)
+                reorder_rows(edges, order)
+            nets[order] = load_network(nodes, edges)
+        for planner, (scheduler, gating) in PLANNERS.items():
+            digests = {
+                order: report_digests(
+                    run(net, reqs, self.config(seed, gating),
+                        scheduler=scheduler),
+                    tmp_path / f"{planner}-{order}")
+                for order, net in nets.items()}
+            assert digests["reversed"] == digests["file"], planner
+            assert digests["shuffled"] == digests["file"], planner
