@@ -29,7 +29,7 @@ def main() -> None:
     print("\npoint membership (ellipse vs rectangle):")
     for p in probes:
         in_e = euclid(o, p) + euclid(p, d) <= budget
-        in_r = rect_contains(rect, p)
+        in_r = rect_contains(rect, *p)
         tag = {(True, True): "inside both",
                (False, True): "rectangle only (the 4/pi overhead)",
                (False, False): "outside both"}[(in_e, in_r)]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import (Point, PsaRect, VehiclePsa, make_psa_rect, rect_bbox)
 from .model import Vehicle, WorldState
-from .scheduler import MODE_INCLUSIVE, gate
+from .scheduler import MODE_INCLUSIVE, area_admits
 from .seeds import substream
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -288,9 +288,9 @@ def rrcc_gate_harness(area_fraction: float, samples: int,
     """Measured gate rejection rates with a frozen square search area.
 
     Pins a vehicle search area of the given fractional size in a square city,
-    draws uniform origin-destination pairs, and counts how often one call of
-    the real gate, on an empty path, rejects case A and case B.  The gate runs
-    in inclusive mode, whose case B is the origin-membership test the
+    draws uniform origin-destination pairs, and counts how often the real
+    gate's area test (``area_admits``) rejects case A and case B.  It runs in
+    inclusive mode, whose case B is the origin-membership test the
     expectation model tracks; case A does not depend on the mode.
     """
     if not (0.0 < area_fraction <= 1.0):
@@ -312,7 +312,7 @@ def rrcc_gate_harness(area_fraction: float, samples: int,
     for ox, oy, dx, dy in pts:
         o = Point(ox, oy)
         d = Point(dx, dy)
-        admit_a, admit_b, _ = gate(psa, o, d, [], pos, 0.0, MODE_INCLUSIVE)
+        admit_a, admit_b = area_admits(psa, o, d, MODE_INCLUSIVE)
         pass_a += admit_a
         pass_b += admit_b
     exp_a, exp_b = expected_rrcc(area, s)

@@ -268,9 +268,13 @@ def cmd_compare(args) -> int:
 
 
 def _out_path(is_dir: bool):
-    """The argparse type of an ``--out`` that names a directory or a file."""
+    """An ``--out`` argparse type: a directory or a file, below a directory."""
     def check(path: str) -> str:
-        if not path or os.path.isdir(path) != is_dir and os.path.exists(path):
+        above = os.path.dirname(os.path.abspath(path))
+        while not os.path.exists(above):
+            above = os.path.dirname(above)
+        if (not path or not os.path.isdir(above)
+                or os.path.isdir(path) != is_dir and os.path.exists(path)):
             raise argparse.ArgumentTypeError(
                 f"not a usable output {'directory' if is_dir else 'file'}: "
                 f"{path!r}")

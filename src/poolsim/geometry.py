@@ -72,21 +72,18 @@ def make_psa_rect(f1: Point, f2: Point, sum_bound: float) -> PsaRect | None:
                    half_len, half_wid, 4.0 * half_len * half_wid)
 
 
-def rect_contains(rect: PsaRect, p: Point) -> bool:
-    """Closed containment test in the rectangle's own frame."""
-    return rect_contains_all(rect, (p,))
+def rect_contains(rect: PsaRect, x: float, y: float) -> bool:
+    """Closed containment of (x, y): the one point-in-rectangle test."""
+    cx, cy, ax, ay, half_len, half_wid, _ = rect
+    dx = x - cx
+    dy = y - cy
+    return (abs(dx * ax + dy * ay) <= half_len
+            and abs(-dx * ay + dy * ax) <= half_wid)
 
 
 def rect_contains_all(rect: PsaRect, points: Iterable[Point]) -> bool:
     """True when the rectangle contains every one of the points."""
-    cx, cy, ax, ay, half_len, half_wid, _ = rect
-    for x, y in points:
-        dx = x - cx
-        dy = y - cy
-        if not (abs(dx * ax + dy * ay) <= half_len
-                and abs(-dx * ay + dy * ax) <= half_wid):
-            return False
-    return True
+    return all(rect_contains(rect, x, y) for x, y in points)
 
 
 def rect_corners(rect: PsaRect) -> list[Point]:
@@ -171,8 +168,6 @@ def psa_contains(psa: VehiclePsa, p: Point) -> bool:
         return False
     if psa.kind == PSA_OPEN:
         return True
-    if rect_contains(psa.beta, p):
-        return True
-    if psa.alpha is not None and rect_contains(psa.alpha, p):
-        return True
-    return False
+    x, y = p
+    return (rect_contains(psa.beta, x, y)
+            or psa.alpha is not None and rect_contains(psa.alpha, x, y))

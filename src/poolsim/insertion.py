@@ -14,10 +14,10 @@ shortest-path lookups, so cost never re-sums the whole path.  Costing and the
 quality-of-service check share one ``VehicleTrial`` per (vehicle, request).
 It joins two parts that it reads without copying: the vehicle's
 ``VehiclePath`` (its seats and, each built on first use, the legs of its
-committed path with its table of rejections, its rider table and gate
-points), built once per vehicle per scheduling epoch, and the request's
-``RequestRows`` (the forward and reverse rows of the new origin and
-destination, and the request's own QoS limits), built once per request.
+committed path with its table of rejections, its rider table, gate points
+and search area), built once per vehicle per scheduling epoch, and the
+request's ``RequestRows`` (the forward and reverse rows of the new origin
+and destination, and the request's own QoS limits), built once per request.
 
 Every distance a trial reads comes from a row of a request endpoint: the km
 from a path node to the new origin or destination from that endpoint's
@@ -57,7 +57,7 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .geometry import Point
+from .geometry import Point, VehiclePsa
 from .model import (Request, SimConfig, Stop, StopKind, Vehicle,
                     passengers_committed)
 from .roadnet import RoadNetwork
@@ -123,13 +123,14 @@ class VehiclePath:
     Holds the seats its committed riders hold and, each built on first use,
     its reach (the km to its first origin slot), the path's legs with the
     shared table of its positions' rejections, the committed riders' table
-    the full QoS check walks, and the position and stop points the gate
-    tests.  A vehicle that is full, out of reach or gated out never builds
-    the legs, so no forward row is fetched for its stops.  All of it is
-    fixed while the vehicle stands between two moves and keeps its path,
-    so ``run_epoch`` builds one per vehicle on the vehicle's first visit of
-    an epoch, shares it among that epoch's requests, and drops it when a
-    commit splices a new rider into the path.
+    the full QoS check walks, the points the literal gate tests, and the
+    vehicle's search area ``psa``, which ``run_epoch`` stores on its first
+    gated visit.  A vehicle that is full or out of reach never builds the
+    legs, so no forward row is fetched for its stops.  All of it is fixed
+    while the vehicle stands between two moves and keeps its path, so
+    ``run_epoch`` builds one per vehicle on the vehicle's first visit of an
+    epoch, shares it among that epoch's requests, and drops it when a commit
+    splices a new rider into the path.
     """
 
     def __init__(self, net: RoadNetwork, v: Vehicle,
@@ -143,6 +144,7 @@ class VehiclePath:
         self._reach: tuple[int, float] | None = None
         self._riders: list[_Rider] | None = None
         self._gate_points: tuple[Point, list[Point]] | None = None
+        self.psa: VehiclePsa | None = None
 
     def reach(self) -> tuple[int, float]:
         """Row index of the first origin slot's node, and the km to it.

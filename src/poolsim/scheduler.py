@@ -2,12 +2,11 @@
 
 Each epoch processes the released, still-unassigned requests in descending
 waiting-time order.  Per request, every vehicle with spare capacity is tried;
-the pruned scheduler first gates whole candidate cases by cheap rectangle
-membership and only cost-evaluates survivors, while the exhaustive scheduler
-evaluates everything.  Both share the same cost algebra, QoS checks, and
-tie-breaking, so with the inclusive case-B gate they provably commit identical
-assignments; the literal gate trades a sliver of optimality for a stronger
-prune.
+the pruned scheduler first gates whole candidate cases cheaply and only
+cost-evaluates survivors, while the exhaustive scheduler evaluates
+everything.  Both share the same cost algebra, QoS checks, and tie-breaking,
+so with the inclusive gate they provably commit identical assignments; the
+literal gate, the paper's, trades a sliver of optimality for a stronger prune.
 
 Once a rider's waiting time passes the threshold W the gates (and the pickup
 buffer guarantee) are dropped for that rider: any detour-feasible insertion
@@ -157,30 +156,46 @@ def search_area(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
     return psa
 
 
-def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path_pts: list[Point],
-         vehicle_pos: Point, buffer_km: float,
-         mode: str) -> tuple[bool, bool, bool]:
-    """Cheap geometric admission test of the cases (A, B, C) of one vehicle.
+def area_admits(psa: VehiclePsa, o_pt: Point, d_pt: Point,
+                mode: str) -> tuple[bool, bool]:
+    """Whether the vehicle's search area admits cases A and B.
 
-    Case A keeps candidates whose origin and destination both lie in the
-    vehicle's search area.  Case B requires the origin in the area; literal
-    mode additionally requires the destination outside (strict case
-    separation), inclusive mode drops that exclusion, and an open area admits
-    case B in both modes because it has no boundary to separate the cases on.
-    Case C bounds the new rider's pickup buffer: every committed stop must lie
-    in the rectangle spanned by the vehicle position and the new origin with
-    the buffer, plus the QoS check's slack, as path budget; an empty path
-    passes vacuously.
+    A needs the origin and the destination in the area, B the origin.
+    Literal mode's B also needs the destination outside (strict case
+    separation); inclusive mode drops that exclusion, and an open area,
+    which has no boundary to separate the cases on, drops it in both modes.
     """
     o_in = psa_contains(psa, o_pt)
     d_in = o_in and psa_contains(psa, d_pt)
-    admit_b = o_in and (mode != MODE_LITERAL or psa.kind == PSA_OPEN
-                        or not d_in)
-    if not path_pts:
-        return d_in, admit_b, True
-    rect = make_psa_rect(vehicle_pos, o_pt, buffer_km + QOS_EPS)
-    admit_c = rect is not None and rect_contains_all(rect, path_pts)
-    return d_in, admit_b, admit_c
+    return d_in, o_in and (mode != MODE_LITERAL or psa.kind == PSA_OPEN
+                           or not d_in)
+
+
+def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path: VehiclePath,
+         ends: RequestRows, mode: str) -> tuple[bool, bool, bool]:
+    """Cheap admission test of the cases (A, B, C) of one vehicle.
+
+    A and B come from the search area (``area_admits``).  C, the tail append
+    (K, K + 1), passes untested on an empty path (``out_of_reach`` screens
+    it).  Inclusive mode admits it exactly when ``VehicleTrial._screen(K)``
+    passes its pickup, from the same floats: appending moves no committed
+    stop and leaves no detour, so this is the append's own verdict while the
+    committed plan holds.  Literal mode keeps the paper's rectangle: every
+    stop must lie in the one spanned by the vehicle position and the new
+    origin with the buffer and the QoS slack as path budget.
+    """
+    admit_a, admit_b = area_admits(psa, o_pt, d_pt, mode)
+    k = path.k
+    if k == 0:
+        return admit_a, admit_b, True
+    if mode == MODE_INCLUSIVE:
+        path.legs()
+        return admit_a, admit_b, not (path.at[k] + ends.to_o[path.ix[k]]
+                                      > ends.max_pickup)
+    position, stop_points = path.gate_points()
+    rect = make_psa_rect(position, o_pt, ends.max_buffer)
+    return admit_a, admit_b, (rect is not None
+                              and rect_contains_all(rect, stop_points))
 
 
 def out_of_reach(path: VehiclePath, ends: RequestRows) -> bool:
@@ -206,8 +221,8 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     The requests are the state's running ``pool``, in release order.
     Mutates ``state`` in place: its clock moves to ``now``, winning
     insertions are committed (path, request bookkeeping and the state's
-    running totals), and gated vehicles read their search area
-    through ``search_area``.  Requests with no feasible insertion stay
+    running totals), and a gated vehicle reads its area (``search_area``)
+    once per ``VehiclePath``.  Requests with no feasible insertion stay
     unassigned and are retried next epoch.  Returns the committed
     assignments, stamped with ``now``, and the per-case candidate counters.
 
@@ -237,7 +252,6 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     paths: dict[int, VehiclePath] = {}
     observing = trial_observer is not None
     pruning = mode != MODE_ES
-    buffer_km = config.buffer_km
     wait_threshold_s = config.wait_threshold_s
     # longest-waiting first: the pool is in release order, and a commit
     # removes its request from it
@@ -270,10 +284,10 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             elif out_of_reach(path, ends):
                 admit = _ADMIT_NONE
             else:
-                position, stop_points = path.gate_points()
-                admit = gate(search_area(net, v, requests, config),
-                             o_pt, d_pt, stop_points, position,
-                             buffer_km, mode)
+                psa = path.psa
+                if psa is None:
+                    psa = path.psa = search_area(net, v, requests, config)
+                admit = gate(psa, o_pt, d_pt, path, ends, mode)
             positions = admitted_positions(k, admit)
             m_a += na if admit[0] else 0
             m_b += nb if admit[1] else 0

@@ -18,7 +18,8 @@ import pytest
 
 from poolsim.analysis import eta_monte_carlo, rrcc_gate_harness
 from poolsim.geometry import Point, euclid
-from poolsim.insertion import CASE_A, CASE_B, CASE_C, candidate_positions
+from poolsim.insertion import (CASE_A, CASE_B, CASE_C, RequestRows,
+                               VehiclePath, candidate_positions)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, check_request, sample_requests,
                            waiting_time)
@@ -99,7 +100,11 @@ class SubsetObserver:
 
 
 class SoundnessObserver:
-    """Every gate-rejected interior candidate must fail the full QoS check."""
+    """Every gate-rejected candidate must fail the full QoS check.
+
+    Counts the candidates of every case that the inclusive gate rejects:
+    A and B by the search area, and the tail append C by its pickup bound.
+    """
 
     def __init__(self, net, config):
         self.net = net
@@ -111,19 +116,18 @@ class SoundnessObserver:
         check_buffer = waiting_time(r, now) <= self.config.wait_threshold_s
         if not check_buffer:
             return
-        o_pt = self.net.point(r.o)
-        d_pt = self.net.point(r.d)
-        path_pts = [self.net.point(s.node) for s in v.path]
-        pos = v.position_point(self.net)
-        admit = gate(search_area(self.net, v, requests, self.config),
-                     o_pt, d_pt, path_pts, pos, self.config.buffer_km,
+        net = self.net
+        admit = gate(search_area(net, v, requests, self.config),
+                     net.point(r.o), net.point(r.d),
+                     VehiclePath(net, v, requests),
+                     RequestRows(net, r, self.config, check_buffer),
                      "inclusive")
-        allowed = dict(zip((CASE_A, CASE_B, CASE_C), admit))
-        if allowed[CASE_A] and allowed[CASE_B]:
+        if all(admit):
             return
-        for c in enumerate_all(self.net, v, requests, r, self.config,
+        allowed = dict(zip((CASE_A, CASE_B, CASE_C), admit))
+        for c in enumerate_all(net, v, requests, r, self.config,
                                check_buffer):
-            if c.case in (CASE_A, CASE_B) and not allowed[c.case]:
+            if not allowed[c.case]:
                 self.rejected += 1
                 if c.cost != math.inf:
                     self.false_exclusions += 1
@@ -321,7 +325,7 @@ def test_06_filter_soundness(capsys, oracle_bundle):
     b = oracle_bundle
     ok = b["false_exclusions"] == 0 and b["rejected"] > 0
     _verdict(capsys, 6, "filter soundness on 50 instances", ok,
-             f"gate-rejected interior candidates={b['rejected']} "
+             f"gate-rejected candidates={b['rejected']} "
              f"false_exclusions={b['false_exclusions']}")
 
 

@@ -244,7 +244,7 @@ def test_rect_mask_matches_rect_contains_bit_for_bit(case):
     out = np.empty(n, dtype=bool)
     _rect_mask(rect, xs, ys, [np.empty(n) for _ in range(4)],
                np.empty(n, dtype=bool), out)
-    assert out.tolist() == [rect_contains(rect, p) for p in pts]
+    assert out.tolist() == [rect_contains(rect, *p) for p in pts]
 
 
 class TestExpectedRrcc:

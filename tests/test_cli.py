@@ -396,19 +396,24 @@ class TestUnusableOut:
           ("gen-grid", "gen-requests", "simulate", "compare")),
         ("gen-grid", "file"), ("simulate", "file"), ("compare", "file"),
         ("gen-requests", "directory"),
+        *((command, below) for command in
+          ("gen-grid", "gen-requests", "simulate", "compare")
+          for below in ("below a file", "deep below a file")),
     ])
     def test_exits_1_and_leaves_nothing(self, net_dir, req_file, tmp_path,
                                         monkeypatch, capsys, command, out):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "out"
-        if out == "file":
+        below = {"below a file": path / "r.csv",
+                 "deep below a file": path / "sub" / "r.csv"}.get(out)
+        if out == "file" or below:
             path.write_text("kept\n")
         elif out == "directory":
             path.mkdir()
         before = sorted(tmp_path.rglob("*"))
-        assert main(self.args(command, net_dir, req_file,
-                              "" if out == "empty" else str(path))) == 1
+        arg = "" if out == "empty" else str(below or path)
+        assert main(self.args(command, net_dir, req_file, arg)) == 1
         assert "usage error" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
-        if out == "file":
+        if out == "file" or below:
             assert path.read_text() == "kept\n"

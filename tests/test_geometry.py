@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from poolsim.geometry import (Point, VehiclePsa, euclid, make_psa_rect,
                               psa_contains, rect_bbox, rect_contains,
                               rect_contains_all, rect_corners)
+from test_analysis import rect_and_points
 
 
 def ellipse_contains(f1: Point, f2: Point, sum_bound: float, p: Point) -> bool:
@@ -38,9 +40,9 @@ class TestMakePsaRect:
         assert r is not None
         assert r.half_wid == 0.0
         assert r.area == 0.0
-        assert rect_contains(r, Point(2, 0))
-        assert rect_contains(r, Point(4, 0))
-        assert not rect_contains(r, Point(2, 1e-3))
+        assert rect_contains(r, 2, 0)
+        assert rect_contains(r, 4, 0)
+        assert not rect_contains(r, 2, 1e-3)
 
     def test_infeasible_bound(self):
         assert make_psa_rect(Point(0, 0), Point(4, 0), 3.0) is None
@@ -76,18 +78,18 @@ class TestContainment:
         self.rect = make_psa_rect(self.f1, self.f2, self.sb)
 
     def test_inside_both(self):
-        assert rect_contains(self.rect, Point(2, 0))
+        assert rect_contains(self.rect, 2, 0)
         assert ellipse_contains(self.f1, self.f2, self.sb, Point(2, 0))
 
     def test_corner_gap(self):
         # in the rectangle but outside the ellipse: the filter over-admits here
         p = Point(0, 2)
-        assert rect_contains(self.rect, p)
+        assert rect_contains(self.rect, *p)
         assert euclid(self.f1, p) + euclid(p, self.f2) > self.sb
         assert not ellipse_contains(self.f1, self.f2, self.sb, p)
 
     def test_outside_both(self):
-        assert not rect_contains(self.rect, Point(6, 0))
+        assert not rect_contains(self.rect, 6, 0)
         assert not ellipse_contains(self.f1, self.f2, self.sb, Point(6, 0))
 
     def test_foci_always_inside(self):
@@ -101,7 +103,7 @@ class TestContainment:
                 continue
             mid = Point((f1.x + f2.x) / 2, (f1.y + f2.y) / 2)
             for p in (f1, f2, mid):
-                assert rect_contains(r, p)
+                assert rect_contains(r, *p)
                 assert ellipse_contains(f1, f2, sb, p)
 
 
@@ -115,9 +117,37 @@ def test_contains_all_is_contains_of_every_point():
         x0, y0, x1, y1 = rect_bbox(r)
         points = [f1, f2] + [Point(rng.uniform(x0, x1), rng.uniform(y0, y1))
                              for _ in range(rng.integers(0, 4))]
-        assert rect_contains_all(r, points) == all(rect_contains(r, p)
+        assert rect_contains_all(r, points) == all(rect_contains(r, *p)
                                                    for p in points)
     assert rect_contains_all(r, [])
+
+
+def inline_scan(rect, points) -> bool:
+    """The closed test as the gate's case-C scan wrote it, inline per point."""
+    cx, cy, ax, ay, half_len, half_wid, _ = rect
+    for x, y in points:
+        dx = x - cx
+        dy = y - cy
+        if not (abs(dx * ax + dy * ay) <= half_len
+                and abs(-dx * ay + dy * ax) <= half_wid):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rect_and_points())
+def test_one_membership_predicate_matches_the_inline_scan(case):
+    # coincident foci, zero widths and points one ulp past each corner
+    rect, pts = case
+    far = make_psa_rect(Point(100.0, 100.0), Point(101.0, 100.0), 2.0)
+    for p in pts:
+        want = inline_scan(rect, [p])
+        assert rect_contains(rect, p.x, p.y) == want
+        assert rect_contains_all(rect, [p]) == want
+        assert psa_contains(VehiclePsa.single(rect, 0), p) == want
+        assert psa_contains(VehiclePsa.union(rect, far, 0), p) == want
+        assert psa_contains(VehiclePsa.union(None, rect, 0), p) == want
+    assert rect_contains_all(rect, pts) == inline_scan(rect, pts)
 
 
 def test_circumscription_property():
@@ -133,7 +163,7 @@ def test_circumscription_property():
         for _ in range(5):
             p = Point(rng.uniform(x0, x1), rng.uniform(y0, y1))
             if ellipse_contains(f1, f2, sb, p):
-                assert rect_contains(r, p)
+                assert rect_contains(r, *p)
 
 
 def test_area_identity():
@@ -177,7 +207,7 @@ def test_frame_invariance():
             margin = min(abs(u - r.half_len), abs(v - r.half_wid))
             if margin < 1e-9:
                 continue
-            assert rect_contains(r, p) == rect_contains(r2, move(p))
+            assert rect_contains(r, *p) == rect_contains(r2, *move(p))
 
 
 def test_rect_corners_on_boundary():
@@ -188,7 +218,7 @@ def test_rect_corners_on_boundary():
     for c in rect_corners(r):
         inner = Point(r.cx + (c.x - r.cx) * shrink,
                       r.cy + (c.y - r.cy) * shrink)
-        assert rect_contains(r, inner)
+        assert rect_contains(r, *inner)
 
 
 def test_monte_carlo_area_ratio():
@@ -225,8 +255,8 @@ class TestVehiclePsa:
         beta = make_psa_rect(Point(0, 0), Point(4, 0), 6.0)
         psa = VehiclePsa.union(alpha, beta, request_id=1)
         p = Point(-2, 0)
-        assert not rect_contains(beta, p)
-        assert rect_contains(alpha, p)
+        assert not rect_contains(beta, *p)
+        assert rect_contains(alpha, *p)
         assert psa_contains(psa, p)
         assert psa_contains(psa, Point(3, 0))
         assert not psa_contains(psa, Point(-6, 0))

@@ -40,8 +40,8 @@ GOLDEN = {
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
     (0, "psap-inclusive"): (
-        "40ece21cd1c9f5e4d1aa46e1aaabccb57536c0ceace0dd7ac8120ef7842f5749",
-        "944d733b096c70d23b518a8b8386d592c3397aa967f98884f03b016fd646e72c",
+        "ac12f67beaa8541072984176887bbcb3dbb852e3be3639db19567de54c2de19e",
+        "13ee0a0beed1630b974ffe695d2b86e27f2d7e63873b1bb798d6e940ab7e577f",
         "1a0e862fd70105b52b2cde3d392ace41eab08aa7c879e3cc41c74a0964857f5c",
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
@@ -58,8 +58,8 @@ GOLDEN = {
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
     (1, "psap-inclusive"): (
-        "ca67da72682f0c96facdce436f23d0698f53f9d42316099419d9efb6f4b64f9e",
-        "e8a1d8ca0df83ae20a59e71118522aad25ea69155ebad1d7da26acbbf5a633f6",
+        "d4993847871dd8d23b3e35ecfa10512bf51a5ff809097b7e7323af15d1decab5",
+        "424af8e651c0197a04d50ad2130f44910c3050a8564ab6b67233e5c9d24f1ee5",
         "b6fa9cf64cb31ad388c86573d7f7109303af6d15de6ad16aa56b378e6bd8d3d5",
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
@@ -76,8 +76,8 @@ GOLDEN = {
         "c7c28f13f317e92e0806d86ca80b3258ad6d755570946a813ab4035376417c2e",
     ),
     (17, "psap-inclusive"): (
-        "79273859622ab61da94f428709c4b15a9f2b51540f8726ba27ece1e35b919849",
-        "d8a23a1e245d910b22f64c837235054a3c58be2d8d38dc51f1070fdbc04948ab",
+        "e0e462267c716de4b12fb72175359696a9568bd705ebe54d8234633c95f34f2c",
+        "ba7a006967dd5a9cda972888835640984712e3b3637c5ba94b6a33af3d7b0b2d",
         "f606f04c371cda3ca906d4d0146dc346bcef050f0a741cf81f2a40db18594fe2",
         "c7c28f13f317e92e0806d86ca80b3258ad6d755570946a813ab4035376417c2e",
     ),

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import copy
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
-                              Point, VehiclePsa, make_psa_rect, psa_contains)
+                              Point, VehiclePsa, euclid, make_psa_rect,
+                              psa_contains)
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                                RequestRows, VehiclePath, VehicleTrial,
                                candidate_positions)
@@ -24,7 +27,8 @@ from poolsim.scheduler import (Assignment, EpochCounters, counts_for_path,
 from poolsim.analysis import traffic_metrics
 from poolsim.simulator import run, write_report_files
 from test_acceptance import ORACLE_GRID, oracle_instance
-from test_insertion import enumerate_all, full_check_candidate, trial_for
+from test_insertion import (enumerate_all, full_check, full_check_candidate,
+                            trial_for)
 from test_roadnet import one_way_grid
 
 
@@ -156,7 +160,24 @@ class TestGate:
         self.outside = Point(10.0, 0.0)
 
     def admit(self, psa, o, d, mode, path_pts=(), pos=Point(0, 0)):
-        return gate(psa, o, d, list(path_pts), pos, 6.0, mode)
+        # a vehicle at pos with a drop-off at each of path_pts, on a network
+        # that joins every two of the points by a straight edge
+        pts = list(dict.fromkeys([pos, o, d, *path_pts]))
+        net = RoadNetwork(
+            nodes=dict(enumerate(pts)),
+            edges=[Edge(n, a, b, euclid(pts[a], pts[b])) for n, (a, b)
+                   in enumerate(combinations(range(len(pts)), 2))])
+        node = pts.index
+        riders = {m: Request(id=m, t=0.0, n=1, o=node(pos), d=node(p),
+                             state=RequestState.ONBOARD)
+                  for m, p in enumerate(path_pts)}
+        v = Vehicle(id=0, capacity=9, node=node(pos),
+                    path=[Stop(StopKind.DESTINATION, m, node(p))
+                          for m, p in enumerate(path_pts)])
+        new = Request(id=99, t=0.0, n=1, o=node(o), d=node(d))
+        return gate(psa, o, d, VehiclePath(net, v, riders),
+                    RequestRows(net, new, SimConfig(buffer_km=6.0), True),
+                    mode)
 
     def test_case_a_needs_both(self):
         for mode in ("literal", "inclusive"):
@@ -272,9 +293,8 @@ class TestGateSlack:
         assert psa.kind == PSA_SINGLE and psa.furthest_request_id == 23
         assert psa_contains(psa, net.point(new.o))
         _, admit_b, _ = gate(psa, net.point(new.o), net.point(new.d),
-                             [net.point(s.node) for s in v.path],
-                             v.position_point(net), cfg.buffer_km,
-                             "inclusive")
+                             VehiclePath(net, v, requests),
+                             RequestRows(net, new, cfg, True), "inclusive")
         assert admit_b
 
     def test_seed_703_inclusive_commits_what_es_commits(self):
@@ -287,9 +307,8 @@ class TestGateSlack:
         assert committed["inclusive"] == committed["es"]
         assert committed["es"][0]
 
-    def test_pickup_on_the_buffer_bound_is_admitted(self):
-        # case C: the committed stop sits on the straight pickup route, and
-        # the buffer equals the km to the new origin exactly
+    def tail_pickup_world(self):
+        # case C: the committed stop sits on the straight pickup route
         net = gen_grid(8, 2, 0.3)
         rider = Request(id=1, t=0.0, n=1, o=0, d=3,
                         direct_dist=net.shortest_dist(0, 3),
@@ -297,13 +316,32 @@ class TestGateSlack:
         v = Vehicle(id=0, capacity=5, node=0, path=stops(("d", 1, 3)))
         new = Request(id=2, t=0.0, n=1, o=7, d=15,
                       direct_dist=net.shortest_dist(7, 15))
-        buffer_km = net.shortest_dist(0, 3) + net.shortest_dist(3, 7)
+        pickup_km = net.shortest_dist(0, 3) + net.shortest_dist(3, 7)
+        return net, v, {1: rider}, new, pickup_km
+
+    def test_pickup_on_the_buffer_bound_is_admitted(self):
+        # the buffer equals the km to the new origin exactly
+        net, v, riders, new, buffer_km = self.tail_pickup_world()
         cfg = SimConfig(buffer_km=buffer_km)
-        trial = trial_for(net, v, {1: rider}, new, cfg, True)
+        trial = trial_for(net, v, riders, new, cfg, True)
         assert trial.evaluate(1, 2).cost != INFEASIBLE
-        psa = furthest_psa(net, v, {1: rider}, cfg.buffer_km, cfg.max_detour)
-        assert gate(psa, net.point(7), net.point(15), [net.point(3)],
-                    v.position_point(net), buffer_km, "inclusive")[2]
+        psa = furthest_psa(net, v, riders, cfg.buffer_km, cfg.max_detour)
+        for mode in ("inclusive", "literal"):
+            assert gate(psa, net.point(7), net.point(15),
+                        VehiclePath(net, v, riders),
+                        RequestRows(net, new, cfg, True), mode)[2]
+
+    def test_pickup_past_the_buffer_bound_is_gated_out(self):
+        # two slacks short of that km, the tail append fails its pickup
+        # screen, and the inclusive gate rejects exactly that candidate
+        net, v, riders, new, pickup_km = self.tail_pickup_world()
+        cfg = SimConfig(buffer_km=pickup_km - 2 * QOS_EPS)
+        trial = trial_for(net, v, riders, new, cfg, True)
+        assert trial.evaluate(1, 2).cost == INFEASIBLE
+        psa = furthest_psa(net, v, riders, cfg.buffer_km, cfg.max_detour)
+        assert not gate(psa, net.point(7), net.point(15),
+                        VehiclePath(net, v, riders),
+                        RequestRows(net, new, cfg, True), "inclusive")[2]
 
 
     def test_waiting_riders_pickup_bound_is_admitted(self):
@@ -335,8 +373,8 @@ class TestGateSlack:
         psa = furthest_psa(net, v, requests, cfg.buffer_km, cfg.max_detour)
         assert psa.kind == PSA_UNION
         assert gate(psa, net.point(6), net.point(5),
-                    [net.point(s.node) for s in v.path],
-                    v.position_point(net), cfg.buffer_km, "inclusive")[0]
+                    VehiclePath(net, v, requests),
+                    RequestRows(net, new, cfg, True), "inclusive")[0]
 
 
 # a block of streets, and a two-lane strip where routes run collinear
@@ -430,11 +468,42 @@ class TestGateSoundness:
         psa = furthest_psa(net, v, requests, cfg.buffer_km, cfg.max_detour)
         admit = dict(zip((CASE_A, CASE_B, CASE_C), gate(
             psa, net.point(new.o), net.point(new.d),
-            [net.point(s.node) for s in v.path], v.position_point(net),
-            cfg.buffer_km, "inclusive")))
+            VehiclePath(net, v, requests), RequestRows(net, new, cfg, True),
+            "inclusive")))
         for cand in enumerate_all(net, v, requests, new, cfg, True):
             if cand.cost != INFEASIBLE:
                 assert admit[cand.case], cand
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=bound_states())
+    def test_inclusive_case_c_is_the_tail_appends_verdict(self, case):
+        # under the drawn buffer, and with the tail append's pickup exactly
+        # on the buffer bound and just past it
+        net, v, requests, new, cfg = case
+        requests = {**requests, new.id: new}
+        k = len(v.path)
+        assert k >= 1
+        tail = trial_for(net, v, requests, new, cfg, True).prefix(
+            k, k + 1)[k + 1]
+        for buffer_km in (cfg.buffer_km, tail, tail - 2 * QOS_EPS):
+            if buffer_km < 0.0:  # a pickup of 0 km cannot be past a buffer
+                continue
+            c = replace(cfg, buffer_km=buffer_km)
+            psa = furthest_psa(net, v, requests, c.buffer_km, c.max_detour)
+            ends = RequestRows(net, new, c, True)
+            admit_c = gate(psa, net.point(new.o), net.point(new.d),
+                           VehiclePath(net, v, requests), ends,
+                           "inclusive")[2]
+            feasible = VehicleTrial(VehiclePath(net, v, requests),
+                                    ends).evaluate(k, k + 1).cost
+            feasible = feasible != INFEASIBLE
+            # whether the committed plan holds: the append's full check
+            # with the new rider's buffer unchecked and its detour zero
+            holds = full_check(trial_for(net, v, requests, new, c, False),
+                               k, k + 1) is None
+            assert admit_c == feasible if holds else not feasible
+            if buffer_km != cfg.buffer_km:
+                assert admit_c == (buffer_km == tail)
 
 
 # two-way lattices with exact and with inexact sums, and one-way streets
@@ -1002,16 +1071,22 @@ class TestScreenedEvaluation:
 class FreshPath:
     """Stands in for the epoch's shared vehicle part: every read rebuilds it.
 
-    So seats, gate points and every trial's legs and rider table are
-    read off the vehicle as it is at that moment, as if nothing were kept
-    between requests.
+    So seats, gate points, the search area, the legs the gate reads and
+    every trial's legs and rider table are read off the vehicle as it is at
+    that moment, as if nothing were kept between requests: a stored search
+    area is dropped, so the gate reads a fresh ``search_area`` each time.
     """
 
     def __init__(self, net, v, requests):
-        self.parts = (net, v, requests)
+        object.__setattr__(self, "parts", (net, v, requests))
 
     def __getattr__(self, name):
-        return getattr(VehiclePath(*self.parts), name)
+        path = VehiclePath(*self.parts)
+        path.legs()
+        return getattr(path, name)
+
+    def __setattr__(self, name, value):
+        pass
 
 
 def fresh_trials(config):
