@@ -102,10 +102,10 @@ def rect_bbox(rect: PsaRect) -> tuple[float, float, float, float]:
     return min(xs), min(ys), max(xs), max(ys)
 
 
-# A vehicle's potential search area has four shapes depending on the state of
-# its furthest request (the one whose destination is the last planned stop):
-#   empty   no request committed, nothing is pruned out (idle vehicles accept
-#           candidates subject to the append gate only)
+# A vehicle with committed stops has a potential search area of three kinds,
+# by the state of its furthest request (the one whose destination is the last
+# planned stop); an idle vehicle has none, since its one candidate, the tail
+# append, reads no area:
 #   single  furthest request already picked up: one rectangle around its own
 #           origin-destination ellipse
 #   union   furthest request waiting with its pickup-buffer guarantee: the
@@ -115,7 +115,6 @@ def rect_bbox(rect: PsaRect) -> tuple[float, float, float, float]:
 #           pickup is unconstrained, so no rectangle can prune soundly and the
 #           area admits every point
 
-PSA_EMPTY = "empty"
 PSA_SINGLE = "single"
 PSA_UNION = "union"
 PSA_OPEN = "open"
@@ -129,19 +128,14 @@ class VehiclePsa:
     furthest_request_id: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (PSA_EMPTY, PSA_SINGLE, PSA_UNION, PSA_OPEN):
+        if self.kind not in (PSA_SINGLE, PSA_UNION, PSA_OPEN):
             raise ValueError(f"unknown psa kind {self.kind!r}")
-        if (self.kind in (PSA_EMPTY, PSA_OPEN)
-                and (self.alpha or self.beta) is not None):
-            raise ValueError(f"{self.kind} psa cannot carry rectangles")
+        if self.kind == PSA_OPEN and (self.alpha or self.beta) is not None:
+            raise ValueError("open psa cannot carry rectangles")
         if self.kind in (PSA_SINGLE, PSA_UNION) and self.beta is None:
             raise ValueError(f"{self.kind} psa requires a beta rectangle")
         if self.kind == PSA_SINGLE and self.alpha is not None:
             raise ValueError("single psa carries no alpha rectangle")
-
-    @classmethod
-    def empty(cls) -> "VehiclePsa":
-        return cls(kind=PSA_EMPTY)
 
     @classmethod
     def open_area(cls, request_id: int) -> "VehiclePsa":
@@ -161,11 +155,9 @@ class VehiclePsa:
 def psa_contains(psa: VehiclePsa, p: Point) -> bool:
     """Membership in the vehicle's search area.
 
-    Empty areas contain nothing, open areas contain everything; a union with
-    an infeasible alpha component degrades to its beta rectangle alone.
+    Open areas contain everything; a union with an infeasible alpha
+    component degrades to its beta rectangle alone.
     """
-    if psa.kind == PSA_EMPTY:
-        return False
     if psa.kind == PSA_OPEN:
         return True
     x, y = p

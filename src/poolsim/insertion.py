@@ -124,8 +124,8 @@ class VehiclePath:
     its reach (the km to its first origin slot), the path's legs with the
     shared table of its positions' rejections, the committed riders' table
     the full QoS check walks, the points the literal gate tests, and the
-    vehicle's search area ``psa``, which ``run_epoch`` stores on its first
-    gated visit.  A vehicle that is full or out of reach never builds the
+    vehicle's search area ``psa``, which ``run_epoch`` stores on the first
+    visit that gates it.  A vehicle that is full or out of reach never builds the
     legs, so no forward row is fetched for its stops.  All of it is fixed
     while the vehicle stands between two moves and keeps its path, so
     ``run_epoch`` builds one per vehicle on the vehicle's first visit of an

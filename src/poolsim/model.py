@@ -73,8 +73,9 @@ class Vehicle:
     prev_node: int | None = None  # edge tail while mid-edge
     odometer: float = 0.0
     path: list[Stop] = field(default_factory=list)
-    # search area as last built; read it through scheduler.search_area
-    psa: VehiclePsa = field(default_factory=VehiclePsa.empty)
+    # search area as last built, None before the first; read it through
+    # scheduler.search_area
+    psa: VehiclePsa | None = None
     route: list[int] = field(default_factory=list)  # hops after `node`
 
     def position_point(self, net: RoadNetwork) -> Point:

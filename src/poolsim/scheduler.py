@@ -13,8 +13,10 @@ buffer guarantee) are dropped for that rider: any detour-feasible insertion
 anywhere is acceptable rather than leaving them stranded.
 
 Before its gate, the pruned scheduler skips a vehicle that cannot reach the
-new origin within the pickup buffer (``out_of_reach``), and both evaluate a
-candidate against the cheapest cost found so far; neither changes a commit.
+new origin within the pickup buffer (``out_of_reach``), and admits an idle
+vehicle's one candidate, the tail append, without the gate.  Both evaluate a
+candidate against the cheapest cost found so far; none of this changes a
+commit.
 
 Counters: N tallies what the exhaustive search would evaluate (closed form per
 vehicle path length), M tallies what was actually cost-evaluated.  The
@@ -39,8 +41,10 @@ from .roadnet import RoadNetwork
 MODE_LITERAL, MODE_INCLUSIVE = GATINGS
 MODE_ES = "es"
 
+# now, the visit's shared vehicle part and request part, and the admitted
+# positions, () for a reach skip
 TrialObserver = Callable[
-    [float, Request, Vehicle, list[Candidate], dict[int, Request]], None]
+    [float, VehiclePath, RequestRows, tuple[tuple[int, int, str], ...]], None]
 
 
 def counts_for_path(k: int) -> tuple[int, int, int]:
@@ -115,12 +119,10 @@ def furthest_psa(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
     vehicle position frozen when the rider was scheduled (infeasible pickup
     rectangles degrade the union to the ride rectangle alone).  Still-waiting
     furthest rider without the guarantee: open, because nothing bounds the leg
-    up to its pickup and any rectangle would prune feasible insertions.  No
-    committed riders: empty.  Both budgets carry the QoS check's slack
-    ``QOS_EPS``, so a plan that lies exactly on a bound is never gated out.
+    up to its pickup and any rectangle would prune feasible insertions.  Both
+    budgets carry the QoS check's slack ``QOS_EPS``, so a plan that lies
+    exactly on a bound is never gated out.  The path must not be empty.
     """
-    if not v.path:
-        return VehiclePsa.empty()
     last = v.path[-1]
     assert last.kind == StopKind.DESTINATION, "path must end at a destination"
     r = requests[last.request_id]
@@ -142,15 +144,15 @@ def search_area(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
 
     The area depends only on the furthest rider and on whether they are
     onboard, which the stored area records as ``furthest_request_id`` and as
-    ``kind == single``.  It is rebuilt here, where the gate reads it, once a
-    commit, pickup or drop-off has changed either; nothing else updates it.
+    ``kind == single``.  It is built here, where the gate reads it, when
+    there is none yet or a commit, pickup or drop-off has changed either;
+    nothing else updates it.  Only a vehicle with committed stops has one.
     """
     psa = v.psa
-    furthest = v.path[-1].request_id if v.path else None
-    onboard = (furthest is not None
-               and requests[furthest].state == RequestState.ONBOARD)
-    if (furthest, onboard) != (psa.furthest_request_id,
-                               psa.kind == PSA_SINGLE):
+    furthest = v.path[-1].request_id
+    onboard = requests[furthest].state == RequestState.ONBOARD
+    if psa is None or (furthest, onboard) != (psa.furthest_request_id,
+                                              psa.kind == PSA_SINGLE):
         psa = v.psa = furthest_psa(net, v, requests, config.buffer_km,
                                    config.max_detour)
     return psa
@@ -175,19 +177,18 @@ def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path: VehiclePath,
          ends: RequestRows, mode: str) -> tuple[bool, bool, bool]:
     """Cheap admission test of the cases (A, B, C) of one vehicle.
 
-    A and B come from the search area (``area_admits``).  C, the tail append
-    (K, K + 1), passes untested on an empty path (``out_of_reach`` screens
-    it).  Inclusive mode admits it exactly when ``VehicleTrial._screen(K)``
-    passes its pickup, from the same floats: appending moves no committed
-    stop and leaves no detour, so this is the append's own verdict while the
-    committed plan holds.  Literal mode keeps the paper's rectangle: every
-    stop must lie in the one spanned by the vehicle position and the new
-    origin with the buffer and the QoS slack as path budget.
+    A and B come from the search area (``area_admits``).  C is the tail
+    append (K, K + 1) of a path of K >= 1 stops; an idle vehicle's append
+    is admitted without the gate.  Inclusive mode admits it exactly when
+    ``VehicleTrial._screen(K)`` passes its pickup, from the same floats:
+    appending moves no committed stop and leaves no detour, so this is the
+    append's own verdict while the committed plan holds.  Literal mode keeps
+    the paper's rectangle: every stop must lie in the one spanned by the
+    vehicle position and the new origin with the buffer and the QoS slack
+    as path budget.
     """
     admit_a, admit_b = area_admits(psa, o_pt, d_pt, mode)
     k = path.k
-    if k == 0:
-        return admit_a, admit_b, True
     if mode == MODE_INCLUSIVE:
         path.legs()
         return admit_a, admit_b, not (path.at[k] + ends.to_o[path.ix[k]]
@@ -221,10 +222,11 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     The requests are the state's running ``pool``, in release order.
     Mutates ``state`` in place: its clock moves to ``now``, winning
     insertions are committed (path, request bookkeeping and the state's
-    running totals), and a gated vehicle reads its area (``search_area``)
-    once per ``VehiclePath``.  Requests with no feasible insertion stay
-    unassigned and are retried next epoch.  Returns the committed
-    assignments, stamped with ``now``, and the per-case candidate counters.
+    running totals), and a gated vehicle with stops reads its area
+    (``search_area``) once per ``VehiclePath``.  Requests with no feasible
+    insertion stay unassigned and are retried next epoch.  Returns the
+    committed assignments, stamped with ``now``, and the per-case candidate
+    counters.
 
     No vehicle moves during the pass, so each vehicle's ``VehiclePath`` is
     built on its first visit and shared by every later request of the
@@ -233,10 +235,11 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
 
     The pruned planner counts an ``out_of_reach`` vehicle as a gate
     rejection of all three cases.  Vehicles, then positions, are tried in
-    the order of the key ``(cost, vid, i, j)``, so only a lower cost can
-    win, and each candidate is evaluated against the best cost so far.  An
-    observer gets every verdict unbounded, for every vehicle with seats
-    for the party (an empty list when nothing was evaluated).
+    ``(vid, i, j)`` order, each against the cheapest cost so far, and only
+    a lower cost wins, so the first of equal costs stays.  An observer is
+    called once per vehicle with seats for the party, after its positions
+    are tried, with the visit's parts and the admitted positions; it
+    changes no work.
     """
     if mode not in (MODE_LITERAL, MODE_INCLUSIVE, MODE_ES):
         raise ValueError(f"unknown scheduler mode {mode!r}")
@@ -250,7 +253,6 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
     # the vehicle part of every trial, built on the vehicle's first visit
     # and dropped when a commit changes its path
     paths: dict[int, VehiclePath] = {}
-    observing = trial_observer is not None
     pruning = mode != MODE_ES
     wait_threshold_s = config.wait_threshold_s
     # longest-waiting first: the pool is in release order, and a commit
@@ -263,8 +265,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             d_pt = net.point(r.d)
         party = r.n
         ends = RequestRows(net, r, config, check_buffer)
-        best: tuple[float, int, int, int] | None = None  # cost, vid, i, j
-        best_case = ""
+        best: tuple[int, Candidate] | None = None
         bound = INFEASIBLE
         for vid in vehicle_ids:
             v = vehicles[vid]
@@ -283,6 +284,10 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
                 admit = _ADMIT_ALL
             elif out_of_reach(path, ends):
                 admit = _ADMIT_NONE
+            elif k == 0:
+                # an idle vehicle's one candidate is the tail append, which
+                # the reach test has just screened
+                admit = _ADMIT_ALL
             else:
                 psa = path.psa
                 if psa is None:
@@ -293,28 +298,20 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             m_b += nb if admit[1] else 0
             m_c += nc if admit[2] else 0
 
-            evaluated: list[Candidate] = []
             if positions:
                 evaluate = VehicleTrial(path, ends).evaluate
-                for i, j, case in positions:
+                for i, j, _ in positions:
                     cand = evaluate(i, j, bound)
-                    if observing:
-                        evaluated.append(cand)
-                    cost = cand.cost
-                    if cost != INFEASIBLE:
-                        key = (cost, vid, i, j)
-                        if best is None or key < best:
-                            best = key
-                            best_case = case
-                            if not observing:
-                                bound = cost
-            if observing:
-                trial_observer(now, r, v, evaluated, requests)
+                    if cand.cost < bound:
+                        bound = cand.cost
+                        best = (vid, cand)
+            if trial_observer is not None:
+                trial_observer(now, path, ends, positions)
 
         if best is not None:
-            cost, vid, i, j = best
+            vid, cand = best
             v = vehicles[vid]
-            v.path = splice(v.path, r.o, r.d, i, j, r.id)
+            v.path = splice(v.path, r.o, r.d, cand.i, cand.j, r.id)
             del paths[vid]
             r.state = RequestState.WAITING
             r.vehicle_id = vid
@@ -323,8 +320,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
             r.odometer_at_schedule = v.odometer
             r.scheduled_under_wait = check_buffer
             state.schedule(r)
-            assignments.append(Assignment(now, r.id, vid, i, j, best_case,
-                                          cost))
+            assignments.append(Assignment(now, r.id, vid, *cand))
     return assignments, EpochCounters(n_a, n_b, n_c, m_a, m_b, m_c)
 
 

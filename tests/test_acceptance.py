@@ -18,13 +18,13 @@ import pytest
 
 from poolsim.analysis import eta_monte_carlo, rrcc_gate_harness
 from poolsim.geometry import Point, euclid
-from poolsim.insertion import (CASE_A, CASE_B, CASE_C, RequestRows,
-                               VehiclePath, candidate_positions)
+from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
+                               candidate_positions)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, check_request, sample_requests,
                            waiting_time)
 from poolsim.roadnet import RoadNetwork, gen_grid
-from poolsim.scheduler import gate, search_area
+from poolsim.scheduler import counts_for_path
 from poolsim.seeds import substream
 from poolsim.simulator import run, write_report_files
 from test_insertion import enumerate_all, trial_for
@@ -66,10 +66,12 @@ def oracle_instance(net, seed):
 class SubsetObserver:
     """Pruned-mode trials against exhaustive evaluation on the same state.
 
-    Every evaluated candidate must sit at a legal position (subset of the
-    complete position set) and carry the exact cost an ungated evaluation of
-    that position produces on the same vehicle state; the aggregate evaluated
-    and complete counts feed the strictness check.
+    Every admitted position must be legal (subset of the complete position
+    set), and its unbounded evaluation on the visit's shared parts must
+    carry the exact cost and case that a trial on parts built afresh from
+    the same vehicle state gives, so a stale shared part shows up as a
+    mismatch.  The aggregate admitted and complete counts feed the
+    strictness check.
     """
 
     def __init__(self, net, config):
@@ -80,30 +82,34 @@ class SubsetObserver:
         self.escaped = 0
         self.cost_mismatches = 0
 
-    def __call__(self, now, r, v, evaluated, requests):
+    def __call__(self, now, path, ends, positions):
+        r = ends.request
         check_buffer = waiting_time(r, now) <= self.config.wait_threshold_s
-        positions = candidate_positions(len(v.path))
-        self.evaluated += len(evaluated)
-        self.full += len(positions)
-        if not check_buffer or not evaluated:
+        legal = {(i, j) for i, j, _ in candidate_positions(path.k)}
+        self.evaluated += len(positions)
+        self.full += len(legal)
+        if not check_buffer or not positions:
             return
-        legal = {(i, j) for i, j, _ in positions}
-        trial = trial_for(self.net, v, requests, r, self.config,
+        shared = VehicleTrial(path, ends)
+        fresh = trial_for(self.net, path.v, path.requests, r, self.config,
                           check_buffer)
-        for c in evaluated:
-            if (c.i, c.j) not in legal:
+        for i, j, _ in positions:
+            if (i, j) not in legal:
                 self.escaped += 1
                 continue
-            again = trial.evaluate(c.i, c.j)
+            c = shared.evaluate(i, j)
+            again = fresh.evaluate(i, j)
             if again.cost != c.cost or again.case != c.case:
                 self.cost_mismatches += 1
 
 
 class SoundnessObserver:
-    """Every gate-rejected candidate must fail the full QoS check.
+    """Every candidate the pruned planner drops must fail the full QoS check.
 
-    Counts the candidates of every case that the inclusive gate rejects:
-    A and B by the search area, and the tail append C by its pickup bound.
+    Counts the candidates missing from a visit's admitted positions, with
+    out-of-reach vehicles included: A and B dropped by the search area,
+    the tail append C by its pickup bound, and every case by the reach
+    bound.
     """
 
     def __init__(self, net, config):
@@ -112,22 +118,15 @@ class SoundnessObserver:
         self.rejected = 0
         self.false_exclusions = 0
 
-    def __call__(self, now, r, v, evaluated, requests):
+    def __call__(self, now, path, ends, positions):
+        if len(positions) == sum(counts_for_path(path.k)):
+            return
+        r = ends.request
         check_buffer = waiting_time(r, now) <= self.config.wait_threshold_s
-        if not check_buffer:
-            return
-        net = self.net
-        admit = gate(search_area(net, v, requests, self.config),
-                     net.point(r.o), net.point(r.d),
-                     VehiclePath(net, v, requests),
-                     RequestRows(net, r, self.config, check_buffer),
-                     "inclusive")
-        if all(admit):
-            return
-        allowed = dict(zip((CASE_A, CASE_B, CASE_C), admit))
-        for c in enumerate_all(net, v, requests, r, self.config,
-                               check_buffer):
-            if not allowed[c.case]:
+        admitted = {(i, j) for i, j, _ in positions}
+        for c in enumerate_all(self.net, path.v, path.requests, r,
+                               self.config, check_buffer):
+            if (c.i, c.j) not in admitted:
                 self.rejected += 1
                 if c.cost != math.inf:
                     self.false_exclusions += 1
@@ -325,7 +324,7 @@ def test_06_filter_soundness(capsys, oracle_bundle):
     b = oracle_bundle
     ok = b["false_exclusions"] == 0 and b["rejected"] > 0
     _verdict(capsys, 6, "filter soundness on 50 instances", ok,
-             f"gate-rejected candidates={b['rejected']} "
+             f"dropped candidates={b['rejected']} "
              f"false_exclusions={b['false_exclusions']}")
 
 

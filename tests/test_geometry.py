@@ -238,10 +238,6 @@ def test_monte_carlo_area_ratio():
 
 
 class TestVehiclePsa:
-    def test_empty_contains_nothing(self):
-        psa = VehiclePsa.empty()
-        assert not psa_contains(psa, Point(0, 0))
-
     def test_single_is_its_rect(self):
         rect = make_psa_rect(Point(0, 0), Point(4, 0), 6.0)
         psa = VehiclePsa.single(rect, request_id=3)

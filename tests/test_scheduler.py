@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolsim.geometry import (PSA_EMPTY, PSA_OPEN, PSA_SINGLE, PSA_UNION,
-                              Point, VehiclePsa, euclid, make_psa_rect,
-                              psa_contains)
+from poolsim.geometry import (PSA_OPEN, PSA_SINGLE, PSA_UNION, Point,
+                              VehiclePsa, euclid, make_psa_rect, psa_contains)
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                                RequestRows, VehiclePath, VehicleTrial,
                                candidate_positions)
@@ -41,6 +40,19 @@ def two_node_net():
 def stops(*pairs) -> list[Stop]:
     kinds = {"o": StopKind.ORIGIN, "d": StopKind.DESTINATION}
     return [Stop(kinds[k], rid, node) for k, rid, node in pairs]
+
+
+def recorded_calls(monkeypatch, owner, name) -> list[tuple]:
+    """Wrap ``owner.name`` so that each call appends its arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 class TestCountsForPath:
@@ -76,12 +88,6 @@ class TestEpochCounters:
 
 
 class TestFurthestPsa:
-    def test_idle_vehicle_empty(self):
-        net = two_node_net()
-        v = Vehicle(id=0, capacity=5, node=0)
-        psa = furthest_psa(net, v, {}, 6.0, 0.2)
-        assert psa.kind == PSA_EMPTY
-
     def test_onboard_single_rectangle(self):
         net = two_node_net()
         r = Request(id=7, t=0, n=1, o=0, d=1, direct_dist=5.0,
@@ -210,12 +216,6 @@ class TestGate:
         assert self.admit(union, o, self.inside, "literal")[0]
         assert not self.admit(self.single, o, self.inside, "literal")[0]
 
-    def test_case_c_empty_path_vacuous(self):
-        # even an infeasible pickup rectangle admits an idle vehicle
-        for mode in ("literal", "inclusive"):
-            assert self.admit(self.single, self.outside, self.inside,
-                              mode)[2]
-
     def test_case_c_bounds_committed_stops(self):
         o = Point(3.0, 0.0)
         near = [Point(1.0, 0.5)]
@@ -227,17 +227,13 @@ class TestGate:
         assert not self.admit(self.single, self.outside, self.inside,
                               "literal", [Point(1.0, 0.0)])[2]
 
-    def test_empty_area_rejects_a_and_b(self):
-        empty = VehiclePsa.empty()
-        assert self.admit(empty, self.inside, self.inside,
-                          "literal")[:2] == (False, False)
-        assert self.admit(empty, self.inside, self.outside,
-                          "literal")[:2] == (False, False)
-
     def test_open_area_admits_everything_inclusive(self):
+        # a vehicle with a stop next to the far origin, so that the tail
+        # append meets the buffer too
         area = VehiclePsa.open_area(7)
-        assert self.admit(area, self.outside, self.outside,
-                          "inclusive") == (True, True, True)
+        assert self.admit(area, self.outside, self.outside, "inclusive",
+                          [Point(9.0, 0.0)], Point(8.0, 0.0)) \
+            == (True, True, True)
 
     def test_open_area_admits_everything_literal(self):
         # strict case separation needs a boundary; an open area has none, so
@@ -667,13 +663,23 @@ class TestSearchArea:
         v.path = stops(("d", 2, 4))
         assert search_area(net, v, reqs, cfg) is before
 
-    def test_final_dropoff_empties_area(self):
+    def test_next_commit_rebuilds_the_area(self):
+        # an idle vehicle keeps its last area unread; the next rider
+        # committed to it becomes the furthest, so the area is rebuilt
         net, cfg, v, reqs = self.world()
-        search_area(net, v, reqs, cfg)
+        before = search_area(net, v, reqs, cfg)
         for rid in (1, 2):
             reqs[rid].state = RequestState.COMPLETED
-        v.path = []
-        assert search_area(net, v, reqs, cfg).kind == PSA_EMPTY
+        reqs[3] = Request(id=3, t=0, n=1, o=3, d=4, direct_dist=1.0,
+                          state=RequestState.WAITING,
+                          odometer_at_schedule=0.0,
+                          scheduled_under_wait=True, p_s=Point(0.0, 0.0))
+        v.path = stops(("o", 3, 3), ("d", 3, 4))
+        psa = search_area(net, v, reqs, cfg)
+        assert psa is v.psa and psa is not before
+        assert psa == furthest_psa(net, v, reqs, cfg.buffer_km,
+                                   cfg.max_detour)
+        assert psa.kind == PSA_UNION and psa.furthest_request_id == 3
 
 
 class TestSearchAreaInRuns:
@@ -689,19 +695,21 @@ class TestSearchAreaInRuns:
         n_veh, reqs = oracle_instance(oracle_net, seed)
         cfg = SimConfig(n_vehicles=n_veh, seed=seed, gating=gating)
         checked = 0
-
         skipped = 0
 
-        def observer(now, r, v, evaluated, requests):
+        def observer(now, path, ends, positions):
             nonlocal checked, skipped
-            if waiting_time(r, now) > cfg.wait_threshold_s:
+            r, v, requests = ends.request, path.v, path.requests
+            # an idle vehicle reads no area
+            if waiting_time(r, now) > cfg.wait_threshold_s or not v.path:
                 return
             # a vehicle out of reach is skipped before it reads its area
             if out_of_reach(VehiclePath(oracle_net, v, requests),
                             RequestRows(oracle_net, r, cfg, True)):
-                assert evaluated == []
+                assert positions == ()
                 skipped += 1
                 return
+            assert path.psa is v.psa
             assert v.psa == furthest_psa(oracle_net, v, requests,
                                          cfg.buffer_km, cfg.max_detour)
             checked += 1
@@ -760,6 +768,25 @@ class TestRunEpochBasics:
         psa = search_area(net, v, state.requests, cfg)
         assert psa.kind == PSA_UNION
         assert psa.furthest_request_id == 1
+
+    def test_idle_vehicle_skips_the_gate(self, monkeypatch):
+        # the tail append is an idle vehicle's one candidate, so a gated
+        # idle vehicle in reach makes no gate call and reads no area in
+        # either mode, and its append is still evaluated
+        net = self.line()
+        gates = recorded_calls(monkeypatch, scheduler, "gate")
+        builds = recorded_calls(monkeypatch, scheduler, "furthest_psa")
+        evaluated = recorded_calls(monkeypatch, VehicleTrial, "evaluate")
+        for mode in ("literal", "inclusive"):
+            state = self.one_request_world(net, o=2, d=6)
+            assignments, counters = run_epoch(net, state, SimConfig(), 0.0,
+                                              mode)
+            assert assignments == [Assignment(0.0, 1, 0, 0, 1, CASE_C,
+                                              pytest.approx(3.0))]
+            assert (counters.m_a, counters.m_b, counters.m_c) == (0, 0, 1)
+            assert state.vehicles[0].psa is None
+        assert gates == [] and builds == []
+        assert [args[1:3] for args in evaluated] == [(0, 1), (0, 1)]
 
     def test_unreleased_request_ignored(self):
         net = self.line()
@@ -986,15 +1013,18 @@ class TestModeAgreement:
         evaluated_total = 0
         brute_total = 0
 
-        def observer(now, r, v, evaluated, requests):
+        def observer(now, path, ends, positions):
             nonlocal shared, evaluated_total, brute_total
+            r = ends.request
             check_buffer = (waiting_time(r, now)
                             <= cfg.wait_threshold_s)
             brute = {(c.i, c.j): c for c in enumerate_all(
-                net, v, requests, r, cfg, check_buffer)}
+                net, path.v, path.requests, r, cfg, check_buffer)}
             brute_total += len(brute)
-            evaluated_total += len(evaluated)
-            for cand in evaluated:
+            evaluated_total += len(positions)
+            trial = VehicleTrial(path, ends)
+            for i, j, _ in positions:
+                cand = trial.evaluate(i, j)
                 ref = brute[(cand.i, cand.j)]
                 assert cand.case == ref.case
                 if math.isinf(cand.cost):
@@ -1026,10 +1056,10 @@ class TestCounterAccounting:
         expected_n = 0
         observed_m = 0
 
-        def observer(now, r, v, evaluated, requests):
+        def observer(now, path, ends, positions):
             nonlocal expected_n, observed_m
-            expected_n += sum(counts_for_path(len(v.path)))
-            observed_m += len(evaluated)
+            expected_n += sum(counts_for_path(len(path.v.path)))
+            observed_m += len(positions)
 
         totals = EpochCounters()
         for assignments, counters in _run_epochs(net, state, cfg, "literal",
@@ -1038,6 +1068,32 @@ class TestCounterAccounting:
         assert totals.n_total == expected_n
         assert totals.m_total == observed_m
         assert totals.m_total <= totals.n_total
+
+
+class TestObserver:
+    """An observer watches the planner without changing its work."""
+
+    @pytest.mark.parametrize("planner,gating", [
+        ("es", "literal"), ("psap", "inclusive"), ("psap", "literal")])
+    def test_noop_observer_changes_neither_reports_nor_work(
+            self, monkeypatch, tmp_path, planner, gating):
+        net = gen_grid(*ORACLE_GRID)
+        n_veh, reqs = oracle_instance(net, 1)
+        cfg = SimConfig(n_vehicles=n_veh, seed=1, gating=gating)
+        # each O(K) check sums one prefix
+        checks = recorded_calls(monkeypatch, VehicleTrial, "prefix")
+        plain = run(net, reqs, cfg, scheduler=planner)
+        unwatched = len(checks)
+        watched = run(net, reqs, cfg, scheduler=planner,
+                      trial_observer=lambda *args: None)
+        assert unwatched > 0
+        assert len(checks) == 2 * unwatched
+        ours = write_report_files(plain, tmp_path / "plain")
+        theirs = write_report_files(watched, tmp_path / "watched")
+        assert len(ours) == 4
+        for a, b in zip(ours, theirs):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read(), a
 
 
 class TestScreenedEvaluation:
@@ -1146,8 +1202,11 @@ class TestSharedVehicleParts:
         cfg = SimConfig()
         seen = []
 
-        def observer(now, r, v, evaluated, requests):
-            fresh = enumerate_all(net, v, requests, r, cfg, True)
+        def observer(now, path, ends, positions):
+            r, v = ends.request, path.v
+            fresh = enumerate_all(net, v, path.requests, r, cfg, True)
+            trial = VehicleTrial(path, ends)
+            evaluated = [trial.evaluate(i, j) for i, j, _ in positions]
             seen.append((r.id, len(v.path), evaluated, fresh))
 
         assignments, counters = run_epoch(net, state, cfg, 10.0, "es",
