@@ -273,7 +273,9 @@ def _out_path(is_dir: bool):
         above = os.path.dirname(os.path.abspath(path))
         while not os.path.exists(above):
             above = os.path.dirname(above)
+        # a file path ends in its file name, not in a separator
         if (not path or not os.path.isdir(above)
+                or not is_dir and not os.path.basename(path)
                 or os.path.isdir(path) != is_dir and os.path.exists(path)):
             raise argparse.ArgumentTypeError(
                 f"not a usable output {'directory' if is_dir else 'file'}: "

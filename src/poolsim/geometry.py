@@ -16,7 +16,6 @@ All coordinates are planar km.  Containment is closed (boundary points are in).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,11 +78,6 @@ def rect_contains(rect: PsaRect, x: float, y: float) -> bool:
     dy = y - cy
     return (abs(dx * ax + dy * ay) <= half_len
             and abs(-dx * ay + dy * ax) <= half_wid)
-
-
-def rect_contains_all(rect: PsaRect, points: Iterable[Point]) -> bool:
-    """True when the rectangle contains every one of the points."""
-    return all(rect_contains(rect, x, y) for x, y in points)
 
 
 def rect_corners(rect: PsaRect) -> list[Point]:

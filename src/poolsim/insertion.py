@@ -14,8 +14,8 @@ shortest-path lookups, so cost never re-sums the whole path.  Costing and the
 quality-of-service check share one ``VehicleTrial`` per (vehicle, request).
 It joins two parts that it reads without copying: the vehicle's
 ``VehiclePath`` (its seats and, each built on first use, the legs of its
-committed path with its table of rejections, its rider table, gate points
-and search area), built once per vehicle per scheduling epoch, and the
+committed path with its table of rejections, its rider table and its
+search area), built once per vehicle per scheduling epoch, and the
 request's ``RequestRows`` (the forward and reverse rows of the new origin
 and destination, and the request's own QoS limits), built once per request.
 
@@ -57,7 +57,7 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .geometry import Point, VehiclePsa
+from .geometry import VehiclePsa
 from .model import (Request, SimConfig, Stop, StopKind, Vehicle,
                     passengers_committed)
 from .roadnet import RoadNetwork
@@ -121,16 +121,16 @@ class VehiclePath:
     """One vehicle's committed path as its trials and its gate read it.
 
     Holds the seats its committed riders hold and, each built on first use,
-    its reach (the km to its first origin slot), the path's legs with the
-    shared table of its positions' rejections, the committed riders' table
-    the full QoS check walks, the points the literal gate tests, and the
-    vehicle's search area ``psa``, which ``run_epoch`` stores on the first
-    visit that gates it.  A vehicle that is full or out of reach never builds the
-    legs, so no forward row is fetched for its stops.  All of it is fixed
-    while the vehicle stands between two moves and keeps its path, so
-    ``run_epoch`` builds one per vehicle on the vehicle's first visit of an
-    epoch, shares it among that epoch's requests, and drops it when a commit
-    splices a new rider into the path.
+    its reach (the km to its first origin slot), the path's legs, which the
+    gate's case C reads too, with the shared table of its positions'
+    rejections, the committed riders' table the full QoS check walks, and
+    the vehicle's search area ``psa``, which ``run_epoch`` stores on the
+    first visit that gates it.  A vehicle that is full or out of reach
+    never builds the legs, so no forward row is fetched for its stops.  All
+    of it is fixed while the vehicle stands between two moves and keeps its
+    path, so ``run_epoch`` builds one per vehicle on the vehicle's first
+    visit of an epoch, shares it among that epoch's requests, and drops it
+    when a commit splices a new rider into the path.
     """
 
     def __init__(self, net: RoadNetwork, v: Vehicle,
@@ -143,7 +143,6 @@ class VehiclePath:
         self.ix: list[int] | None = None
         self._reach: tuple[int, float] | None = None
         self._riders: list[_Rider] | None = None
-        self._gate_points: tuple[Point, list[Point]] | None = None
         self.psa: VehiclePsa | None = None
 
     def reach(self) -> tuple[int, float]:
@@ -187,14 +186,6 @@ class VehiclePath:
         leg.extend(dists_from(s.node)[x] for s, x in zip(stops, ix[2:]))
         self.at = list(accumulate(leg, initial=v.offset_km))
         self.rejected = rejections(self.k)
-
-    def gate_points(self) -> tuple[Point, list[Point]]:
-        """The vehicle's position point and the points of its stops."""
-        if self._gate_points is None:
-            net = self.net
-            self._gate_points = (self.v.position_point(net),
-                                 [net.point(s.node) for s in self.v.path])
-        return self._gate_points
 
     def riders(self) -> list[_Rider]:
         """Committed riders in drop-off order, read off the path in one pass.

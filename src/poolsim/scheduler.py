@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .geometry import (PSA_OPEN, PSA_SINGLE, Point, VehiclePsa, make_psa_rect,
-                       psa_contains, rect_contains_all)
+                       psa_contains)
 from .insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                         Candidate, RequestRows, VehiclePath, VehicleTrial,
                         candidate_positions, splice)
@@ -179,24 +179,20 @@ def gate(psa: VehiclePsa, o_pt: Point, d_pt: Point, path: VehiclePath,
 
     A and B come from the search area (``area_admits``).  C is the tail
     append (K, K + 1) of a path of K >= 1 stops; an idle vehicle's append
-    is admitted without the gate.  Inclusive mode admits it exactly when
+    is admitted without the gate.  Both modes admit it exactly when
     ``VehicleTrial._screen(K)`` passes its pickup, from the same floats:
     appending moves no committed stop and leaves no detour, so this is the
-    append's own verdict while the committed plan holds.  Literal mode keeps
-    the paper's rectangle: every stop must lie in the one spanned by the
-    vehicle position and the new origin with the buffer and the QoS slack
-    as path budget.
+    append's own verdict while the committed plan holds.  It is tighter
+    than the paper's case-C rectangle, spanned by the vehicle and the new
+    origin with the buffer as path budget: no edge is shorter than its
+    straight line, so every stop of an append it admits lies in that
+    rectangle.
     """
     admit_a, admit_b = area_admits(psa, o_pt, d_pt, mode)
     k = path.k
-    if mode == MODE_INCLUSIVE:
-        path.legs()
-        return admit_a, admit_b, not (path.at[k] + ends.to_o[path.ix[k]]
-                                      > ends.max_pickup)
-    position, stop_points = path.gate_points()
-    rect = make_psa_rect(position, o_pt, ends.max_buffer)
-    return admit_a, admit_b, (rect is not None
-                              and rect_contains_all(rect, stop_points))
+    path.legs()
+    return admit_a, admit_b, not (path.at[k] + ends.to_o[path.ix[k]]
+                                  > ends.max_pickup)
 
 
 def out_of_reach(path: VehiclePath, ends: RequestRows) -> bool:

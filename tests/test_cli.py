@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -395,7 +396,7 @@ class TestUnusableOut:
         *((command, "empty") for command in
           ("gen-grid", "gen-requests", "simulate", "compare")),
         ("gen-grid", "file"), ("simulate", "file"), ("compare", "file"),
-        ("gen-requests", "directory"),
+        ("gen-requests", "directory"), ("gen-requests", "new directory/"),
         *((command, below) for command in
           ("gen-grid", "gen-requests", "simulate", "compare")
           for below in ("below a file", "deep below a file")),
@@ -412,6 +413,8 @@ class TestUnusableOut:
             path.mkdir()
         before = sorted(tmp_path.rglob("*"))
         arg = "" if out == "empty" else str(below or path)
+        if out == "new directory/":
+            arg += os.sep
         assert main(self.args(command, net_dir, req_file, arg)) == 1
         assert "usage error" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before

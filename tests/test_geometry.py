@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from poolsim.geometry import (Point, VehiclePsa, euclid, make_psa_rect,
                               psa_contains, rect_bbox, rect_contains,
-                              rect_contains_all, rect_corners)
+                              rect_corners)
 from test_analysis import rect_and_points
 
 
@@ -107,31 +107,13 @@ class TestContainment:
                 assert ellipse_contains(f1, f2, sb, p)
 
 
-def test_contains_all_is_contains_of_every_point():
-    rng = np.random.default_rng(8)
-    for _ in range(500):
-        f1 = Point(*rng.uniform(-5, 5, 2))
-        f2 = Point(*rng.uniform(-5, 5, 2))
-        r = make_psa_rect(f1, f2, euclid(f1, f2) * rng.uniform(1.0, 1.5))
-        assert r is not None
-        x0, y0, x1, y1 = rect_bbox(r)
-        points = [f1, f2] + [Point(rng.uniform(x0, x1), rng.uniform(y0, y1))
-                             for _ in range(rng.integers(0, 4))]
-        assert rect_contains_all(r, points) == all(rect_contains(r, *p)
-                                                   for p in points)
-    assert rect_contains_all(r, [])
-
-
-def inline_scan(rect, points) -> bool:
-    """The closed test as the gate's case-C scan wrote it, inline per point."""
+def inline_scan(rect, p) -> bool:
+    """The closed test of one point as the gate's scans wrote it inline."""
     cx, cy, ax, ay, half_len, half_wid, _ = rect
-    for x, y in points:
-        dx = x - cx
-        dy = y - cy
-        if not (abs(dx * ax + dy * ay) <= half_len
-                and abs(-dx * ay + dy * ax) <= half_wid):
-            return False
-    return True
+    dx = p.x - cx
+    dy = p.y - cy
+    return (abs(dx * ax + dy * ay) <= half_len
+            and abs(-dx * ay + dy * ax) <= half_wid)
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,13 +123,11 @@ def test_one_membership_predicate_matches_the_inline_scan(case):
     rect, pts = case
     far = make_psa_rect(Point(100.0, 100.0), Point(101.0, 100.0), 2.0)
     for p in pts:
-        want = inline_scan(rect, [p])
+        want = inline_scan(rect, p)
         assert rect_contains(rect, p.x, p.y) == want
-        assert rect_contains_all(rect, [p]) == want
         assert psa_contains(VehiclePsa.single(rect, 0), p) == want
         assert psa_contains(VehiclePsa.union(rect, far, 0), p) == want
         assert psa_contains(VehiclePsa.union(None, rect, 0), p) == want
-    assert rect_contains_all(rect, pts) == inline_scan(rect, pts)
 
 
 def test_circumscription_property():

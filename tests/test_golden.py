@@ -46,8 +46,8 @@ GOLDEN = {
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
     (0, "psap-literal"): (
-        "e2419669517d40fb904d17e02369e586b4df518af80561682abca6bd4ef6f157",
-        "5bde408b2bd9ff15c679ed2f939c79fba01f257ae3d17f043d7016c952fe5b45",
+        "a344e5c4b389bfb5489f083f224bd0145fa608be5b847a07ab0198c0a57cf360",
+        "4726bd14e8bd7cc12f4c5c8017e3323ec5c7f0f4fcf55790b8804dbd5f96cdd4",
         "1a0e862fd70105b52b2cde3d392ace41eab08aa7c879e3cc41c74a0964857f5c",
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
@@ -64,8 +64,8 @@ GOLDEN = {
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
     (1, "psap-literal"): (
-        "70e74281c4e8a564234df12491cc619afe4fff932b48c433ac091ca8917524dd",
-        "9fe5d4106ea11b5a38af796297a2f3cb8c1de6097fb7bd4df54abe5577fc6a08",
+        "d47417a26792f761b30aaedd3cc91f860badf77d963938ecd0e89639f3f5b7e3",
+        "cf9a4e6770e8caa5d0995e16a3c2c479946b73f40182a1abe8c962a78760cbb0",
         "b6fa9cf64cb31ad388c86573d7f7109303af6d15de6ad16aa56b378e6bd8d3d5",
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
@@ -82,8 +82,8 @@ GOLDEN = {
         "c7c28f13f317e92e0806d86ca80b3258ad6d755570946a813ab4035376417c2e",
     ),
     (17, "psap-literal"): (
-        "774e20505674408831ddaa8d53cf60e979e44f1de685e82b85cdd7c364182c03",
-        "cf0d408a3fb19a706f46f4ce71f2320f8c7f98926586dc0418e7d82c23ac0c89",
+        "bf227cc8a61fdf7fae8d9bf0ec0d7ef5b4e058628571945bb6f9ab4fb937d166",
+        "1e795996f941b5a190eb777e99aa63e66aeef197ce9e48a6ddb1ebe88292af3b",
         "aa13f6e87ddf990f5706aa1cd7f533c3ec0e72a62d9aa052551adbcb4bef36e1",
         "d9a114105234378db27329fe73ef7efe33d36bcb4e5acd85b1b6b8544811bbae",
     ),

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolsim.geometry import (PSA_OPEN, PSA_SINGLE, PSA_UNION, Point,
-                              VehiclePsa, euclid, make_psa_rect, psa_contains)
+                              VehiclePsa, euclid, make_psa_rect, psa_contains,
+                              rect_contains)
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                                RequestRows, VehiclePath, VehicleTrial,
                                candidate_positions)
@@ -25,7 +26,7 @@ from poolsim.scheduler import (Assignment, EpochCounters, counts_for_path,
                                psap_epoch, run_epoch, search_area)
 from poolsim.analysis import traffic_metrics
 from poolsim.simulator import run, write_report_files
-from test_acceptance import ORACLE_GRID, oracle_instance
+from test_acceptance import ORACLE_GRID, ORACLE_SEEDS, oracle_instance
 from test_insertion import (enumerate_all, full_check, full_check_candidate,
                             trial_for)
 from test_roadnet import one_way_grid
@@ -157,6 +158,33 @@ class TestFurthestPsa:
         assert psa.furthest_request_id == 2
 
 
+def straight_world(pos, o, d, path_pts, buffer_km, prev=None, frac=0.0):
+    """A vehicle's path and a new request's rows on straight edges.
+
+    The vehicle is at pos, or ``frac`` of the way back along the edge from
+    ``prev`` to pos, with a drop-off at each of path_pts, on a network that
+    joins every two of the points by a straight edge.
+    """
+    pts = list(dict.fromkeys([pos, o, d, *path_pts, prev or pos]))
+    net = RoadNetwork(
+        nodes=dict(enumerate(pts)),
+        edges=[Edge(n, a, b, euclid(pts[a], pts[b])) for n, (a, b)
+               in enumerate(combinations(range(len(pts)), 2))])
+    node = pts.index
+    riders = {m: Request(id=m, t=0.0, n=1, o=node(pos), d=node(p),
+                         state=RequestState.ONBOARD)
+              for m, p in enumerate(path_pts)}
+    v = Vehicle(id=0, capacity=9, node=node(pos),
+                path=[Stop(StopKind.DESTINATION, m, node(p))
+                      for m, p in enumerate(path_pts)])
+    if prev not in (None, pos):
+        v.prev_node = node(prev)
+        v.offset_km = frac * euclid(prev, pos)
+    new = Request(id=99, t=0.0, n=1, o=node(o), d=node(d))
+    return (VehiclePath(net, v, riders),
+            RequestRows(net, new, SimConfig(buffer_km=buffer_km), True))
+
+
 class TestGate:
     def setup_method(self):
         self.beta = make_psa_rect(Point(0, 0), Point(4, 0), 6.0)
@@ -166,24 +194,8 @@ class TestGate:
         self.outside = Point(10.0, 0.0)
 
     def admit(self, psa, o, d, mode, path_pts=(), pos=Point(0, 0)):
-        # a vehicle at pos with a drop-off at each of path_pts, on a network
-        # that joins every two of the points by a straight edge
-        pts = list(dict.fromkeys([pos, o, d, *path_pts]))
-        net = RoadNetwork(
-            nodes=dict(enumerate(pts)),
-            edges=[Edge(n, a, b, euclid(pts[a], pts[b])) for n, (a, b)
-                   in enumerate(combinations(range(len(pts)), 2))])
-        node = pts.index
-        riders = {m: Request(id=m, t=0.0, n=1, o=node(pos), d=node(p),
-                             state=RequestState.ONBOARD)
-                  for m, p in enumerate(path_pts)}
-        v = Vehicle(id=0, capacity=9, node=node(pos),
-                    path=[Stop(StopKind.DESTINATION, m, node(p))
-                          for m, p in enumerate(path_pts)])
-        new = Request(id=99, t=0.0, n=1, o=node(o), d=node(d))
-        return gate(psa, o, d, VehiclePath(net, v, riders),
-                    RequestRows(net, new, SimConfig(buffer_km=6.0), True),
-                    mode)
+        path, ends = straight_world(pos, o, d, path_pts, 6.0)
+        return gate(psa, o, d, path, ends, mode)
 
     def test_case_a_needs_both(self):
         for mode in ("literal", "inclusive"):
@@ -217,15 +229,21 @@ class TestGate:
         assert not self.admit(self.single, o, self.inside, "literal")[0]
 
     def test_case_c_bounds_committed_stops(self):
+        # the tail pickup is 3.18 km past the near stop and 9.76 km past
+        # the far one, against a 6 km buffer
         o = Point(3.0, 0.0)
         near = [Point(1.0, 0.5)]
         far = [Point(1.0, 0.5), Point(0.0, 4.0)]
-        assert self.admit(self.single, o, self.inside, "literal", near)[2]
-        assert not self.admit(self.single, o, self.inside, "literal", far)[2]
+        for mode in ("literal", "inclusive"):
+            assert self.admit(self.single, o, self.inside, mode, near)[2]
+            assert not self.admit(self.single, o, self.inside, mode, far)[2]
 
     def test_case_c_infeasible_rect_nonempty_path(self):
-        assert not self.admit(self.single, self.outside, self.inside,
-                              "literal", [Point(1.0, 0.0)])[2]
+        # the new origin lies 10 km from the vehicle: past the buffer, and
+        # outside any rectangle the paper would span to it
+        for mode in ("literal", "inclusive"):
+            assert not self.admit(self.single, self.outside, self.inside,
+                                  mode, [Point(1.0, 0.0)])[2]
 
     def test_open_area_admits_everything_inclusive(self):
         # a vehicle with a stop next to the far origin, so that the tail
@@ -472,9 +490,9 @@ class TestGateSoundness:
 
     @settings(max_examples=400, deadline=None)
     @given(case=bound_states())
-    def test_inclusive_case_c_is_the_tail_appends_verdict(self, case):
-        # under the drawn buffer, and with the tail append's pickup exactly
-        # on the buffer bound and just past it
+    def test_case_c_is_the_tail_appends_verdict(self, case):
+        # in both modes, under the drawn buffer, and with the tail append's
+        # pickup exactly on the buffer bound and just past it
         net, v, requests, new, cfg = case
         requests = {**requests, new.id: new}
         k = len(v.path)
@@ -487,9 +505,11 @@ class TestGateSoundness:
             c = replace(cfg, buffer_km=buffer_km)
             psa = furthest_psa(net, v, requests, c.buffer_km, c.max_detour)
             ends = RequestRows(net, new, c, True)
-            admit_c = gate(psa, net.point(new.o), net.point(new.d),
-                           VehiclePath(net, v, requests), ends,
-                           "inclusive")[2]
+            admit_c, literal_c = (
+                gate(psa, net.point(new.o), net.point(new.d),
+                     VehiclePath(net, v, requests), ends, mode)[2]
+                for mode in ("inclusive", "literal"))
+            assert literal_c == admit_c
             feasible = VehicleTrial(VehiclePath(net, v, requests),
                                     ends).evaluate(k, k + 1).cost
             feasible = feasible != INFEASIBLE
@@ -500,6 +520,97 @@ class TestGateSoundness:
             assert admit_c == feasible if holds else not feasible
             if buffer_km != cfg.buffer_km:
                 assert admit_c == (buffer_km == tail)
+
+
+def paper_rect_admits(path: VehiclePath, o_pt: Point,
+                      ends: RequestRows) -> bool:
+    """The paper's case-C test, kept as a reference for the exact bound.
+
+    Every stop must lie in the rectangle spanned by the vehicle position
+    and the new origin, with the buffer and the QoS slack as path budget.
+    """
+    net = path.net
+    rect = make_psa_rect(path.v.position_point(net), o_pt, ends.max_buffer)
+    return rect is not None and all(rect_contains(rect, *net.point(s.node))
+                                    for s in path.v.path)
+
+
+def paper_rect_gate(psa, o_pt, d_pt, path, ends, mode):
+    """``gate`` with the paper's rectangle deciding case C."""
+    return (*scheduler.area_admits(psa, o_pt, d_pt, mode),
+            paper_rect_admits(path, o_pt, ends))
+
+
+# float noise of a pickup km summed over a few legs of at most 10 km
+PICKUP_NOISE_KM = 1e-9
+
+
+@st.composite
+def straight_states(draw):
+    """A ``straight_world`` and its new origin, with a buffer near the tail.
+
+    Coordinates come from a 0.3 km lattice, so points coincide and lie on
+    lines, or are drawn freely.  The vehicle stands at a node or partway
+    along an edge.  The buffer is the tail append's exact pickup km, a
+    hair or a step to either side of it, or a plain 6 km.
+    """
+    coord = st.one_of(st.integers(0, 12).map(lambda n: n * 0.3),
+                      st.floats(0.0, 3.6))
+    point = st.builds(Point, coord, coord)
+    pos, o, d = draw(point), draw(point), draw(point)
+    path_pts = draw(st.lists(point, min_size=1, max_size=4))
+    prev = draw(st.one_of(st.none(), point))
+    frac = draw(st.sampled_from([0.25, 1.0]))
+    path, ends = straight_world(pos, o, d, path_pts, 6.0, prev, frac)
+    k = path.k
+    tail = VehicleTrial(path, ends).prefix(k, k + 1)[k + 1]
+    buffer_km = draw(st.sampled_from(
+        [tail, tail + 1e-6, tail - 1e-6, tail + 0.3, tail - 0.3, 6.0]))
+    return path, RequestRows(path.net, ends.request,
+                             SimConfig(buffer_km=max(buffer_km, 0.0)),
+                             True), o, d
+
+
+class TestPaperRectangle:
+    """The exact tail bound against the paper's case-C rectangle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=straight_states())
+    def test_rectangle_holds_every_stop_the_bound_admits(self, case):
+        # no edge is shorter than its straight line, so a tail append whose
+        # pickup km meets the buffer by more than float noise has every
+        # stop inside the rectangle
+        path, ends, o, d = case
+        k = path.k
+        tail = VehicleTrial(path, ends).prefix(k, k + 1)[k + 1]
+        if tail + PICKUP_NOISE_KM <= ends.max_pickup:
+            for mode in ("literal", "inclusive"):
+                assert gate(VehiclePsa.open_area(0), o, d, path, ends,
+                            mode)[2]
+            assert paper_rect_admits(path, o, ends)
+
+    def test_literal_commits_what_the_paper_rectangle_commits(
+            self, monkeypatch):
+        # the rectangle admits only appends that the QoS check rejects, so
+        # the commits match and only m_c moves, never below the bound's
+        net = gen_grid(*ORACLE_GRID)
+        raised = 0
+        for seed in ORACLE_SEEDS:
+            n_veh, reqs = oracle_instance(net, seed)
+            cfg = SimConfig(n_vehicles=n_veh, seed=seed, gating="literal")
+            exact = run(net, reqs, cfg, scheduler="psap")
+            with monkeypatch.context() as m:
+                m.setattr(scheduler, "gate", paper_rect_gate)
+                paper = run(net, reqs, cfg, scheduler="psap")
+            assert paper.assignments == exact.assignments, seed
+            assert len(paper.epochs) == len(exact.epochs), seed
+            for p, e in zip(paper.epochs, exact.epochs):
+                assert ((p.n_a, p.n_b, p.n_c, p.m_a, p.m_b)
+                        == (e.n_a, e.n_b, e.n_c, e.m_a, e.m_b)), seed
+                assert p.m_c >= e.m_c, seed
+            raised += paper.counters.m_c > exact.counters.m_c
+        # the bound is the tighter test on the oracle instances
+        assert raised > 0
 
 
 # two-way lattices with exact and with inexact sums, and one-way streets
