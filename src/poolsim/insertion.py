@@ -13,9 +13,10 @@ The added driving distance has a closed form per case built from at most six
 shortest-path lookups, so cost never re-sums the whole path.  Costing and the
 quality-of-service check share one ``VehicleTrial`` per (vehicle, request).
 It joins two parts that it reads without copying: the vehicle's
-``VehiclePath`` (its seats and, each built on first use, the legs of its
-committed path with its table of rejections, its rider table and its
-search area), built once per vehicle per scheduling epoch, and the
+``VehiclePath`` (its seats, the table of positions and rejections every
+path of its length shares and, each built on first use, the legs of its
+committed path, its rider table and its search area), built once per
+vehicle per scheduling epoch, and the
 request's ``RequestRows`` (the forward and reverse rows of the new origin
 and destination, and the request's own QoS limits), built once per request.
 
@@ -33,7 +34,7 @@ destination is one running sum along the slot.  So on the first candidate
 of a slot a trial screens the slot's positions in one pass, from the very
 floats that re-summing the spliced path gives, and ``VehicleTrial.evaluate``
 then reads each candidate's verdict.  A rejection is a prebuilt
-``Candidate``, one table per path length K (``rejections``), so a rejected
+``Candidate``, one table per path length K (``path_table``), so a rejected
 candidate costs a table read and allocates nothing.  Only a candidate that
 passes both bounds pays the O(K) check: cost, the re-summed stops from its
 origin on, and every committed rider's bounds.  No margin or fallback is
@@ -104,28 +105,47 @@ def candidate_positions(k: int) -> list[tuple[int, int, str]]:
             for i in range(1, k + 1) for j in range(i + 1, k + 2)]
 
 
-@lru_cache(maxsize=64)
-def rejections(k: int) -> tuple[Mapping[int, Candidate], ...]:
-    """The infeasible ``Candidate`` of every position for K stops.
+def counts_for_path(k: int) -> tuple[int, int, int]:
+    """Candidates the exhaustive search evaluates per case for path length K."""
+    if k == 0:
+        return (0, 0, 1)
+    return (k * (k - 1) // 2, k - 1, 1)
 
-    Entry ``[i][j]`` is ``Candidate(i, j, case, INFEASIBLE)`` for every
-    0 <= i < j <= K + 1, so a rejected candidate is returned, never built.
-    The table is shared by every path of K stops, so its rows are read-only.
+
+class PathTable(NamedTuple):
+    """What every path of K stops shares, read-only (``path_table``)."""
+    counts: tuple[int, int, int]  # N per case (A, B, C)
+    positions: tuple[tuple[int, int, str], ...]  # every (i, j, case)
+    rejected: tuple[Mapping[int, Candidate], ...]  # [i][j]: its rejection
+
+
+@lru_cache(maxsize=64)
+def path_table(k: int) -> PathTable:
+    """The per-K table of a path of K stops, built once per K.
+
+    ``counts`` is ``counts_for_path(k)`` and ``positions`` is
+    ``candidate_positions(k)``.  Entry ``rejected[i][j]`` is
+    ``Candidate(i, j, case, INFEASIBLE)`` for every 0 <= i < j <= K + 1, so
+    a rejected candidate is returned, never built.
     """
-    return tuple(MappingProxyType(
+    rejected = tuple(MappingProxyType(
         {j: Candidate(i, j, classify_case(i, j, k), INFEASIBLE)
          for j in range(i + 1, k + 2)}) for i in range(k + 1))
+    return PathTable(counts_for_path(k), tuple(candidate_positions(k)),
+                     rejected)
 
 
 class VehiclePath:
     """One vehicle's committed path as its trials and its gate read it.
 
-    Holds the seats its committed riders hold and, each built on first use,
-    its reach (the km to its first origin slot), the path's legs, which the
-    gate's case C reads too, with the shared table of its positions'
-    rejections, the committed riders' table the full QoS check walks, and
-    the vehicle's search area ``psa``, which ``run_epoch`` stores on the
-    first visit that gates it.  A vehicle that is full or out of reach
+    Holds its vehicle's capacity, the seats its committed riders hold, and
+    the per-K table (``path_table``) every path of its length K shares: N
+    per case (``counts``), every position (``positions``) and every
+    position's rejection (``rejected``).  Built on first use: its reach
+    (the km to its first origin slot), the path's legs, which the gate's
+    case C reads too, the committed riders' table the full QoS check walks,
+    and the vehicle's search area ``psa``, which ``run_epoch`` stores on
+    the first visit that gates it.  A vehicle that is full or out of reach
     never builds the legs, so no forward row is fetched for its stops.  All
     of it is fixed while the vehicle stands between two moves and keeps its
     path, so ``run_epoch`` builds one per vehicle on the vehicle's first
@@ -138,7 +158,9 @@ class VehiclePath:
         self.net = net
         self.v = v
         self.requests = requests
-        self.k = len(v.path)
+        self.k = k = len(v.path)
+        self.counts, self.positions, self.rejected = path_table(k)
+        self.capacity = v.capacity
         self.seats = passengers_committed(v, requests)
         self.ix: list[int] | None = None
         self._reach: tuple[int, float] | None = None
@@ -164,7 +186,7 @@ class VehiclePath:
         return self._reach
 
     def legs(self) -> None:
-        """Set ``ix``, ``leg``, ``at`` and ``rejected`` on first use.
+        """Set ``ix``, ``leg`` and ``at`` on first use, in one pass.
 
         ``theta(m)`` is the head node for m = 0, else the node of stop
         m - 1.  ``ix[m]`` is the row index of theta(m), ``leg[m]`` the km
@@ -172,20 +194,28 @@ class VehiclePath:
         ``at[0]`` the remainder of the in-progress edge.  Every stop is a
         request endpoint, so every leg is read from an endpoint's row: the
         head leg from the first stop's reverse row, every other leg from the
-        forward row of the stop it leaves.  ``rejected`` is the shared
-        table of the path's rejections (``rejections``).
+        forward row of the stop it leaves.
         """
         if self.ix is not None:
             return
         net, v = self.net, self.v
         dists_from = net.dists_from
         index_of = net.index_of
-        stops = v.path
-        self.ix = ix = [index_of(v.node)] + [index_of(s.node) for s in stops]
-        self.leg = leg = [net.dists_to(stops[0].node)[ix[0]]] if stops else []
-        leg.extend(dists_from(s.node)[x] for s, x in zip(stops, ix[2:]))
-        self.at = list(accumulate(leg, initial=v.offset_km))
-        self.rejected = rejections(self.k)
+        head = index_of(v.node)
+        km = v.offset_km
+        ix, leg, at = [head], [], [km]
+        prev = None
+        for s in v.path:
+            node = s.node
+            x = index_of(node)
+            step = (net.dists_to(node)[head] if prev is None
+                    else dists_from(prev)[x])
+            ix.append(x)
+            leg.append(step)
+            km += step
+            at.append(km)
+            prev = node
+        self.leg, self.at, self.ix = leg, at, ix
 
     def riders(self) -> list[_Rider]:
         """Committed riders in drop-off order, read off the path in one pass.
@@ -259,7 +289,7 @@ class VehicleTrial:
     the destination is one running sum along the slot, so on the first
     candidate of a slot one pass (``_screen``) settles every position of
     the slot, and a candidate reads its verdict from the pass.  A rejected
-    candidate is the path's prebuilt ``Candidate`` (``rejections``):
+    candidate is the path's prebuilt ``Candidate`` (``path_table``):
     nothing is allocated for it.  A survivor gets its cost and, when that
     is below the caller's bound, the committed riders' check: the
     re-summed prefix and every committed rider's bounds.  Only that check

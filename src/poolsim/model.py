@@ -229,8 +229,12 @@ def waiting_time(r: Request, now: float) -> float:
 
 def passengers_committed(v: Vehicle, requests: dict[int, Request]) -> int:
     """Seats held by the riders (waiting plus onboard), one drop-off each."""
-    return sum(requests[s.request_id].n for s in v.path
-               if s.kind is StopKind.DESTINATION)
+    seats = 0
+    destination = StopKind.DESTINATION
+    for s in v.path:
+        if s.kind is destination:
+            seats += requests[s.request_id].n
+    return seats
 
 
 # -- request I/O -----------------------------------------------------------

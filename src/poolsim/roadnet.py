@@ -116,14 +116,10 @@ class RoadNetwork:
         except KeyError:
             raise NetworkError(f"unknown node id {node_id}") from None
 
-    def _row(self, cache: dict[int, array], csr: csr_matrix,
-             node: int) -> array:
-        dist = cache.get(node)
-        if dist is None:
-            dist = array("d", dijkstra(csr, directed=True,
-                                       indices=self.index_of(node)).tobytes())
-            cache[node] = dist
-        return dist
+    def _build_row(self, csr: csr_matrix, node: int) -> array:
+        """One Dijkstra row of ``csr`` from ``node``, packed."""
+        return array("d", dijkstra(csr, directed=True,
+                                   indices=self.index_of(node)).tobytes())
 
     def dists_from(self, a: int) -> array:
         """Shortest-path km from a to every node, ordered by ``index_of``.
@@ -132,7 +128,10 @@ class RoadNetwork:
         whose items read as Python floats; it is the cache itself: read it,
         never modify it.
         """
-        return self._row(self._dist_cache, self._csr, a)
+        row = self._dist_cache.get(a)
+        if row is None:
+            row = self._dist_cache[a] = self._build_row(self._csr, a)
+        return row
 
     def dists_to(self, b: int) -> array:
         """Shortest-path km from every node to b, ordered by ``index_of``.
@@ -142,9 +141,12 @@ class RoadNetwork:
         """
         if self._two_way:
             return self.dists_from(b)
-        if self._csr_t is None:
-            self._csr_t = self._csr.transpose().tocsr()
-        return self._row(self._to_cache, self._csr_t, b)
+        row = self._to_cache.get(b)
+        if row is None:
+            if self._csr_t is None:
+                self._csr_t = self._csr.transpose().tocsr()
+            row = self._to_cache[b] = self._build_row(self._csr_t, b)
+        return row
 
     def shortest_dist(self, a: int, b: int) -> float:
         """Network shortest-path distance a -> b in km."""

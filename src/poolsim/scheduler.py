@@ -33,7 +33,7 @@ from .geometry import (PSA_OPEN, PSA_SINGLE, Point, VehiclePsa, make_psa_rect,
                        psa_contains)
 from .insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                         Candidate, RequestRows, VehiclePath, VehicleTrial,
-                        candidate_positions, splice)
+                        path_table, splice)
 from .model import (GATINGS, Request, RequestState, SimConfig, StopKind,
                     Vehicle, WorldState, waiting_time)
 from .roadnet import RoadNetwork
@@ -47,23 +47,14 @@ TrialObserver = Callable[
     [float, VehiclePath, RequestRows, tuple[tuple[int, int, str], ...]], None]
 
 
-def counts_for_path(k: int) -> tuple[int, int, int]:
-    """Candidates the exhaustive search evaluates per case for path length K."""
-    if k == 0:
-        return (0, 0, 1)
-    return (k * (k - 1) // 2, k - 1, 1)
-
-
 @lru_cache(maxsize=512)
 def admitted_positions(k: int, admit: tuple[bool, bool, bool],
                        ) -> tuple[tuple[int, int, str], ...]:
     """(i, j, case) of the admitted cases (A, B, C) for K stops, in order."""
     keep = dict(zip((CASE_A, CASE_B, CASE_C), admit))
-    return tuple(p for p in candidate_positions(k) if keep[p[2]])
+    return tuple(p for p in path_table(k).positions if keep[p[2]])
 
 
-_ADMIT_ALL = (True, True, True)
-_ADMIT_NONE = (False, False, False)
 # float slack of the reach bound: the network's float distances obey the
 # triangle inequality only up to rounding
 _REACH_SLACK = 1e-9
@@ -264,35 +255,34 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
         best: tuple[int, Candidate] | None = None
         bound = INFEASIBLE
         for vid in vehicle_ids:
-            v = vehicles[vid]
             path = paths.get(vid)
             if path is None:
-                path = paths[vid] = VehiclePath(net, v, requests)
-            if path.seats + party > v.capacity:
+                path = paths[vid] = VehiclePath(net, vehicles[vid], requests)
+            if path.seats + party > path.capacity:
                 continue
-            k = path.k
-            na, nb, nc = counts_for_path(k)
+            na, nb, nc = path.counts
             n_a += na
             n_b += nb
             n_c += nc
 
-            if not gated:
-                admit = _ADMIT_ALL
-            elif out_of_reach(path, ends):
-                admit = _ADMIT_NONE
-            elif k == 0:
-                # an idle vehicle's one candidate is the tail append, which
-                # the reach test has just screened
-                admit = _ADMIT_ALL
+            if gated and out_of_reach(path, ends):
+                positions = ()
+            elif not gated or path.k == 0:
+                # every position; an idle vehicle's one candidate is the
+                # tail append, which the reach test has just screened
+                positions = path.positions
+                m_a += na
+                m_b += nb
+                m_c += nc
             else:
                 psa = path.psa
                 if psa is None:
-                    psa = path.psa = search_area(net, v, requests, config)
+                    psa = path.psa = search_area(net, path.v, requests, config)
                 admit = gate(psa, o_pt, d_pt, path, ends, mode)
-            positions = admitted_positions(k, admit)
-            m_a += na if admit[0] else 0
-            m_b += nb if admit[1] else 0
-            m_c += nc if admit[2] else 0
+                positions = admitted_positions(path.k, admit)
+                m_a += na if admit[0] else 0
+                m_b += nb if admit[1] else 0
+                m_c += nc if admit[2] else 0
 
             if positions:
                 evaluate = VehicleTrial(path, ends).evaluate

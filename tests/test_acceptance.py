@@ -19,12 +19,11 @@ import pytest
 from poolsim.analysis import eta_monte_carlo, rrcc_gate_harness
 from poolsim.geometry import Point, euclid
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
-                               candidate_positions)
+                               candidate_positions, counts_for_path)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, check_request, sample_requests,
                            waiting_time)
 from poolsim.roadnet import RoadNetwork, gen_grid
-from poolsim.scheduler import counts_for_path
 from poolsim.seeds import substream
 from poolsim.simulator import run, write_report_files
 from test_insertion import enumerate_all, trial_for

@@ -13,9 +13,9 @@ from poolsim.analysis import (_MC_CHUNK, FOUR_OVER_PI, EtaBounds,
                               rrcc_gate_harness, traffic_metrics)
 from poolsim.geometry import (Point, euclid, make_psa_rect, rect_bbox,
                               rect_contains, rect_corners)
+from poolsim.insertion import counts_for_path
 from poolsim.model import (Request, RequestState, Stop, StopKind, Vehicle,
                            WorldState)
-from poolsim.scheduler import counts_for_path
 from poolsim.seeds import substream
 from test_acceptance import four_over_pi_monte_carlo
 

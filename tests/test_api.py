@@ -8,7 +8,11 @@ benchmark's tests do not.  Code that only the tests call belongs in the
 tests.
 
 No module of ``src/poolsim`` imports another module's underscore name: a
-helper two modules share gets a public name.
+helper two modules share gets a public name.  Nor does it read an
+underscore attribute of anything but ``self`` or ``cls``, so an object's
+caches stay behind its methods: the network's rows, for one, are read
+only through ``dists_from`` and ``dists_to``, where the benchmark's tracer
+counts them.
 
 Every file the library writes goes through ``roadnet.atomic_write``.
 """
@@ -99,6 +103,28 @@ def imported_private_names() -> list[str]:
 
 def test_no_module_imports_another_modules_underscore_name():
     assert imported_private_names() == []
+
+
+def foreign_private_attributes() -> list[str]:
+    """``module:line expr.name`` of each underscore attribute the library
+    reads off anything but ``self`` or ``cls``; dunder names are public."""
+    out = []
+    for path in sorted((ROOT / "src" / "poolsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.endswith("__")):
+                continue
+            owner = node.value
+            if not (isinstance(owner, ast.Name)
+                    and owner.id in ("self", "cls")):
+                out.append(f"{path.stem}:{node.lineno} "
+                           f"{ast.unparse(owner)}.{node.attr}")
+    return out
+
+
+def test_no_module_reads_another_objects_underscore_attribute():
+    assert foreign_private_attributes() == []
 
 
 def writes_outside_atomic_write() -> list[str]:

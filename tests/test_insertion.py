@@ -13,7 +13,8 @@ from poolsim.geometry import Point
 from poolsim.insertion import (QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
                                Candidate, RequestRows, VehiclePath,
                                VehicleTrial, candidate_positions,
-                               classify_case, rejections, splice)
+                               classify_case, counts_for_path, path_table,
+                               splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import Edge, NoPathError, RoadNetwork, gen_grid
 from test_roadnet import one_way_grid, random_directed_grid
@@ -587,6 +588,71 @@ def brute_force_qos(net, v, reqs, path, new, cfg, check_buffer):
     return verdict, on_bound
 
 
+# a two-way lattice with inexact sums, one-way streets, and a directed
+# graph with a node nothing reaches
+LEGS_NETS = (gen_grid(5, 4, 0.37), one_way_grid(5, 4, 0.25, 0.5),
+             random_directed_grid())
+
+
+@st.composite
+def committed_paths(draw):
+    """A vehicle at a node or mid-edge with K = 0..8 committed stops."""
+    net = draw(st.sampled_from(LEGS_NETS))
+    nodes = st.sampled_from(sorted(net.nodes))
+    kinds = st.sampled_from([StopKind.ORIGIN, StopKind.DESTINATION])
+    path = [Stop(draw(kinds), m, draw(nodes))
+            for m in range(draw(st.integers(0, 8)))]
+    offset = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    v = Vehicle(id=0, capacity=draw(st.integers(1, 9)), node=draw(nodes),
+                offset_km=offset, path=path)
+    reqs = {s.request_id: Request(id=s.request_id, t=0,
+                                  n=draw(st.integers(1, 3)), o=s.node,
+                                  d=s.node) for s in path}
+    return net, v, reqs
+
+
+class TestVehiclePath:
+    @settings(max_examples=200, deadline=None)
+    @given(committed_paths())
+    def test_legs_match_an_independent_recomputation(self, case):
+        net, v, reqs = case
+        path = VehiclePath(net, v, reqs)
+        path.legs()
+        stops, k = v.path, len(v.path)
+        ix = [net.index_of(v.node)] + [net.index_of(s.node) for s in stops]
+        leg = [net.dists_to(stops[0].node)[ix[0]]] if stops else []
+        leg += [net.dists_from(a.node)[net.index_of(b.node)]
+                for a, b in zip(stops, stops[1:])]
+        at = [v.offset_km]
+        for km in leg:
+            at.append(at[-1] + km)
+        assert path.ix == ix
+        # bit for bit, infinite legs included
+        assert np.array(path.leg).tobytes() == np.array(leg).tobytes()
+        assert np.array(path.at).tobytes() == np.array(at).tobytes()
+        assert path.rejected == tuple(
+            {j: Candidate(i, j, classify_case(i, j, k), INFEASIBLE)
+             for j in range(i + 1, k + 2)} for i in range(k + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(committed_paths())
+    def test_per_k_table_and_seats(self, case):
+        net, v, reqs = case
+        path = VehiclePath(net, v, reqs)
+        k = len(v.path)
+        assert path.k == k
+        assert path.counts == counts_for_path(k)
+        assert path.positions == tuple(candidate_positions(k))
+        assert path.capacity == v.capacity
+        assert path.seats == sum(reqs[s.request_id].n for s in v.path
+                                 if s.kind is StopKind.DESTINATION)
+        # every path of K stops shares one table
+        again = VehiclePath(net, Vehicle(id=1, capacity=1, node=v.node,
+                                         path=list(v.path)), reqs)
+        assert again.positions is path.positions
+        assert again.rejected is path.rejected
+
+
 class TestEnumerateAll:
     def make(self, k):
         net = line_net(31, 0.5)
@@ -954,7 +1020,7 @@ class TestScreenedEvaluate:
         assert detoured.evaluate(0, 1).cost == 0.0
         calls = [(buffered, 0, 1), (buffered, 0, 2), (buffered, 1, 2),
                  (detoured, 0, 2)]
-        table = rejections(1)
+        table = path_table(1).rejected
         for trial, i, j in calls:
             assert trial.evaluate(i, j) is table[i][j]
         assert table[1][2] == Candidate(1, 2, CASE_C, INFEASIBLE)

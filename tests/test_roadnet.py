@@ -10,6 +10,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from poolsim import roadnet
 from poolsim.geometry import Point, euclid
 from poolsim.roadnet import (Edge, NetworkError, NoPathError, RoadNetwork,
                              atomic_write, csv_text, gen_grid, load_network,
@@ -384,6 +385,58 @@ class TestReverseRows:
         one_way = one_way_grid(4, 4, 0.5, 0.5)
         assert one_way.dists_to(5) is not one_way.dists_from(5)
         assert one_way.dists_to(5) is one_way.dists_to(5)
+
+
+def counted_dijkstra(monkeypatch) -> list[tuple]:
+    """Wrap the network's Dijkstra helper; each call appends (graph, source)."""
+    calls = []
+    original = roadnet.dijkstra
+
+    def counting(graph, **kwargs):
+        calls.append((graph, kwargs["indices"]))
+        return original(graph, **kwargs)
+
+    monkeypatch.setattr(roadnet, "dijkstra", counting)
+    return calls
+
+
+class TestRowCache:
+    """A row is built once per source and direction, then read from cache."""
+
+    @pytest.mark.parametrize("make,directions", [
+        (lambda: gen_grid(4, 3, 0.5), 1),
+        (lambda: one_way_grid(4, 4, 0.5, 0.5), 2)])
+    def test_repeated_queries_return_the_cached_row(self, monkeypatch, make,
+                                                    directions):
+        net = make()
+        calls = counted_dijkstra(monkeypatch)
+        for _ in range(2):
+            for node in net.nodes:
+                assert net.dists_from(node) is net.dists_from(node)
+                assert net.dists_to(node) is net.dists_to(node)
+        assert len(calls) == directions * len(net.nodes)
+        sources = {(id(graph), source) for graph, source in calls}
+        assert len(sources) == len(calls)
+
+    def test_two_way_reverse_row_is_the_forward_row(self, monkeypatch):
+        net = gen_grid(4, 3, 0.5)
+        calls = counted_dijkstra(monkeypatch)
+        for node in net.nodes:
+            assert net.dists_to(node) is net.dists_from(node)
+        assert len(calls) == len(net.nodes)
+
+    def test_one_way_reverse_rows_share_one_transposed_graph(self,
+                                                             monkeypatch):
+        net = one_way_grid(4, 4, 0.5, 0.5)
+        calls = counted_dijkstra(monkeypatch)
+        net.dists_from(0)
+        for node in net.nodes:
+            net.dists_to(node)
+        forward, reverse = calls[0][0], [graph for graph, _ in calls[1:]]
+        assert len(reverse) == len(net.nodes)
+        assert all(graph is reverse[0] for graph in reverse)
+        assert reverse[0] is not forward
+        assert (reverse[0] != forward.transpose()).nnz == 0
 
 
 class TestRoutes:

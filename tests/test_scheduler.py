@@ -15,15 +15,15 @@ from poolsim.geometry import (PSA_OPEN, PSA_SINGLE, PSA_UNION, Point,
                               rect_contains)
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                                RequestRows, VehiclePath, VehicleTrial,
-                               candidate_positions)
+                               candidate_positions, counts_for_path)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, WorldState, passengers_committed,
                            waiting_time)
 from poolsim.roadnet import Edge, RoadNetwork, gen_grid
 from poolsim import scheduler
-from poolsim.scheduler import (Assignment, EpochCounters, counts_for_path,
-                               es_epoch, furthest_psa, gate, out_of_reach,
-                               psap_epoch, run_epoch, search_area)
+from poolsim.scheduler import (Assignment, EpochCounters, es_epoch,
+                               furthest_psa, gate, out_of_reach, psap_epoch,
+                               run_epoch, search_area)
 from poolsim.analysis import traffic_metrics
 from poolsim.simulator import run, write_report_files
 from test_acceptance import ORACLE_GRID, ORACLE_SEEDS, oracle_instance
@@ -1179,6 +1179,45 @@ class TestCounterAccounting:
         assert totals.n_total == expected_n
         assert totals.m_total == observed_m
         assert totals.m_total <= totals.n_total
+
+
+class TestWorkCounts:
+    """The work of a run, counted: the benchmark's tracer counts candidates
+    from ``evaluate`` calls, and each epoch shares one ``VehiclePath`` per
+    vehicle until a commit changes the vehicle's path."""
+
+    @pytest.mark.parametrize("planner,gating", [
+        ("es", "literal"), ("psap", "inclusive"), ("psap", "literal")])
+    def test_one_evaluate_per_candidate_and_one_path_per_visit(
+            self, monkeypatch, planner, gating):
+        net = gen_grid(*ORACLE_GRID)
+        n_veh, reqs = oracle_instance(net, 1)
+        cfg = SimConfig(n_vehicles=n_veh, seed=1, gating=gating)
+        evaluated = recorded_calls(monkeypatch, VehicleTrial, "evaluate")
+        built = recorded_calls(monkeypatch, scheduler, "VehiclePath")
+        expected_builds = rebuilds = 0
+
+        def counted_epoch(net, state, config, now, mode, observer=None):
+            nonlocal expected_builds, rebuilds
+            # run_epoch's own first step, so the pool is the epoch's
+            state.advance_clock(now)
+            pool = list(state.pool)
+            assignments, counters = run_epoch(net, state, config, now, mode,
+                                              observer)
+            if pool:
+                # every vehicle on the first request's visit, and again
+                # after each commit that a later request of the epoch sees
+                seen = sum(a.request_id != pool[-1] for a in assignments)
+                expected_builds += len(state.vehicles) + seen
+                rebuilds += seen
+            return assignments, counters
+
+        monkeypatch.setattr(scheduler, "run_epoch", counted_epoch)
+        rep = run(net, reqs, cfg, scheduler=planner)
+        assert rep.counters.m_total > 0
+        assert len(evaluated) == rep.counters.m_total
+        assert len(built) == expected_builds
+        assert rebuilds > 0
 
 
 class TestObserver:
