@@ -7,7 +7,7 @@ last (B), and the origin-destination pair appended together (C).  Quality
 checks then strike candidates that would stretch a committed rider too far.
 """
 from poolsim.insertion import (RequestRows, VehiclePath, VehicleTrial,
-                               candidate_positions)
+                               path_table)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import gen_grid
 
@@ -35,7 +35,7 @@ def main() -> None:
     trial = VehicleTrial(VehiclePath(net, v, riders),
                          RequestRows(net, new, SimConfig(), check_buffer=True))
     cands = [trial.evaluate(i, j)
-             for i, j, _ in candidate_positions(len(v.path))]
+             for i, j, _ in path_table(len(v.path)).positions]
     print(f"\n{len(cands)} candidate splices:")
     print("   i  j  case   added km")
     for c in sorted(cands, key=lambda c: (c.cost, c.i, c.j)):

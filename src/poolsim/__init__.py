@@ -10,8 +10,7 @@ from .model import (Request, RequestError, RequestState, SimConfig, Stop,
                     StopKind, Vehicle, WorldState, check_request,
                     load_requests, sample_requests, save_requests,
                     waiting_time)
-from .insertion import (Candidate, candidate_positions, classify_case,
-                        counts_for_path, splice)
+from .insertion import Candidate, path_table, splice
 from .scheduler import (Assignment, EpochCounters, es_epoch, furthest_psa,
                         gate, psap_epoch, search_area)
 from .simulator import (SimEvent, SimReport, advance_vehicle, run,

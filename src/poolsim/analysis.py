@@ -26,7 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import (Point, PsaRect, VehiclePsa, make_psa_rect, rect_bbox)
+from .geometry import (PSA_SINGLE, Point, PsaRect, VehiclePsa, make_psa_rect,
+                       rect_bbox)
 from .model import Vehicle, WorldState
 from .scheduler import MODE_INCLUSIVE, area_admits
 from .seeds import substream
@@ -302,8 +303,8 @@ def rrcc_gate_harness(area_fraction: float, samples: int,
     c = HARNESS_SIDE_KM / 2.0
     pos = Point(c, c)
     # coincident foci: the axis-aligned square of side sqrt(area)
-    psa = VehiclePsa.single(make_psa_rect(pos, pos, math.sqrt(area)),
-                            request_id=0)
+    psa = VehiclePsa(PSA_SINGLE, None,
+                     make_psa_rect(pos, pos, math.sqrt(area)), 0)
 
     rng = substream(seed, f"rrcc-{area_fraction:.6f}")
     pts = rng.uniform(0.0, HARNESS_SIDE_KM, size=(samples, 4))

@@ -30,7 +30,7 @@ from .roadnet import (NetworkError, atomic_write, gen_grid, load_network,
                       save_network)
 from .analysis import rrcc_gate_harness
 from .seeds import substream
-from .simulator import SimReport, run, write_report_files
+from .simulator import SCHEDULERS, SimReport, run, write_report_files
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,8 +201,8 @@ def cmd_compare(args) -> int:
     harness = [vars(rrcc_gate_harness(frac, args.harness_samples, args.seed))
                for frac in fractions]
     os.makedirs(args.out, exist_ok=True)
-    legs = {"psap": os.path.join(args.out, "psap"),
-            "es": os.path.join(args.out, "es")}
+    psap, es = SCHEDULERS
+    legs = {name: os.path.join(args.out, name) for name in SCHEDULERS}
     _write_manifest(os.path.join(args.out, "manifest.json"), "compare",
                     config.to_dict(),
                     {"nodes": args.nodes, "edges": args.edges,
@@ -222,8 +222,8 @@ def cmd_compare(args) -> int:
     keys = {name: {(a.request_id, a.vehicle_id, a.i, a.j)
                    for a in reports[name].assignments}
             for name in reports}
-    only_psap = sorted(keys["psap"] - keys["es"])
-    only_es = sorted(keys["es"] - keys["psap"])
+    only_psap = sorted(keys[psap] - keys[es])
+    only_es = sorted(keys[es] - keys[psap])
 
     def leg_summary(name: str) -> dict:
         rep = reports[name]
@@ -238,11 +238,11 @@ def cmd_compare(args) -> int:
 
     summary = {
         "config": config.to_dict(),
-        "psap": leg_summary("psap"),
-        "es": leg_summary("es"),
-        "evaluated_ratio": (reports["psap"].counters.m_total
-                            / reports["es"].counters.m_total
-                            if reports["es"].counters.m_total else None),
+        psap: leg_summary(psap),
+        es: leg_summary(es),
+        "evaluated_ratio": (reports[psap].counters.m_total
+                            / reports[es].counters.m_total
+                            if reports[es].counters.m_total else None),
         "assignment_diff": {"only_psap": [list(k) for k in only_psap],
                             "only_es": [list(k) for k in only_es],
                             "count": len(only_psap) + len(only_es)},
@@ -253,13 +253,13 @@ def cmd_compare(args) -> int:
     atomic_write(os.path.join(args.out, "timing.json"),
                  json.dumps({"wall_s": walls}) + "\n")
 
-    cp, ce = reports["psap"].counters, reports["es"].counters
+    cp, ce = reports[psap].counters, reports[es].counters
     print(f"psap evaluated {cp.m_total} of {cp.n_total} candidates "
           f"(A {cp.m_a}/{cp.n_a}, B {cp.m_b}/{cp.n_b}, C {cp.m_c}/{cp.n_c})")
     print(f"es   evaluated {ce.m_total} of {ce.n_total}")
     print(f"assignment diff: {len(only_psap)} only-psap, "
           f"{len(only_es)} only-es")
-    print(f"wall: psap {walls['psap']:.2f} s, es {walls['es']:.2f} s "
+    print(f"wall: psap {walls[psap]:.2f} s, es {walls[es]:.2f} s "
           f"(informational)")
     return EXIT_OK
 
@@ -344,7 +344,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_gen_requests)
 
     p = sub.add_parser("simulate", help="run one scheduler")
-    p.add_argument("--scheduler", choices=["psap", "es"], default="psap")
+    p.add_argument("--scheduler", choices=SCHEDULERS, default=SCHEDULERS[0])
     _add_sim_flags(p)
     p.set_defaults(fn=cmd_simulate)
 

@@ -16,7 +16,6 @@ All coordinates are planar km.  Containment is closed (boundary points are in).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -100,50 +99,26 @@ def rect_bbox(rect: PsaRect) -> tuple[float, float, float, float]:
 # by the state of its furthest request (the one whose destination is the last
 # planned stop); an idle vehicle has none, since its one candidate, the tail
 # append, reads no area:
-#   single  furthest request already picked up: one rectangle around its own
-#           origin-destination ellipse
+#   single  furthest request already picked up: one rectangle (beta) around
+#           its own origin-destination ellipse, and no alpha
 #   union   furthest request waiting with its pickup-buffer guarantee: the
 #           pickup-reachability rectangle (alpha, may itself be infeasible and
 #           thus None) united with the origin-destination rectangle (beta)
 #   open    furthest request waiting without the guarantee: the leg up to its
-#           pickup is unconstrained, so no rectangle can prune soundly and the
-#           area admits every point
+#           pickup is unconstrained, so no rectangle can prune soundly; the
+#           area carries no rectangle and admits every point
 
 PSA_SINGLE = "single"
 PSA_UNION = "union"
 PSA_OPEN = "open"
 
 
-@dataclass(frozen=True)
-class VehiclePsa:
-    kind: str
-    alpha: PsaRect | None = None
-    beta: PsaRect | None = None
-    furthest_request_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (PSA_SINGLE, PSA_UNION, PSA_OPEN):
-            raise ValueError(f"unknown psa kind {self.kind!r}")
-        if self.kind == PSA_OPEN and (self.alpha or self.beta) is not None:
-            raise ValueError("open psa cannot carry rectangles")
-        if self.kind in (PSA_SINGLE, PSA_UNION) and self.beta is None:
-            raise ValueError(f"{self.kind} psa requires a beta rectangle")
-        if self.kind == PSA_SINGLE and self.alpha is not None:
-            raise ValueError("single psa carries no alpha rectangle")
-
-    @classmethod
-    def open_area(cls, request_id: int) -> "VehiclePsa":
-        return cls(kind=PSA_OPEN, furthest_request_id=request_id)
-
-    @classmethod
-    def single(cls, beta: PsaRect, request_id: int) -> "VehiclePsa":
-        return cls(kind=PSA_SINGLE, beta=beta, furthest_request_id=request_id)
-
-    @classmethod
-    def union(cls, alpha: PsaRect | None, beta: PsaRect,
-              request_id: int) -> "VehiclePsa":
-        return cls(kind=PSA_UNION, alpha=alpha, beta=beta,
-                   furthest_request_id=request_id)
+class VehiclePsa(NamedTuple):
+    """A search area as the kinds above lay it out."""
+    kind: str  # PSA_SINGLE, PSA_UNION or PSA_OPEN
+    alpha: PsaRect | None
+    beta: PsaRect | None
+    furthest_request_id: int
 
 
 def psa_contains(psa: VehiclePsa, p: Point) -> bool:

@@ -44,17 +44,17 @@ that only wants a cheaper candidate than the best it holds passes that cost
 as a bound, and a survivor whose O(1) cost is not below it is infeasible
 without the O(K) check.
 
-Enumeration for K >= 1 starts at i = 1: the per-case closed-form candidate
-counts (K(K-1)/2, K-1, 1) count slots between and after committed stops
-only, so the slot ahead of the in-progress head leg is not enumerated.  A
-K = 0 path has the single append candidate (0, 1).
+``path_table(K)`` is the one enumeration.  For K >= 1 it starts at i = 1:
+N per case, (K(K-1)/2, K-1, 1), counts slots between and after committed
+stops only, so the slot ahead of the in-progress head leg is not
+enumerated.  A K = 0 path has the single append candidate (0, 1).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -66,6 +66,7 @@ from .roadnet import RoadNetwork
 CASE_A = "A"
 CASE_B = "B"
 CASE_C = "C"
+_CASES = (CASE_A, CASE_B, CASE_C)
 
 INFEASIBLE = math.inf
 
@@ -87,52 +88,38 @@ _ORIGIN = StopKind.ORIGIN
 _Rider = tuple[int, int, int, float, float, bool]
 
 
-def classify_case(i: int, j: int, k: int) -> str:
-    if not (0 <= i < j <= k + 1):
-        raise ValueError(f"bad insertion positions ({i}, {j}) for K={k}")
-    if i == k and j == k + 1:
-        return CASE_C
-    if j == k + 1:
-        return CASE_B
-    return CASE_A
-
-
-def candidate_positions(k: int) -> list[tuple[int, int, str]]:
-    """All (i, j, case) insertion positions for K stops, lexicographic."""
-    if k == 0:
-        return [(0, 1, CASE_C)]
-    return [(i, j, classify_case(i, j, k))
-            for i in range(1, k + 1) for j in range(i + 1, k + 2)]
-
-
-def counts_for_path(k: int) -> tuple[int, int, int]:
-    """Candidates the exhaustive search evaluates per case for path length K."""
-    if k == 0:
-        return (0, 0, 1)
-    return (k * (k - 1) // 2, k - 1, 1)
-
-
 class PathTable(NamedTuple):
     """What every path of K stops shares, read-only (``path_table``)."""
     counts: tuple[int, int, int]  # N per case (A, B, C)
     positions: tuple[tuple[int, int, str], ...]  # every (i, j, case)
     rejected: tuple[Mapping[int, Candidate], ...]  # [i][j]: its rejection
+    # the gate's (A, B, C) verdict: the admitted cases' positions, in order
+    admitted: Mapping[tuple[bool, ...], tuple[tuple[int, int, str], ...]]
 
 
 @lru_cache(maxsize=64)
 def path_table(k: int) -> PathTable:
-    """The per-K table of a path of K stops, built once per K.
+    """The one enumeration of a path of K stops, built once per K.
 
-    ``counts`` is ``counts_for_path(k)`` and ``positions`` is
-    ``candidate_positions(k)``.  Entry ``rejected[i][j]`` is
-    ``Candidate(i, j, case, INFEASIBLE)`` for every 0 <= i < j <= K + 1, so
-    a rejected candidate is returned, never built.
+    One loop over 0 <= i < j <= K + 1 gives each position its case and its
+    rejection ``Candidate(i, j, case, INFEASIBLE)``, returned, never built.
+    ``positions`` (i >= 1, or the one append (0, 1) when K = 0) are in (i, j)
+    order, and ``admitted`` keeps that order for each (A, B, C) verdict.
     """
-    rejected = tuple(MappingProxyType(
-        {j: Candidate(i, j, classify_case(i, j, k), INFEASIBLE)
-         for j in range(i + 1, k + 2)}) for i in range(k + 1))
-    return PathTable(counts_for_path(k), tuple(candidate_positions(k)),
-                     rejected)
+    positions, rejected = [], []
+    for i in range(k + 1):
+        rejected.append({})
+        for j in range(i + 1, k + 2):
+            case = CASE_C if i == k else CASE_B if j == k + 1 else CASE_A
+            rejected[i][j] = Candidate(i, j, case, INFEASIBLE)
+            if i or k == 0:
+                positions.append((i, j, case))
+    admitted = {admit: tuple(p for p in positions if admit[_CASES.index(p[2])])
+                for admit in product((False, True), repeat=3)}
+    counts = tuple(sum(p[2] == case for p in positions) for case in _CASES)
+    return PathTable(counts, tuple(positions),
+                     tuple(map(MappingProxyType, rejected)),
+                     MappingProxyType(admitted))
 
 
 class VehiclePath:
@@ -140,17 +127,17 @@ class VehiclePath:
 
     Holds its vehicle's capacity, the seats its committed riders hold, and
     the per-K table (``path_table``) every path of its length K shares: N
-    per case (``counts``), every position (``positions``) and every
-    position's rejection (``rejected``).  Built on first use: its reach
-    (the km to its first origin slot), the path's legs, which the gate's
-    case C reads too, the committed riders' table the full QoS check walks,
-    and the vehicle's search area ``psa``, which ``run_epoch`` stores on
-    the first visit that gates it.  A vehicle that is full or out of reach
-    never builds the legs, so no forward row is fetched for its stops.  All
-    of it is fixed while the vehicle stands between two moves and keeps its
-    path, so ``run_epoch`` builds one per vehicle on the vehicle's first
-    visit of an epoch, shares it among that epoch's requests, and drops it
-    when a commit splices a new rider into the path.
+    per case (``counts``), every position (``positions``) and its rejection
+    (``rejected``), and the positions of each gate verdict (``admitted``).
+    Built on first use: its reach (the km to its first origin slot), the
+    path's legs, which the gate's case C reads too, the committed riders'
+    table the full QoS check walks, and the vehicle's search area ``psa``,
+    which ``run_epoch`` stores on the first visit that gates it.  A vehicle
+    that is full or out of reach never builds the legs, so no forward row
+    is fetched for its stops.  All of it is fixed while the vehicle stands
+    between two moves and keeps its path, so ``run_epoch`` builds one per
+    vehicle on its first visit of an epoch, shares it among that epoch's
+    requests, and drops it when a commit splices a new rider into the path.
     """
 
     def __init__(self, net: RoadNetwork, v: Vehicle,
@@ -159,7 +146,8 @@ class VehiclePath:
         self.v = v
         self.requests = requests
         self.k = k = len(v.path)
-        self.counts, self.positions, self.rejected = path_table(k)
+        (self.counts, self.positions, self.rejected,
+         self.admitted) = path_table(k)
         self.capacity = v.capacity
         self.seats = passengers_committed(v, requests)
         self.ix: list[int] | None = None
@@ -458,7 +446,8 @@ class VehicleTrial:
 def splice(stops: list[Stop], o: int, d: int, i: int, j: int,
            request_id: int) -> list[Stop]:
     """New stop list with o at position i, then d at position j."""
-    classify_case(i, j, len(stops))
+    if not 0 <= i < j <= len(stops) + 1:
+        raise ValueError(f"bad positions ({i}, {j}) for K={len(stops)}")
     out = list(stops)
     out.insert(i, Stop(StopKind.ORIGIN, request_id, o))
     out.insert(j, Stop(StopKind.DESTINATION, request_id, d))

@@ -348,6 +348,10 @@ def load_network(nodes_path: str | os.PathLike,
     if not raw:
         raise NetworkError(f"{nodes_path}: no nodes")
     if header == NODE_HEADERS[1]:
+        for nid, lat, lon in raw:
+            if abs(lat) > 90.0 or abs(lon) > 180.0:
+                raise NetworkError(f"{nodes_path}: node {nid} has lat {lat}, "
+                                   f"lon {lon}, outside +/-90 and +/-180")
         nodes = _project_latlon(raw)
     else:
         nodes = {nid: Point(a, b) for nid, a, b in raw}

@@ -18,22 +18,21 @@ vehicle's one candidate, the tail append, without the gate.  Both evaluate a
 candidate against the cheapest cost found so far; none of this changes a
 commit.
 
-Counters: N tallies what the exhaustive search would evaluate (closed form per
-vehicle path length), M tallies what was actually cost-evaluated.  The
+Counters: N tallies what the exhaustive search would evaluate (``path_table``
+per vehicle path length), M tallies what was actually cost-evaluated.  The
 per-case rejection ratio (N - M) / N is the measured pruning power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
-from .geometry import (PSA_OPEN, PSA_SINGLE, Point, VehiclePsa, make_psa_rect,
-                       psa_contains)
+from .geometry import (PSA_OPEN, PSA_SINGLE, PSA_UNION, Point, VehiclePsa,
+                       make_psa_rect, psa_contains)
 from .insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                         Candidate, RequestRows, VehiclePath, VehicleTrial,
-                        path_table, splice)
+                        splice)
 from .model import (GATINGS, Request, RequestState, SimConfig, StopKind,
                     Vehicle, WorldState, waiting_time)
 from .roadnet import RoadNetwork
@@ -45,14 +44,6 @@ MODE_ES = "es"
 # positions, () for a reach skip
 TrialObserver = Callable[
     [float, VehiclePath, RequestRows, tuple[tuple[int, int, str], ...]], None]
-
-
-@lru_cache(maxsize=512)
-def admitted_positions(k: int, admit: tuple[bool, bool, bool],
-                       ) -> tuple[tuple[int, int, str], ...]:
-    """(i, j, case) of the admitted cases (A, B, C) for K stops, in order."""
-    keep = dict(zip((CASE_A, CASE_B, CASE_C), admit))
-    return tuple(p for p in path_table(k).positions if keep[p[2]])
 
 
 # float slack of the reach bound: the network's float distances obey the
@@ -117,16 +108,15 @@ def furthest_psa(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
     last = v.path[-1]
     assert last.kind == StopKind.DESTINATION, "path must end at a destination"
     r = requests[last.request_id]
-    if (r.state == RequestState.WAITING
-            and not r.scheduled_under_wait):
-        return VehiclePsa.open_area(r.id)
+    if r.state == RequestState.WAITING and not r.scheduled_under_wait:
+        return VehiclePsa(PSA_OPEN, None, None, r.id)
     beta = make_psa_rect(net.point(r.o), net.point(r.d),
                          (1.0 + max_detour + QOS_EPS) * r.direct_dist)
     assert beta is not None  # (1+detour)*D >= D >= E always holds
     if r.state == RequestState.ONBOARD:
-        return VehiclePsa.single(beta, r.id)
+        return VehiclePsa(PSA_SINGLE, None, beta, r.id)
     alpha = make_psa_rect(r.p_s, net.point(r.o), buffer_km + QOS_EPS)
-    return VehiclePsa.union(alpha, beta, r.id)
+    return VehiclePsa(PSA_UNION, alpha, beta, r.id)
 
 
 def search_area(net: RoadNetwork, v: Vehicle, requests: dict[int, Request],
@@ -279,7 +269,7 @@ def run_epoch(net: RoadNetwork, state: WorldState, config: SimConfig,
                 if psa is None:
                     psa = path.psa = search_area(net, path.v, requests, config)
                 admit = gate(psa, o_pt, d_pt, path, ends, mode)
-                positions = admitted_positions(path.k, admit)
+                positions = path.admitted[admit]
                 m_a += na if admit[0] else 0
                 m_b += nb if admit[1] else 0
                 m_c += nc if admit[2] else 0

@@ -23,9 +23,12 @@ from .model import (STILL_KM, Request, RequestError, RequestState, SimConfig,
                     StopKind, Vehicle, WorldState, check_request,
                     waiting_time)
 from .roadnet import RoadNetwork, atomic_write, csv_text
-from .scheduler import (Assignment, EpochCounters, es_epoch, psap_epoch,
-                        TrialObserver)
+from .scheduler import (MODE_ES, Assignment, EpochCounters, es_epoch,
+                        psap_epoch, TrialObserver)
 from .seeds import substream
+
+# the planners ``run`` takes: search-area pruned, and exhaustive search
+SCHEDULERS = ("psap", MODE_ES)
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def _place_vehicles(net: RoadNetwork, config: SimConfig) -> dict[int, Vehicle]:
 
 
 def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
-        scheduler: str = "psap",
+        scheduler: str = SCHEDULERS[0],
         trial_observer: TrialObserver | None = None) -> SimReport:
     """Simulate the full request set and return the run report.
 
@@ -225,14 +228,12 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
     running totals, which the clock, the commits and each step's pickup and
     drop-off events, tallied in ``events.jsonl`` order, keep current.
     """
-    if scheduler == "psap":
-        sched_fn = psap_epoch
-        mode = config.gating
-    elif scheduler == "es":
-        sched_fn = es_epoch
-        mode = "es"
-    else:
+    if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}")
+    if scheduler == MODE_ES:
+        sched_fn, mode = es_epoch, MODE_ES
+    else:
+        sched_fn, mode = psap_epoch, config.gating
 
     reqs = _fresh_requests(net, requests)
     vehicles = _place_vehicles(net, config)

@@ -18,15 +18,15 @@ import pytest
 
 from poolsim.analysis import eta_monte_carlo, rrcc_gate_harness
 from poolsim.geometry import Point, euclid
-from poolsim.insertion import (CASE_A, CASE_B, CASE_C, VehicleTrial,
-                               candidate_positions, counts_for_path)
+from poolsim.insertion import CASE_A, CASE_B, CASE_C, VehicleTrial
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, check_request, sample_requests,
                            waiting_time)
 from poolsim.roadnet import RoadNetwork, gen_grid
 from poolsim.seeds import substream
 from poolsim.simulator import run, write_report_files
-from test_insertion import enumerate_all, trial_for
+from test_insertion import (closed_form_counts, enumerate_all,
+                            reference_positions, trial_for)
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -84,7 +84,7 @@ class SubsetObserver:
     def __call__(self, now, path, ends, positions):
         r = ends.request
         check_buffer = waiting_time(r, now) <= self.config.wait_threshold_s
-        legal = {(i, j) for i, j, _ in candidate_positions(path.k)}
+        legal = {(i, j) for i, j, _ in reference_positions(path.k)}
         self.evaluated += len(positions)
         self.full += len(legal)
         if not check_buffer or not positions:
@@ -118,7 +118,7 @@ class SoundnessObserver:
         self.false_exclusions = 0
 
     def __call__(self, now, path, ends, positions):
-        if len(positions) == sum(counts_for_path(path.k)):
+        if len(positions) == sum(closed_form_counts(path.k)):
             return
         r = ends.request
         check_buffer = waiting_time(r, now) <= self.config.wait_threshold_s

@@ -13,7 +13,7 @@ from poolsim.analysis import (_MC_CHUNK, FOUR_OVER_PI, EtaBounds,
                               rrcc_gate_harness, traffic_metrics)
 from poolsim.geometry import (Point, euclid, make_psa_rect, rect_bbox,
                               rect_contains, rect_corners)
-from poolsim.insertion import counts_for_path
+from poolsim.insertion import path_table
 from poolsim.model import (Request, RequestState, Stop, StopKind, Vehicle,
                            WorldState)
 from poolsim.seeds import substream
@@ -272,7 +272,7 @@ class TestCandidateCounts:
             n_a = sum(1 for i, j in pairs if j <= k)
             n_b = sum(1 for i, j in pairs if j == k + 1 and i < k)
             n_c = sum(1 for i, j in pairs if j == k + 1 and i == k)
-            assert counts_for_path(k) == (n_a, n_b, n_c)
+            assert path_table(k).counts == (n_a, n_b, n_c)
 
 
 class TestRrccGateHarness:

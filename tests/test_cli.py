@@ -244,6 +244,24 @@ class TestSimulate:
         args[args.index("--" + name[:-4]) + 1] = str(tmp_path / name)
         assert main(args) == 2
 
+    def test_out_of_range_latlon_is_input_error(self, tmp_path):
+        # one degree of latitude past the pole: both commands that load the
+        # network exit 2 and write nothing
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("id,lat,lon\n0,91.0,11.0\n1,91.0,11.01\n")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("id,from,to,length_km,bidirectional\n"
+                         "0,0,1,1.0,true\n")
+        req = tmp_path / "requests.csv"
+        req.write_text("id,t_s,n,o_node,d_node\n0,0.0,1,0,1\n")
+        net = ["--nodes", str(nodes), "--edges", str(edges)]
+        assert main(["simulate", *net, "--requests", str(req),
+                     "--out", str(tmp_path / "sim")]) == 2
+        assert main(["gen-requests", *net, "--count", "3",
+                     "--out", str(tmp_path / "gen" / "r.csv")]) == 2
+        assert not (tmp_path / "sim").exists()
+        assert not (tmp_path / "gen").exists()
+
     @pytest.mark.parametrize("flag", ["--nodes", "--edges", "--requests"])
     @pytest.mark.parametrize("unreadable", ["not-utf8", "directory"])
     def test_unreadable_input_is_input_error(self, net_dir, req_file,

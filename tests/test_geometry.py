@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from poolsim.geometry import (Point, VehiclePsa, euclid, make_psa_rect,
-                              psa_contains, rect_bbox, rect_contains,
-                              rect_corners)
+from poolsim.geometry import (PSA_OPEN, PSA_SINGLE, PSA_UNION, Point,
+                              VehiclePsa, euclid, make_psa_rect, psa_contains,
+                              rect_bbox, rect_contains, rect_corners)
 from test_analysis import rect_and_points
 
 
@@ -125,9 +125,9 @@ def test_one_membership_predicate_matches_the_inline_scan(case):
     for p in pts:
         want = inline_scan(rect, p)
         assert rect_contains(rect, p.x, p.y) == want
-        assert psa_contains(VehiclePsa.single(rect, 0), p) == want
-        assert psa_contains(VehiclePsa.union(rect, far, 0), p) == want
-        assert psa_contains(VehiclePsa.union(None, rect, 0), p) == want
+        assert psa_contains(VehiclePsa(PSA_SINGLE, None, rect, 0), p) == want
+        assert psa_contains(VehiclePsa(PSA_UNION, rect, far, 0), p) == want
+        assert psa_contains(VehiclePsa(PSA_UNION, None, rect, 0), p) == want
 
 
 def test_circumscription_property():
@@ -220,7 +220,7 @@ def test_monte_carlo_area_ratio():
 class TestVehiclePsa:
     def test_single_is_its_rect(self):
         rect = make_psa_rect(Point(0, 0), Point(4, 0), 6.0)
-        psa = VehiclePsa.single(rect, request_id=3)
+        psa = VehiclePsa(PSA_SINGLE, None, rect, 3)
         assert psa_contains(psa, Point(2, 0))
         assert not psa_contains(psa, Point(6, 0))
         assert psa.furthest_request_id == 3
@@ -229,7 +229,7 @@ class TestVehiclePsa:
         # point only in the pickup rectangle still counts
         alpha = make_psa_rect(Point(-3, 0), Point(0, 0), 4.0)
         beta = make_psa_rect(Point(0, 0), Point(4, 0), 6.0)
-        psa = VehiclePsa.union(alpha, beta, request_id=1)
+        psa = VehiclePsa(PSA_UNION, alpha, beta, 1)
         p = Point(-2, 0)
         assert not rect_contains(beta, *p)
         assert rect_contains(alpha, *p)
@@ -239,23 +239,12 @@ class TestVehiclePsa:
 
     def test_union_with_infeasible_alpha(self):
         beta = make_psa_rect(Point(0, 0), Point(4, 0), 6.0)
-        psa = VehiclePsa.union(None, beta, request_id=2)
+        psa = VehiclePsa(PSA_UNION, None, beta, 2)
         assert psa_contains(psa, Point(2, 0))
         assert not psa_contains(psa, Point(-2, 0))
 
     def test_open_contains_everything(self):
-        psa = VehiclePsa.open_area(request_id=5)
+        psa = VehiclePsa(PSA_OPEN, None, None, 5)
         assert psa.furthest_request_id == 5
         for p in (Point(0, 0), Point(1e6, -1e6), Point(-3.5, 0.25)):
             assert psa_contains(psa, p)
-
-    def test_invalid_combinations(self):
-        beta = make_psa_rect(Point(0, 0), Point(4, 0), 6.0)
-        with pytest.raises(ValueError):
-            VehiclePsa(kind="single", beta=None)
-        with pytest.raises(ValueError):
-            VehiclePsa(kind="empty", beta=beta)
-        with pytest.raises(ValueError):
-            VehiclePsa(kind="open", beta=beta)
-        with pytest.raises(ValueError):
-            VehiclePsa(kind="nope")

@@ -12,9 +12,7 @@ from poolsim import insertion
 from poolsim.geometry import Point
 from poolsim.insertion import (QOS_EPS, CASE_A, CASE_B, CASE_C, INFEASIBLE,
                                Candidate, RequestRows, VehiclePath,
-                               VehicleTrial, candidate_positions,
-                               classify_case, counts_for_path, path_table,
-                               splice)
+                               VehicleTrial, path_table, splice)
 from poolsim.model import Request, RequestState, SimConfig, Stop, StopKind, Vehicle
 from poolsim.roadnet import Edge, NoPathError, RoadNetwork, gen_grid
 from test_roadnet import one_way_grid, random_directed_grid
@@ -22,6 +20,31 @@ from test_roadnet import one_way_grid, random_directed_grid
 
 def line_net(n=61, spacing=0.1):
     return gen_grid(n, 2, spacing)
+
+
+# The paper's closed forms, the reference for ``path_table``: a position
+# (i, j) of a path of K stops puts the new origin at i and the destination
+# at j, 0 <= i < j <= K + 1, and enumeration starts at i = 1 when K >= 1.
+
+def case_of(i: int, j: int, k: int) -> str:
+    """Case C appends both at the tail, B appends the destination only,
+    A puts the destination between committed stops."""
+    if i == k and j == k + 1:
+        return CASE_C
+    return CASE_B if j == k + 1 else CASE_A
+
+
+def closed_form_counts(k: int) -> tuple[int, int, int]:
+    """Candidates per case (A, B, C) the exhaustive search evaluates."""
+    return (0, 0, 1) if k == 0 else (k * (k - 1) // 2, k - 1, 1)
+
+
+def reference_positions(k: int) -> list[tuple[int, int, str]]:
+    """Every enumerated (i, j, case) for K stops, lexicographic."""
+    if k == 0:
+        return [(0, 1, CASE_C)]
+    return [(i, j, case_of(i, j, k))
+            for i in range(1, k + 1) for j in range(i + 1, k + 2)]
 
 
 def trial_for(net, v, requests, new_request, config,
@@ -39,7 +62,7 @@ def enumerate_all(net, v, requests, new_request, config,
     """
     trial = trial_for(net, v, requests, new_request, config, check_buffer)
     return [trial.evaluate(i, j)
-            for i, j, _ in candidate_positions(len(v.path))]
+            for i, j, _ in path_table(len(v.path)).positions]
 
 
 def full_check(trial: VehicleTrial, i: int, j: int) -> tuple[int, str] | None:
@@ -119,11 +142,15 @@ def seq_length(net, head: int, path: list[Stop]) -> float:
 
 
 class TestClassifyCase:
+    """The case each position of ``path_table`` carries, and ``splice``'s
+    range check."""
+
     def test_reference_predicates(self):
         for k in range(0, 7):
+            rejected = path_table(k).rejected
             for i in range(0, k + 1):
                 for j in range(i + 1, k + 2):
-                    got = classify_case(i, j, k)
+                    got = rejected[i][j].case
                     if i == k and j == k + 1:
                         assert got == CASE_C
                     elif j == k + 1:
@@ -132,40 +159,63 @@ class TestClassifyCase:
                         assert got == CASE_A
 
     def test_rejects_bad_positions(self):
-        with pytest.raises(ValueError):
-            classify_case(2, 2, 3)
-        with pytest.raises(ValueError):
-            classify_case(0, 5, 3)
-        with pytest.raises(ValueError):
-            classify_case(-1, 1, 3)
+        path = stops(("d", 1, 4), ("d", 2, 5), ("d", 3, 6))
+        for i, j in ((2, 2), (0, 5), (-1, 1)):
+            with pytest.raises(ValueError):
+                splice(path, 0, 1, i, j, 9)
 
 
 class TestCandidatePositions:
     def test_empty_path_single_append(self):
-        assert candidate_positions(0) == [(0, 1, CASE_C)]
+        assert path_table(0).positions == ((0, 1, CASE_C),)
 
     @pytest.mark.parametrize("k,total", [(1, 1), (2, 3), (3, 6), (5, 15)])
     def test_totals(self, k, total):
-        assert len(candidate_positions(k)) == total
+        assert len(path_table(k).positions) == total
 
     def test_matches_brute_force_pairs(self):
         for k in range(1, 13):
             brute = {(i, j) for i in range(1, k + 1)
                      for j in range(i + 1, k + 2)}
-            assert {(i, j) for i, j, _ in candidate_positions(k)} == brute
+            assert {(i, j) for i, j, _ in path_table(k).positions} == brute
 
     def test_lexicographic_order(self):
-        pos = candidate_positions(4)
+        pos = list(path_table(4).positions)
         assert pos == sorted(pos)
 
     def test_per_case_tallies(self):
         for k in range(1, 20):
-            cases = [case for _, _, case in candidate_positions(k)]
-            assert cases == [classify_case(i, j, k)
-                             for i, j, _ in candidate_positions(k)]
+            cases = [case for _, _, case in path_table(k).positions]
+            assert cases == [case_of(i, j, k)
+                             for i, j, _ in path_table(k).positions]
             assert cases.count(CASE_A) == k * (k - 1) // 2
             assert cases.count(CASE_B) == k - 1
             assert cases.count(CASE_C) == 1
+
+
+VERDICTS = [(a, b, c) for a in (False, True) for b in (False, True)
+            for c in (False, True)]
+
+
+class TestPathTable:
+    @pytest.mark.parametrize("k", range(13))
+    def test_one_table_matches_the_closed_forms(self, k):
+        table = path_table(k)
+        assert table.counts == closed_form_counts(k)
+        assert table.positions == tuple(reference_positions(k))
+        # a rejection for every 0 <= i < j <= K + 1, and no other
+        assert [sorted(row) for row in table.rejected] == [
+            list(range(i + 1, k + 2)) for i in range(k + 1)]
+        for i, row in enumerate(table.rejected):
+            for j, cand in row.items():
+                assert cand == Candidate(i, j, case_of(i, j, k), INFEASIBLE)
+        # every verdict of the gate, each filtering the positions in order
+        assert sorted(table.admitted) == VERDICTS
+        for verdict in VERDICTS:
+            keep = dict(zip((CASE_A, CASE_B, CASE_C), verdict))
+            assert table.admitted[verdict] == tuple(
+                p for p in table.positions if keep[p[2]])
+        assert path_table(k) is table
 
 
 class TestInsertionCost:
@@ -631,7 +681,7 @@ class TestVehiclePath:
         assert np.array(path.leg).tobytes() == np.array(leg).tobytes()
         assert np.array(path.at).tobytes() == np.array(at).tobytes()
         assert path.rejected == tuple(
-            {j: Candidate(i, j, classify_case(i, j, k), INFEASIBLE)
+            {j: Candidate(i, j, case_of(i, j, k), INFEASIBLE)
              for j in range(i + 1, k + 2)} for i in range(k + 1))
 
     @settings(max_examples=100, deadline=None)
@@ -641,8 +691,8 @@ class TestVehiclePath:
         path = VehiclePath(net, v, reqs)
         k = len(v.path)
         assert path.k == k
-        assert path.counts == counts_for_path(k)
-        assert path.positions == tuple(candidate_positions(k))
+        assert path.counts == closed_form_counts(k)
+        assert path.positions == tuple(reference_positions(k))
         assert path.capacity == v.capacity
         assert path.seats == sum(reqs[s.request_id].n for s in v.path
                                  if s.kind is StopKind.DESTINATION)
@@ -651,6 +701,7 @@ class TestVehiclePath:
                                          path=list(v.path)), reqs)
         assert again.positions is path.positions
         assert again.rejected is path.rejected
+        assert again.admitted is path.admitted
 
 
 class TestEnumerateAll:
@@ -712,7 +763,7 @@ def full_check_candidate(trial: VehicleTrial, i: int, j: int,
         bad = True
     if bad or not math.isfinite(cost):
         cost = INFEASIBLE
-    return Candidate(i, j, classify_case(i, j, trial.path.k), cost)
+    return Candidate(i, j, case_of(i, j, trial.path.k), cost)
 
 
 def grid_with_island() -> RoadNetwork:
@@ -938,7 +989,7 @@ class TestScreenedEvaluate:
         # of it, 0 and inf: below the bound the verdict is the full check's,
         # at or above it the candidate is infeasible
         net, v, reqs, new, cfg, check_buffer = case
-        positions = candidate_positions(len(v.path))
+        positions = reference_positions(len(v.path))
         reference = trial_for(net, v, reqs, new, cfg, check_buffer)
         full = [full_check_candidate(reference, i, j) for i, j, _ in positions]
         costs = [c.cost for c in full if c.cost != INFEASIBLE]

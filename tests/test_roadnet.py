@@ -628,3 +628,24 @@ class TestFileIO:
         net = load_network(p, e)
         assert euclid(net.point(0), net.point(1)) == pytest.approx(want,
                                                                    rel=1e-9)
+
+    @pytest.mark.parametrize("lat,lon", [
+        (95.0, 11.0), (-90.5, 11.0), (48.0, 180.5), (48.0, -181.0),
+        (95.0, 400.0),
+    ])
+    def test_latlon_out_of_range(self, tmp_path, lat, lon):
+        # past 90 degrees the mean latitude's cosine turns negative and
+        # would mirror x; past 180 a longitude names no meridian
+        p = tmp_path / "nodes.csv"
+        p.write_text(f"id,lat,lon\n0,48.0,11.0\n7,{lat},{lon}\n")
+        e = tmp_path / "edges.csv"
+        e.write_text("id,from,to,length_km,bidirectional\n")
+        with pytest.raises(NetworkError, match=r"nodes\.csv: node 7 "):
+            load_network(p, e)
+
+    def test_latlon_bounds_are_closed(self, tmp_path):
+        p = tmp_path / "nodes.csv"
+        p.write_text("id,lat,lon\n0,90,180\n1,-90,-180\n2,90.0,-180.0\n")
+        e = tmp_path / "edges.csv"
+        e.write_text("id,from,to,length_km,bidirectional\n")
+        assert sorted(load_network(p, e).nodes) == [0, 1, 2]

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolsim.geometry import (PSA_OPEN, PSA_SINGLE, PSA_UNION, Point,
-                              VehiclePsa, euclid, make_psa_rect, psa_contains,
-                              rect_contains)
+                              PsaRect, VehiclePsa, euclid, make_psa_rect,
+                              psa_contains, rect_contains)
 from poolsim.insertion import (CASE_A, CASE_B, CASE_C, INFEASIBLE, QOS_EPS,
                                RequestRows, VehiclePath, VehicleTrial,
-                               candidate_positions, counts_for_path)
+                               path_table)
 from poolsim.model import (Request, RequestState, SimConfig, Stop, StopKind,
                            Vehicle, WorldState, passengers_committed,
                            waiting_time)
@@ -27,7 +27,8 @@ from poolsim.scheduler import (Assignment, EpochCounters, es_epoch,
 from poolsim.analysis import traffic_metrics
 from poolsim.simulator import run, write_report_files
 from test_acceptance import ORACLE_GRID, ORACLE_SEEDS, oracle_instance
-from test_insertion import (enumerate_all, full_check, full_check_candidate,
+from test_insertion import (closed_form_counts, enumerate_all, full_check,
+                            full_check_candidate, reference_positions,
                             trial_for)
 from test_roadnet import one_way_grid
 
@@ -62,12 +63,11 @@ class TestCountsForPath:
         (5, (10, 4, 1)),
     ])
     def test_values(self, k, want):
-        assert counts_for_path(k) == want
+        assert path_table(k).counts == want
 
     def test_sums_to_enumeration_size(self):
-        from poolsim.insertion import candidate_positions
         for k in range(0, 15):
-            assert sum(counts_for_path(k)) == len(candidate_positions(k))
+            assert sum(path_table(k).counts) == len(reference_positions(k))
 
 
 class TestEpochCounters:
@@ -88,6 +88,21 @@ class TestEpochCounters:
         assert (a.n_a, a.n_b, a.m_c) == (4, 1, 3)
 
 
+def assert_well_formed(psa):
+    """The layout of every area ``furthest_psa`` builds: an open area
+    carries no rectangle, a single one beta and no alpha, a union beta."""
+    assert psa.kind in (PSA_OPEN, PSA_SINGLE, PSA_UNION)
+    assert isinstance(psa.furthest_request_id, int)
+    if psa.kind == PSA_OPEN:
+        assert psa.alpha is None and psa.beta is None
+        return
+    assert isinstance(psa.beta, PsaRect)
+    if psa.kind == PSA_SINGLE:
+        assert psa.alpha is None
+    else:
+        assert psa.alpha is None or isinstance(psa.alpha, PsaRect)
+
+
 class TestFurthestPsa:
     def test_onboard_single_rectangle(self):
         net = two_node_net()
@@ -97,6 +112,7 @@ class TestFurthestPsa:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("d", 7, 1)))
         psa = furthest_psa(net, v, {7: r}, 6.0, 0.2)
+        assert_well_formed(psa)
         assert psa.kind == PSA_SINGLE
         assert psa.furthest_request_id == 7
         assert psa.alpha is None
@@ -113,6 +129,7 @@ class TestFurthestPsa:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 7, 0), ("d", 7, 1)))
         psa = furthest_psa(net, v, {7: r}, 6.0, 0.2)
+        assert_well_formed(psa)
         assert psa.kind == PSA_UNION
         assert psa.alpha is not None
         assert psa.alpha.half_len == pytest.approx(3.0)
@@ -128,6 +145,7 @@ class TestFurthestPsa:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 7, 0), ("d", 7, 1)))
         psa = furthest_psa(net, v, {7: r}, 6.0, 0.2)
+        assert_well_formed(psa)
         assert psa.kind == PSA_UNION
         assert psa.alpha is None
 
@@ -141,6 +159,7 @@ class TestFurthestPsa:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("o", 7, 0), ("d", 7, 1)))
         psa = furthest_psa(net, v, {7: r}, 6.0, 0.2)
+        assert_well_formed(psa)
         assert psa.kind == PSA_OPEN
         assert psa.furthest_request_id == 7
 
@@ -155,7 +174,25 @@ class TestFurthestPsa:
         v = Vehicle(id=0, capacity=5, node=0,
                     path=stops(("d", 1, 2), ("d", 2, 4)))
         psa = furthest_psa(net, v, {1: r1, 2: r2}, 6.0, 0.2)
+        assert_well_formed(psa)
         assert psa.furthest_request_id == 2
+
+    @pytest.mark.parametrize("gating", ["inclusive", "literal"])
+    def test_every_area_a_run_reads_is_well_formed(self, gating):
+        net = gen_grid(*ORACLE_GRID)
+        kinds = set()
+
+        def observer(now, path, ends, positions):
+            if path.psa is not None:
+                assert_well_formed(path.psa)
+                kinds.add(path.psa.kind)
+
+        for seed in range(10):
+            n_veh, reqs = oracle_instance(net, seed)
+            run(net, reqs, SimConfig(n_vehicles=n_veh, seed=seed,
+                                     gating=gating),
+                scheduler="psap", trial_observer=observer)
+        assert kinds >= {PSA_SINGLE, PSA_UNION}, kinds
 
 
 def straight_world(pos, o, d, path_pts, buffer_km, prev=None, frac=0.0):
@@ -188,7 +225,7 @@ def straight_world(pos, o, d, path_pts, buffer_km, prev=None, frac=0.0):
 class TestGate:
     def setup_method(self):
         self.beta = make_psa_rect(Point(0, 0), Point(4, 0), 6.0)
-        self.single = VehiclePsa.single(self.beta, 7)
+        self.single = VehiclePsa(PSA_SINGLE, None, self.beta, 7)
         self.inside = Point(2.0, 0.0)
         self.corner = Point(4.8, 2.2)    # in the rectangle, off the ellipse
         self.outside = Point(10.0, 0.0)
@@ -223,7 +260,7 @@ class TestGate:
 
     def test_case_a_union_alpha_only_point(self):
         alpha = make_psa_rect(Point(-3, 0), Point(0, 0), 6.0)
-        union = VehiclePsa.union(alpha, self.beta, 7)
+        union = VehiclePsa(PSA_UNION, alpha, self.beta, 7)
         o = Point(-2.0, 0.0)    # alpha rectangle only
         assert self.admit(union, o, self.inside, "literal")[0]
         assert not self.admit(self.single, o, self.inside, "literal")[0]
@@ -248,7 +285,7 @@ class TestGate:
     def test_open_area_admits_everything_inclusive(self):
         # a vehicle with a stop next to the far origin, so that the tail
         # append meets the buffer too
-        area = VehiclePsa.open_area(7)
+        area = VehiclePsa(PSA_OPEN, None, None, 7)
         assert self.admit(area, self.outside, self.outside, "inclusive",
                           [Point(9.0, 0.0)], Point(8.0, 0.0)) \
             == (True, True, True)
@@ -257,7 +294,7 @@ class TestGate:
         # strict case separation needs a boundary; an open area has none, so
         # literal mode admits case B alongside case A instead of starving the
         # vehicle of appends
-        area = VehiclePsa.open_area(7)
+        area = VehiclePsa(PSA_OPEN, None, None, 7)
         assert self.admit(area, self.inside, self.outside, "literal")[:2] \
             == (True, True)
         assert self.admit(area, self.inside, self.corner, "literal")[:2] \
@@ -461,7 +498,7 @@ def bound_states(draw):
     new = Request(id=99, t=0.0, n=1, o=o, d=d,
                   direct_dist=net.shortest_dist(o, d))
     k = len(path)
-    i, j, _ = draw(st.sampled_from(candidate_positions(k)))
+    i, j, _ = draw(st.sampled_from(reference_positions(k)))
     legs = trial_for(net, v, requests, new, SimConfig(), True)
     q = legs.prefix(i, j)
     max_detour = draw(st.sampled_from(
@@ -585,8 +622,8 @@ class TestPaperRectangle:
         tail = VehicleTrial(path, ends).prefix(k, k + 1)[k + 1]
         if tail + PICKUP_NOISE_KM <= ends.max_pickup:
             for mode in ("literal", "inclusive"):
-                assert gate(VehiclePsa.open_area(0), o, d, path, ends,
-                            mode)[2]
+                assert gate(VehiclePsa(PSA_OPEN, None, None, 0), o, d, path,
+                            ends, mode)[2]
             assert paper_rect_admits(path, o, ends)
 
     def test_literal_commits_what_the_paper_rectangle_commits(
@@ -664,7 +701,7 @@ def reach_states(draw):
                   direct_dist=net.shortest_dist(o, d))
     trial = trial_for(net, v, requests, new, SimConfig(), True)
     pickups = [trial.prefix(i, j)[i + 1]
-               for i, j, _ in candidate_positions(len(v.path))]
+               for i, j, _ in reference_positions(len(v.path))]
     least = min(pickups)
     buffer_km = draw(st.sampled_from(
         [draw(st.sampled_from(pickups)), least, least - QOS_EPS,
@@ -1169,7 +1206,7 @@ class TestCounterAccounting:
 
         def observer(now, path, ends, positions):
             nonlocal expected_n, observed_m
-            expected_n += sum(counts_for_path(len(path.v.path)))
+            expected_n += sum(closed_form_counts(len(path.v.path)))
             observed_m += len(positions)
 
         totals = EpochCounters()
@@ -1368,7 +1405,7 @@ class TestSharedVehicleParts:
         # the second rides inside the first's trip: o after o1, d before d1
         assert (assignments[1].i, assignments[1].j) == (1, 2)
         assert [s.request_id for s in v.path] == [1, 2, 2, 1]
-        assert counters.n_total == 1 + sum(counts_for_path(2))
+        assert counters.n_total == 1 + sum(closed_form_counts(2))
 
 
 class TestEndpointRows:
