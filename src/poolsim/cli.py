@@ -30,7 +30,8 @@ from .roadnet import (NetworkError, atomic_write, gen_grid, load_network,
                       save_network)
 from .analysis import rrcc_gate_harness
 from .seeds import substream
-from .simulator import SCHEDULERS, SimReport, run, write_report_files
+from .simulator import (REPORT_FILES, SCHEDULERS, SimReport, run,
+                        write_report_files)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,8 +169,7 @@ def cmd_simulate(args) -> int:
     net = load_network(args.nodes, args.edges)
     requests = load_requests(args.requests, net)
     os.makedirs(args.out, exist_ok=True)
-    planned = [os.path.join(args.out, name) for name in
-               ("report.json", "metrics.csv", "requests.csv", "events.jsonl")]
+    planned = [os.path.join(args.out, name) for name in REPORT_FILES]
     _write_manifest(os.path.join(args.out, "manifest.json"), "simulate",
                     config.to_dict(),
                     {"nodes": args.nodes, "edges": args.edges,

@@ -308,7 +308,12 @@ def _parse_bool(s: str) -> bool:
 
 
 def _project_latlon(rows: list[tuple[int, float, float]]) -> dict[int, Point]:
-    """Equirectangular projection about the mean latitude, km."""
+    """Equirectangular projection about the mean latitude, km; a longitude
+    over 180 degrees from the smallest id's is first shifted by 360."""
+    ref = min(rows)[2]
+    rows = [(nid, lat, lon - 360.0 if lon - ref > 180.0 else
+             lon + 360.0 if ref - lon > 180.0 else lon)
+            for nid, lat, lon in rows]
     lat0 = math.radians(sum(r[1] for r in rows) / len(rows))
     lon0 = math.radians(sum(r[2] for r in rows) / len(rows))
     coslat = math.cos(lat0)
@@ -329,7 +334,7 @@ def load_network(nodes_path: str | os.PathLike,
     """Load a network from two CSVs.
 
     Nodes: header ``id,x_km,y_km`` (planar) or ``id,lat,lon`` (geographic,
-    projected equirectangularly about the mean latitude).  Mixing is rejected.
+    projected by ``_project_latlon``).  Mixing is rejected.
     Edges: header ``id,from,to,length_km,bidirectional``.
     """
     seen: set[int] = set()

@@ -29,6 +29,8 @@ from .seeds import substream
 
 # the planners ``run`` takes: search-area pruned, and exhaustive search
 SCHEDULERS = ("psap", MODE_ES)
+# the files ``write_report_files`` writes, in that order
+REPORT_FILES = ("report.json", "metrics.csv", "requests.csv", "events.jsonl")
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,11 @@ class RequestOutcome:
 
 @dataclass
 class SimReport:
-    """A whole run, as ``write_report_files`` writes it.
+    """A whole run, as ``write_report_files`` writes it (``to_dict`` is
+    ``report.json``).
 
-    ``unserved`` (``report.json`` ``totals.unserved``) counts every request
-    not completed when the run stopped, waiting and onboard riders included.
+    ``unserved`` (``totals.unserved``) counts every request not completed
+    when the run stopped, waiting and onboard riders included.
     """
     scheduler: str
     mode: str
@@ -131,10 +134,8 @@ class SimReport:
             },
             "counters": {**vars(c), **{f"psi_{case.lower()}": c.psi(case)
                                        for case in "ABC"}},
-            "epochs": [vars(row) for row in self.epochs],
             "assignments": [vars(a) for a in self.assignments],
             "requests": [vars(r) for r in self.requests],
-            "events": [vars(e) for e in self.events],
         }
 
 
@@ -281,8 +282,10 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
 
         step_events: list[SimEvent] = []
         for vid in sorted(vehicles):
-            step_events.extend(advance_vehicle(net, vehicles[vid], reqs,
-                                               config.epoch_s, config, now))
+            v = vehicles[vid]
+            if v.path or v.offset_km > 0.0:  # a parked one would not change
+                step_events.extend(advance_vehicle(
+                    net, v, reqs, config.epoch_s, config, now))
         # a step fires only pickups and drop-offs, each with veh and req
         step_events.sort(key=lambda e: (e.t, e.kind == "dropoff", e.veh,
                                         e.req))
@@ -337,35 +340,18 @@ def run(net: RoadNetwork, requests: list[Request], config: SimConfig,
 # -- report files ----------------------------------------------------------
 
 
-METRICS_HEADER = ("epoch,t_s,psi_A,psi_B,psi_C,sharing_rate,utilization,"
-                  "saved_km,assigned,unserved")
-
-
 def write_report_files(report: SimReport, outdir: str | os.PathLike) -> list[str]:
-    """Write report.json, metrics.csv, requests.csv, events.jsonl atomically."""
+    """Write ``REPORT_FILES`` atomically, each CSV headed by its fields."""
     os.makedirs(outdir, exist_ok=True)
-    written: list[str] = []
-
-    path = os.path.join(outdir, "report.json")
-    atomic_write(path, json.dumps(report.to_dict(), indent=2,
-                                   allow_nan=False) + "\n")
-    written.append(path)
-
-    path = os.path.join(outdir, "metrics.csv")
-    atomic_write(path, csv_text(METRICS_HEADER, (
-        (row.epoch, row.t_s, row.psi_a, row.psi_b, row.psi_c,
-         row.sharing_rate, row.utilization, row.saved_km, row.assigned,
-         row.unserved) for row in report.epochs)))
-    written.append(path)
-
-    path = os.path.join(outdir, "requests.csv")
-    header = ",".join(f.name for f in fields(RequestOutcome))
-    atomic_write(path, csv_text(header, (vars(rc).values()
-                                         for rc in report.requests)))
-    written.append(path)
-
-    path = os.path.join(outdir, "events.jsonl")
-    atomic_write(path, "".join(json.dumps(vars(e)) + "\n"
-                                for e in report.events))
-    written.append(path)
-    return written
+    summary, metrics, requests, events = (os.path.join(outdir, name)
+                                          for name in REPORT_FILES)
+    atomic_write(summary, json.dumps(report.to_dict(), indent=2,
+                                     allow_nan=False) + "\n")
+    for path, cls, rows in ((metrics, EpochRow, report.epochs),
+                            (requests, RequestOutcome, report.requests)):
+        header = ",".join(f.name for f in fields(cls))
+        atomic_write(path, csv_text(header, (vars(row).values()
+                                             for row in rows)))
+    atomic_write(events, "".join(json.dumps(vars(e)) + "\n"
+                                 for e in report.events))
+    return [summary, metrics, requests, events]

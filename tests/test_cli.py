@@ -10,6 +10,7 @@ from poolsim.cli import _config_from_args, build_parser, main
 from poolsim.geometry import euclid
 from poolsim.model import SimConfig, load_requests
 from poolsim.roadnet import load_network
+from poolsim.simulator import REPORT_FILES
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +194,12 @@ class TestSimulate:
                                              tmp_path):
         out = tmp_path / "sim"
         assert main(sim_args(net_dir, req_file, out)) == 0
-        for name in ("report.json", "metrics.csv", "requests.csv",
-                     "events.jsonl", "manifest.json", "timing.json"):
+        for name in (*REPORT_FILES, "manifest.json", "timing.json"):
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
+        assert manifest["outputs"] == [str(out / name)
+                                       for name in REPORT_FILES]
         s = manifest["settings"]
         assert s["max_detour"] == 0.2
         assert s["wait_threshold_s"] == 240.0
@@ -323,8 +325,7 @@ class TestSimulate:
             out = tmp_path / sub
             assert main(sim_args(net_dir, req_file, out, "--seed", "4")) == 0
             outs.append(out)
-        for name in ("report.json", "metrics.csv", "requests.csv",
-                     "events.jsonl"):
+        for name in REPORT_FILES:
             assert ((outs[0] / name).read_bytes()
                     == (outs[1] / name).read_bytes())
 

@@ -21,10 +21,9 @@ import pytest
 from poolsim.model import SimConfig, sample_requests
 from poolsim.roadnet import gen_grid, load_network, save_network
 from poolsim.seeds import substream
-from poolsim.simulator import run, write_report_files
+from poolsim.simulator import REPORT_FILES, run, write_report_files
 from test_acceptance import ORACLE_GRID, oracle_instance
 
-REPORT_FILES = ("report.json", "metrics.csv", "requests.csv", "events.jsonl")
 PLANNERS = {
     "es": ("es", "literal"),
     "psap-inclusive": ("psap", "inclusive"),
@@ -34,56 +33,56 @@ PLANNERS = {
 # sha256 of report.json, metrics.csv, requests.csv and events.jsonl
 GOLDEN = {
     (0, "es"): (
-        "1f007faa073bcafba20a01d39fc9955459a7b56a84655d672fcf95fba45897f8",
-        "75eee973490d3ad2853acdccf1acf890d9b2626b0f489d1fc85408158132e73c",
+        "019d01bb221006dea4d24f9c820d67a92225f63350f4126a9b90e1445a1ab843",
+        "37b30679fba69165a757fcf174b8bd00b512930a89995089cbed4d3a11fcbd9d",
         "1a0e862fd70105b52b2cde3d392ace41eab08aa7c879e3cc41c74a0964857f5c",
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
     (0, "psap-inclusive"): (
-        "ac12f67beaa8541072984176887bbcb3dbb852e3be3639db19567de54c2de19e",
-        "13ee0a0beed1630b974ffe695d2b86e27f2d7e63873b1bb798d6e940ab7e577f",
+        "4c08a2b05c0c3285bd1b3824facc9c9594799c75d120f1500e48fc104be552bd",
+        "ae511b266d50e36eabdedfa051fdf2cb9e931722052c73fd017fd2c510effbdd",
         "1a0e862fd70105b52b2cde3d392ace41eab08aa7c879e3cc41c74a0964857f5c",
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
     (0, "psap-literal"): (
-        "a344e5c4b389bfb5489f083f224bd0145fa608be5b847a07ab0198c0a57cf360",
-        "4726bd14e8bd7cc12f4c5c8017e3323ec5c7f0f4fcf55790b8804dbd5f96cdd4",
+        "d39d036206ea04a27eda4741c498ca28e2fe922b5d63ce4cd60be0b67934f308",
+        "8389c5ee924c85424acc4c76261c97c49485b399a485a99f0185ba9105602ef8",
         "1a0e862fd70105b52b2cde3d392ace41eab08aa7c879e3cc41c74a0964857f5c",
         "6af5465354af72c7ae0bedaf8f8abb1a6535576fe0b6fdfcbd43b16a0d53fd24",
     ),
     (1, "es"): (
-        "85278cd18eeaba51600f7f3d63966f1e62349d8e6a36e425ceaeac9210724180",
-        "f2e2af0cfad39c467a3df870e7f1e67dcbdb4332881acd2d1cf3e1d8f48e0041",
+        "9f19c4f83bf99cf1df2e11d9e2b391b32cc0201b94e699c750a5aaaf0b933ff9",
+        "42cfd172c9a7ea5d96ebe2f319254ed04a4d4d7bb39e3f72eca36a80b35a661c",
         "b6fa9cf64cb31ad388c86573d7f7109303af6d15de6ad16aa56b378e6bd8d3d5",
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
     (1, "psap-inclusive"): (
-        "d4993847871dd8d23b3e35ecfa10512bf51a5ff809097b7e7323af15d1decab5",
-        "424af8e651c0197a04d50ad2130f44910c3050a8564ab6b67233e5c9d24f1ee5",
+        "fca553d0d1e884941d2090b218ee8f04c4ed31eb8007c7df0c2c707629e7e6e6",
+        "c6b938735942384a50dd407fa3a2bb294384b440046a746999796c0a17f76d72",
         "b6fa9cf64cb31ad388c86573d7f7109303af6d15de6ad16aa56b378e6bd8d3d5",
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
     (1, "psap-literal"): (
-        "d47417a26792f761b30aaedd3cc91f860badf77d963938ecd0e89639f3f5b7e3",
-        "cf9a4e6770e8caa5d0995e16a3c2c479946b73f40182a1abe8c962a78760cbb0",
+        "cb83a4b9325828dcfd9b6a1de1654ae1c80f3a077c2d547ac2aebb7a61d5a8b9",
+        "040e8e692e285c82b72de1f4aae0e7beb039f9f8f5ad3aeb30a2aa2d1132ad13",
         "b6fa9cf64cb31ad388c86573d7f7109303af6d15de6ad16aa56b378e6bd8d3d5",
         "9c2fb65db8c585f966f1b3f0a42381ec33c097a342537d0ad6bfc35d414ce16b",
     ),
     (17, "es"): (
-        "0387e7604ecf1b8823acb5e03b28970bc6057884e3c9fb5c356545b769687932",
-        "9e41b906d0207080a9017c440995baea40fda1d9e445c0d0902b6b9ae0671b81",
+        "bcf35799ffbae16ad9f4d99ccfa317292f9c59c21b8b53bc7eb6202751229d73",
+        "ea4c9dff5a9ba10ddf51a94c37f0b948122c9c2772227c715a6bbb7b7729fc99",
         "f606f04c371cda3ca906d4d0146dc346bcef050f0a741cf81f2a40db18594fe2",
         "c7c28f13f317e92e0806d86ca80b3258ad6d755570946a813ab4035376417c2e",
     ),
     (17, "psap-inclusive"): (
-        "e0e462267c716de4b12fb72175359696a9568bd705ebe54d8234633c95f34f2c",
-        "ba7a006967dd5a9cda972888835640984712e3b3637c5ba94b6a33af3d7b0b2d",
+        "d00748089bd1789caa837682d7fc9f36c34c6f41f7bf161a738c1a173587334b",
+        "6a69064e34d89ee03ed99b2e4f983ea7b4b8df32df3b2d04df255611adbf0a26",
         "f606f04c371cda3ca906d4d0146dc346bcef050f0a741cf81f2a40db18594fe2",
         "c7c28f13f317e92e0806d86ca80b3258ad6d755570946a813ab4035376417c2e",
     ),
     (17, "psap-literal"): (
-        "bf227cc8a61fdf7fae8d9bf0ec0d7ef5b4e058628571945bb6f9ab4fb937d166",
-        "1e795996f941b5a190eb777e99aa63e66aeef197ce9e48a6ddb1ebe88292af3b",
+        "1a613d575c121cab79c19648ad370a0412297e425714177b9a4d414d189cdb50",
+        "5a09eebd39a4b22ea76db23d4f3b530b8e4c0cb9911f022ffa9f1f15c4d1f2a7",
         "aa13f6e87ddf990f5706aa1cd7f533c3ec0e72a62d9aa052551adbcb4bef36e1",
         "d9a114105234378db27329fe73ef7efe33d36bcb4e5acd85b1b6b8544811bbae",
     ),

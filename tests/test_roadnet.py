@@ -649,3 +649,37 @@ class TestFileIO:
         e = tmp_path / "edges.csv"
         e.write_text("id,from,to,length_km,bidirectional\n")
         assert sorted(load_network(p, e).nodes) == [0, 1, 2]
+
+    @pytest.mark.parametrize("rows", [
+        "0,0.0,179.9\n1,0.0,-179.9\n", "1,0.0,-179.9\n0,0.0,179.9\n",
+        "0,0.0,-179.9\n1,0.0,179.9\n"])
+    def test_latlon_across_the_antimeridian(self, tmp_path, rows):
+        # 0.2 degrees apart across the 180th meridian, in either order
+        p = tmp_path / "nodes.csv"
+        p.write_text("id,lat,lon\n" + rows)
+        e = tmp_path / "edges.csv"
+        e.write_text("id,from,to,length_km,bidirectional\n0,0,1,23.0,true\n")
+        net = load_network(p, e)
+        want = 6371.0088 * math.radians(0.2)
+        assert euclid(net.point(0), net.point(1)) == pytest.approx(want,
+                                                                   rel=1e-9)
+        assert net.shortest_dist(0, 1) == 23.0
+
+    def test_latlon_that_does_not_cross_projects_as_read(self, tmp_path):
+        # every longitude within 180 degrees of node 0's is used as read,
+        # bit for bit, not re-wrapped
+        rows = [(0, 48.137, 11.575), (1, 48.1372, 11.5761),
+                (2, 47.9, -9.4321), (3, 48.0, 170.123)]
+        p = tmp_path / "nodes.csv"
+        p.write_text("id,lat,lon\n" + "".join(
+            f"{nid},{lat!r},{lon!r}\n" for nid, lat, lon in rows))
+        e = tmp_path / "edges.csv"
+        e.write_text("id,from,to,length_km,bidirectional\n")
+        lat0 = math.radians(sum(r[1] for r in rows) / len(rows))
+        lon0 = math.radians(sum(r[2] for r in rows) / len(rows))
+        want = {nid: Point(
+            roadnet.EARTH_RADIUS_KM * (math.radians(lon) - lon0)
+            * math.cos(lat0),
+            roadnet.EARTH_RADIUS_KM * (math.radians(lat) - lat0))
+            for nid, lat, lon in rows}
+        assert load_network(p, e).nodes == want

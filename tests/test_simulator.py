@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,12 +14,12 @@ from poolsim.insertion import QOS_EPS, splice
 from poolsim.model import (Request, RequestError, RequestState, SimConfig,
                            Stop, StopKind, Vehicle, WorldState,
                            sample_requests)
-from poolsim.roadnet import (Edge, RoadNetwork, gen_grid, load_network,
-                             save_network)
+from poolsim.roadnet import (Edge, RoadNetwork, csv_text, gen_grid,
+                             load_network, save_network)
 from poolsim.scheduler import run_epoch
 from poolsim.seeds import substream
-from poolsim.simulator import (METRICS_HEADER, SimEvent, advance_vehicle, run,
-                               write_report_files)
+from poolsim.simulator import (REPORT_FILES, EpochRow, SimEvent,
+                               advance_vehicle, run, write_report_files)
 from test_acceptance import (ORACLE_GRID, PoevBaseline, oracle_instance,
                              poev_baseline, poev_fleet_size)
 from test_golden import PLANNERS, reorder_rows, report_digests
@@ -51,7 +53,36 @@ class TestAdvanceVehicle:
         v = Vehicle(id=0, capacity=5, node=3)
         events = advance_vehicle(net, v, {}, 60.0, SimConfig(), 0.0)
         assert events == []
-        assert v.node == 3 and v.odometer == 0.0
+        assert v == Vehicle(id=0, capacity=5, node=3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    def test_run_skips_only_parked_vehicles(self, monkeypatch, seed,
+                                            planner):
+        # run moves no vehicle without stops at its node; every vehicle a
+        # move leaves parked shows that moving it again would change nothing
+        shipped = simulator.advance_vehicle
+        parked_after = 0
+
+        def checked(net, v, requests, dt_s, config, t0):
+            nonlocal parked_after
+            assert v.path or v.offset_km > 0.0
+            events = shipped(net, v, requests, dt_s, config, t0)
+            if not v.path and v.offset_km <= 0.0:
+                parked_after += 1
+                before = copy.deepcopy(v)
+                assert shipped(net, v, requests, dt_s, config,
+                               t0 + dt_s) == []
+                assert v == before
+            return events
+
+        monkeypatch.setattr(simulator, "advance_vehicle", checked)
+        scheduler, gating = PLANNERS[planner]
+        net = gen_grid(*ORACLE_GRID)
+        n_veh, reqs = oracle_instance(net, seed)
+        run(net, reqs, SimConfig(n_vehicles=n_veh, seed=seed, gating=gating),
+            scheduler=scheduler)
+        assert parked_after > 0
 
     def test_reaches_stop_at_exact_time(self):
         net = gen_grid(13, 2, 0.5)
@@ -358,19 +389,45 @@ class TestReportFiles:
     def test_files_written_and_consistent(self, tmp_path):
         report = self.make_report()
         written = write_report_files(report, tmp_path)
-        assert sorted(os.path.basename(p) for p in written) == [
-            "events.jsonl", "metrics.csv", "report.json", "requests.csv"]
+        assert [os.path.basename(p) for p in written] == list(REPORT_FILES)
 
         with open(tmp_path / "report.json") as f:
             assert json.load(f) == report.to_dict()
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
-        assert lines[0] == METRICS_HEADER
         assert len(lines) == 1 + len(report.epochs)
         req_lines = (tmp_path / "requests.csv").read_text().splitlines()
         assert len(req_lines) == 1 + report.n_requests
         ev_lines = (tmp_path / "events.jsonl").read_text().splitlines()
         assert len(ev_lines) == len(report.events)
         assert json.loads(ev_lines[0])["kind"] == "release"
+
+    def test_metrics_rows_are_the_epoch_rows(self, tmp_path):
+        report = self.make_report()
+        write_report_files(report, tmp_path)
+        header, *rows = (tmp_path / "metrics.csv").read_text().splitlines()
+        names = [f.name for f in fields(EpochRow)]
+        assert header.split(",") == names
+        assert len(rows) == len(report.epochs) > 1
+        for line, epoch in zip(rows, report.epochs):
+            values = [getattr(epoch, name) for name in names]
+            assert csv_text(header, [values]) == f"{header}\n{line}\n"
+
+    def test_report_json_is_the_summary(self, tmp_path):
+        # the epochs and events live in metrics.csv and events.jsonl only
+        write_report_files(self.make_report(), tmp_path)
+        with open(tmp_path / "report.json") as f:
+            summary = json.load(f)
+        assert set(summary) == {
+            "scheduler", "mode", "config", "n_requests", "n_vehicles",
+            "area_km2", "end_time_s", "totals", "counters", "assignments",
+            "requests"}
+        assert set(summary["totals"]) == {
+            "total_travel_km", "sum_direct_completed_km", "saved_km",
+            "completed", "unserved"}
+        assert set(summary["counters"]) == {
+            f"{name}_{case}" for name in ("n", "m", "psi") for case in "abc"}
+        assert len(summary["assignments"]) == 6
+        assert [r["id"] for r in summary["requests"]] == list(range(6))
 
     def test_infinite_preset_direct_distance_is_resolved(self, tmp_path):
         # only a positive finite preset is trusted; an infinite one would
@@ -387,8 +444,7 @@ class TestReportFiles:
         report = self.make_report()
         write_report_files(report, tmp_path / "a")
         write_report_files(report, tmp_path / "b")
-        for name in ("report.json", "metrics.csv", "requests.csv",
-                     "events.jsonl"):
+        for name in REPORT_FILES:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
